@@ -4,9 +4,8 @@ from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, LabeledTriplet
                     SplitPlan, avg_node_degree, derive_positive_triplets,
                     load_edges, make_split, sample_negatives)
 from .gradcheck import grad_check
-from .metapath import (CausalSubgraph, Metapath, MetapathInstance,
-                       ablation_metapaths, causal_metapaths, enumerate_instances,
-                       extract_subgraph, instances_involving)
+from .metapath import (Metapath, ablation_metapaths, causal_metapaths,
+                       enumerate_instance_rows)
 from .model import (ModelCache, ModelConfig, ModelParams, ForwardOutput,
                     forward, init_params)
 from .optim import Adam

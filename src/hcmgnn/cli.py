@@ -13,21 +13,34 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .evaluation import (default_thresholds, export_embeddings, silhouette,
-                         stratify_by_degree)
-from .graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet, SplitPlan,
+from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
+                         silhouette, stratify_by_degree)
+from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
                     derive_positive_triplets, load_edges, make_split)
 from .metapath import causal_metapaths, dump_instances
 from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, forward)
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
-from .training import TrainConfig, run_cv, run_test, train_for_test
+from .training import (TrainConfig, build_test_set, run_cv, run_test,
+                       score_ranking_set, train_for_test)
 
 _FEATURE_KEYS = {"gene": GENE, "microbe": MICROBE, "disease": DISEASE}
+
+_TOP_KEYS = {"seed", "out", "synthetic", "dataset", "model", "train", "split",
+             "split_file"}
+# the keys each config block accepts; the top-level seed sets the train seed
+_BLOCK_KEYS = {
+    "synthetic": {"n_genes", "n_microbes", "n_diseases", "latent_dim", "edge_density",
+                  "rng_seed"},
+    "dataset": {"gene_microbe", "gene_disease", "microbe_disease", "features"},
+    "model": {f.name for f in fields(ModelConfig)},
+    "train": {f.name for f in fields(TrainConfig)} - {"seed"},
+    "split": {"test_fraction", "folds"},
+}
 
 
 @dataclass
@@ -54,10 +67,26 @@ class RunConfig:
         return doc
 
 
+def _check_keys(path, where: str, block, allowed: set[str]):
+    """Reject a key that `block` does not accept, naming the file and the key."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{path}: '{where.rstrip('.') or 'config'}' must be a JSON object")
+    for key in block:
+        if key not in allowed:
+            raise ValueError(f"{path}: unknown config key '{where}{key}'")
+
+
 def load_config(path, seed_override=None, out_override=None,
                 variant_override=None) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_keys(path, "", doc, _TOP_KEYS)
+    for name, allowed in _BLOCK_KEYS.items():
+        if doc.get(name) is not None:
+            _check_keys(path, f"{name}.", doc[name], allowed)
+    features = (doc.get("dataset") or {}).get("features")
+    if features is not None:
+        _check_keys(path, "dataset.features.", features, set(_FEATURE_KEYS))
     if ("synthetic" in doc) == ("dataset" in doc):
         raise ValueError("config must contain exactly one of 'synthetic' or 'dataset'")
     seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
@@ -73,14 +102,19 @@ def load_config(path, seed_override=None, out_override=None,
                      split=doc.get("split"), split_file=doc.get("split_file"))
 
 
-def build_graph(cfg: RunConfig, out_dir=None) -> HetGraph:
+def _synthesize(cfg: RunConfig, out_dir):
+    """The planted dataset of the config's synthetic block, and its seed."""
+    block = cfg.synthetic
+    gen_seed = block.get("rng_seed", derive_seed(cfg.seed, "synthetic"))
+    return gen_seed, generate_synthetic(
+        block["n_genes"], block["n_microbes"], block["n_diseases"],
+        block.get("latent_dim", 8), block.get("edge_density", 0.15),
+        gen_seed, out_dir=out_dir)
+
+
+def build_graph(cfg: RunConfig) -> HetGraph:
     if cfg.synthetic is not None:
-        block = cfg.synthetic
-        gen_seed = block.get("rng_seed", derive_seed(cfg.seed, "synthetic"))
-        return generate_synthetic(
-            block["n_genes"], block["n_microbes"], block["n_diseases"],
-            block.get("latent_dim", 8), block.get("edge_density", 0.15),
-            gen_seed, out_dir=out_dir).graph
+        return _synthesize(cfg, None)[1].graph
     ds = cfg.dataset
     features = {}
     for key, t in _FEATURE_KEYS.items():
@@ -93,7 +127,10 @@ def build_graph(cfg: RunConfig, out_dir=None) -> HetGraph:
 
 def build_split(cfg: RunConfig, g: HetGraph) -> SplitPlan:
     if cfg.split_file:
-        return SplitPlan.load(cfg.split_file)
+        plan = SplitPlan.load(cfg.split_file)
+        check_split(plan, {g.triplet_id(p) for p in derive_positive_triplets(g)},
+                    cfg.split_file)
+        return plan
     opts = cfg.split or {}
     positives = derive_positive_triplets(g)
     return make_split(g, positives,
@@ -134,12 +171,7 @@ def cmd_synth(cfg: RunConfig) -> str:
         raise ValueError("synth needs a 'synthetic' block in the config")
     _write_run_file(cfg)
     data_dir = os.path.join(cfg.out, "data")
-    block = cfg.synthetic
-    gen_seed = block.get("rng_seed", derive_seed(cfg.seed, "synthetic"))
-    result = generate_synthetic(
-        block["n_genes"], block["n_microbes"], block["n_diseases"],
-        block.get("latent_dim", 8), block.get("edge_density", 0.15),
-        gen_seed, out_dir=data_dir)
+    gen_seed, result = _synthesize(cfg, data_dir)
     triangles = len(derive_positive_triplets(result.graph))
     manifest = {
         "seed": gen_seed,
@@ -177,10 +209,13 @@ def cmd_cv(cfg: RunConfig) -> str:
     return path
 
 
-def _test_run(cfg: RunConfig, g: HetGraph, plan: SplitPlan):
-    params, report, cache = train_for_test(g, plan, cfg.model, cfg.train)
-    metrics, cases = run_test(g, plan, cache, params, cfg.train.seed)
-    return params, report, cache, metrics, cases
+def _test_run(model_cfg: ModelConfig, train_cfg: TrainConfig, g: HetGraph,
+              plan: SplitPlan):
+    """Fit the test model, then rank the test set with it."""
+    params, report, cache = train_for_test(g, plan, model_cfg, train_cfg)
+    test_set = build_test_set(g, plan, train_cfg.seed, 30)
+    cases = score_ranking_set(g, cache, params, test_set)
+    return params, report, cache, test_set, cases
 
 
 def cmd_test(cfg: RunConfig) -> str:
@@ -188,27 +223,17 @@ def cmd_test(cfg: RunConfig) -> str:
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     plan = build_split(cfg, g)
-    params, report, cache, metrics, cases = _test_run(cfg, g, plan)
+    params, report, cache, test_set, cases = _test_run(cfg.model, cfg.train, g, plan)
+    metrics = rank_metrics(cases)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
 
-    # embed every ranked candidate for external projection tools
-    samples, labels, ids = [], [], []
-    positive_ids = {c.positive_id for c in cases}
-    for c in cases:
-        for cid in c.candidate_ids:
-            gi, mi, di = cid.split("|")
-            label = 1 if cid in positive_ids else 0
-            samples.append(LabeledTriplet(
-                g.node_index[GENE][gi], g.node_index[MICROBE][mi],
-                g.node_index[DISEASE][di], label,
-                "observed" if label else "sampled-negative"))
-            labels.append(label)
-            ids.append(cid)
-    out = forward(cache, params, samples)
-    vecs = np.concatenate([
-        out.embeddings[GENE].data[[s.gene for s in samples]],
-        out.embeddings[MICROBE].data[[s.microbe for s in samples]],
-        out.embeddings[DISEASE].data[[s.disease for s in samples]]], axis=1)
+    # embed every ranked candidate, each pool's positive first, for projection tools
+    ids = [cid for pool in test_set.candidate_ids for cid in pool]
+    labels = [int(j == 0) for pool in test_set.candidate_ids for j in range(len(pool))]
+    out = forward(cache, params, test_set.index)
+    vecs = np.concatenate([out.embeddings[t].data[rows]
+                           for t, rows in zip((GENE, MICROBE, DISEASE), test_set.index)],
+                          axis=1)
     export_path = os.path.join(cfg.out, "exports", "test_embeddings.tsv")
     export_embeddings(export_path, ids, labels, vecs)
 
@@ -234,13 +259,9 @@ def cmd_ablate(cfg: RunConfig) -> str:
     def run_variant(variant: str) -> dict:
         row = {"variant": variant, "split_hash": shash, "error": None}
         try:
-            vcfg = RunConfig(seed=cfg.seed, out=cfg.out,
-                             model=ModelConfig(**{**asdict(cfg.model), "variant": variant}),
-                             train=cfg.train, synthetic=cfg.synthetic,
-                             dataset=cfg.dataset, split=cfg.split,
-                             split_file=cfg.split_file)
-            _, report, _, metrics, _ = _test_run(vcfg, g, plan)
-            row.update(metrics)
+            _, report, _, _, cases = _test_run(replace(cfg.model, variant=variant),
+                                               cfg.train, g, plan)
+            row.update(rank_metrics(cases))
             row["best_epoch"] = report.best_epoch
             row["epochs"] = report.epochs_run
         except Exception as exc:  # a broken variant must not sink the others

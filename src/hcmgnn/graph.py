@@ -118,6 +118,9 @@ def _read_edge_file(path, kind, registries) -> list[tuple[int, int]]:
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}, "
                                  "expected 'id_a<TAB>id_b'")
+            if "|" in line:
+                raise ValueError(f"{path}:{lineno}: node id contains '|', "
+                                 "which separates the ids inside a triplet id")
             ia = reg_a.setdefault(fields[0], len(reg_a))
             ib = reg_b.setdefault(fields[1], len(reg_b))
             if (ia, ib) in seen:
@@ -303,12 +306,6 @@ class SplitPlan:
     folds: list[list[str]]
     seed: int
 
-    def cv_ids(self) -> list[str]:
-        return [tid for fold in self.folds for tid in fold]
-
-    def fold_val_ids(self, k: int) -> list[str]:
-        return list(self.folds[k])
-
     def fold_train_ids(self, k: int) -> list[str]:
         return [tid for i, fold in enumerate(self.folds) if i != k for tid in fold]
 
@@ -327,18 +324,40 @@ class SplitPlan:
         return cls(test=doc["test"], folds=doc["folds"], seed=doc["seed"])
 
 
+def check_split(plan: SplitPlan, positive_ids, where: str):
+    """Reject a split with an id not in `positive_ids` or seen twice, or an empty fold.
+
+    Errors name `where`, the split file.
+    """
+    if not plan.folds:
+        raise ValueError(f"{where}: the split has no folds")
+    seen = set()
+    for name, ids in [("test", plan.test)] + [
+            (f"fold {k}", fold) for k, fold in enumerate(plan.folds)]:
+        if not ids and name != "test":
+            raise ValueError(f"{where}: {name} is empty")
+        for tid in ids:
+            if tid not in positive_ids:
+                raise ValueError(f"{where}: {name} id {tid!r} is not a known positive")
+            if tid in seen:
+                raise ValueError(f"{where}: id {tid!r} appears more than once "
+                                 "across test and folds")
+            seen.add(tid)
+
+
 def make_split(g: HetGraph, positives: list[LabeledTriplet],
                test_fraction: float = 0.1, folds: int = 5,
                rng_seed: int = 0) -> SplitPlan:
     """Shuffle positives, reserve the test slice, split the rest into folds."""
     n = len(positives)
-    if n < folds:
-        raise ValueError(f"make_split: {n} positives cannot fill {folds} folds")
+    n_test = round(test_fraction * n)
+    if n - n_test < folds:
+        raise ValueError(f"make_split: {n - n_test} positives left after the test "
+                         f"slice of {n_test} cannot fill {folds} folds")
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(n)
     ids = [g.triplet_id(positives[i]) for i in order]
 
-    n_test = round(test_fraction * n)
     test = ids[:n_test]
     rest = ids[n_test:]
     base, extra = divmod(len(rest), folds)

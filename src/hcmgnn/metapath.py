@@ -69,41 +69,6 @@ def ablation_metapaths(kind: str) -> list[Metapath]:
     raise ValueError(f"unknown ablation metapath kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class CausalSubgraph:
-    metapath: Metapath
-    graph: HetGraph
-
-    @property
-    def edge_sets(self):
-        r1, r2 = self.metapath.relations
-        return (self.graph.edges[r1], self.graph.edges[r2])
-
-
-@dataclass(frozen=True)
-class MetapathInstance:
-    metapath: Metapath
-    nodes: tuple[int, ...]
-
-    @property
-    def head(self) -> int:
-        return self.nodes[0]
-
-    @property
-    def intermediate(self) -> int:
-        return self.nodes[len(self.nodes) // 2]
-
-    @property
-    def tail(self) -> int:
-        return self.nodes[-1]
-
-
-def extract_subgraph(g: HetGraph, p: Metapath) -> CausalSubgraph:
-    if p.kind != CAUSAL_3:
-        raise ValueError(f"extract_subgraph needs a causal-3 metapath, got {p.name}")
-    return CausalSubgraph(p, g)
-
-
 def _lexsorted(rows: np.ndarray) -> np.ndarray:
     if rows.shape[0] <= 1:
         return rows
@@ -184,33 +149,6 @@ def enumerate_instance_rows(g: HetGraph, p: Metapath) -> np.ndarray:
     if p.kind == SYMMETRIC_5:
         return _join_5(g, p.types)
     raise ValueError(f"unknown metapath kind {p.kind!r}")
-
-
-def enumerate_instances(sg: CausalSubgraph) -> list[MetapathInstance]:
-    rows = enumerate_instance_rows(sg.graph, sg.metapath)
-    return [MetapathInstance(sg.metapath, tuple(int(x) for x in row)) for row in rows]
-
-
-def instances_involving(instances, v: tuple[EntityType, int],
-                        metapath: Metapath | None = None) -> list[int]:
-    """Indices of instances containing node v in any type-matching position."""
-    vtype, vidx = v
-    if isinstance(instances, np.ndarray):
-        rows = instances
-        if metapath is None:
-            raise ValueError("instances_involving: metapath required with a row array")
-        types = metapath.types
-        hits: set[int] = set()
-        for pos, t in enumerate(types):
-            if t is vtype:
-                hits.update(np.nonzero(rows[:, pos] == vidx)[0].tolist())
-        return sorted(hits)
-    out = []
-    for i, inst in enumerate(instances):
-        types = inst.metapath.types
-        if any(t is vtype and n == vidx for t, n in zip(types, inst.nodes)):
-            out.append(i)
-    return out
 
 
 def dump_instances(path, g: HetGraph, metapaths: list[Metapath]):

@@ -51,9 +51,15 @@ def loss_fn(scores: Tensor, labels, gamma: float) -> Tensor:
 
 @dataclass
 class RankingSet:
-    """Each positive paired with its fixed pool of sampled negatives."""
-    positives: list[LabeledTriplet]
+    """Each positive paired with its fixed pool of sampled negatives.
+
+    The pools' flat index arrays, candidate ids (positive first) and average
+    degrees are built once, so scoring an epoch does no set-up.
+    """
     negatives: list[list[LabeledTriplet]]
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    candidate_ids: list[list[str]]
+    avg_degrees: list[float]
 
 
 def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
@@ -62,27 +68,25 @@ def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
                             known_positives=known_positives)
     grouped = [flat[i * n_negatives:(i + 1) * n_negatives]
                for i in range(len(positives))]
-    return RankingSet(positives=list(positives), negatives=grouped)
+    pools = [[pos] + negs for pos, negs in zip(positives, grouped)]
+    candidates = [t for pool in pools for t in pool]
+    index = tuple(np.array([getattr(t, slot) for t in candidates], dtype=np.int64)
+                  for slot in ("gene", "microbe", "disease"))
+    return RankingSet(negatives=grouped, index=index,
+                      candidate_ids=[[g.triplet_id(t) for t in pool] for pool in pools],
+                      avg_degrees=[avg_node_degree(g, pos) for pos in positives])
 
 
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
                       rset: RankingSet) -> list[RankedCase]:
     """Score every candidate pool in one forward pass, then rank."""
-    samples: list[LabeledTriplet] = []
-    for pos, negs in zip(rset.positives, rset.negatives):
-        samples.append(pos)
-        samples.extend(negs)
-    out = forward(cache, params, samples)
-    scores = out.scores.data[:, 0]
+    scores = forward(cache, params, rset.index).scores.data[:, 0]
     cases = []
     off = 0
-    for pos, negs in zip(rset.positives, rset.negatives):
-        pool = 1 + len(negs)
-        cases.append(make_case(g.triplet_id(pos),
-                               [g.triplet_id(n) for n in negs],
-                               scores[off:off + pool],
-                               avg_degree=avg_node_degree(g, pos)))
-        off += pool
+    for ids, degree in zip(rset.candidate_ids, rset.avg_degrees):
+        cases.append(make_case(ids[0], ids[1:], scores[off:off + len(ids)],
+                               avg_degree=degree))
+        off += len(ids)
     return cases
 
 
@@ -178,17 +182,33 @@ def _resolve_ids(ids, by_id, where: str) -> list[LabeledTriplet]:
     return out
 
 
+@dataclass
+class _ResolvedPlan:
+    """A split plan's ids turned into positives, plus the known-positive keys."""
+    known: set[tuple[int, int, int]]
+    test: list[LabeledTriplet]
+    folds: list[list[LabeledTriplet]]
+
+
+def _resolve_plan(g: HetGraph, plan: SplitPlan) -> _ResolvedPlan:
+    """Audit the plan and resolve every id in it, before any training."""
+    audit_no_leakage(plan)
+    positives = derive_positive_triplets(g)
+    by_id = {g.triplet_id(p): p for p in positives}
+    return _ResolvedPlan(known={p.key() for p in positives},
+                         test=_resolve_ids(plan.test, by_id, "test"),
+                         folds=[_resolve_ids(fold, by_id, f"fold {k}")
+                                for k, fold in enumerate(plan.folds)])
+
+
 def audit_no_leakage(plan: SplitPlan):
-    """Every invocation re-checks that no test id reaches any training fold."""
+    """Every invocation re-checks that no test id is in a fold, which trains the others."""
     test = set(plan.test)
-    for k in range(len(plan.folds)):
-        leaked = test.intersection(plan.fold_train_ids(k))
+    for k, fold in enumerate(plan.folds):
+        leaked = test.intersection(fold)
         if leaked:
             raise RuntimeError(f"leakage: test ids {sorted(leaked)[:3]}... "
-                               f"appear in fold {k} training set")
-        leaked_val = test.intersection(plan.fold_val_ids(k))
-        if leaked_val:
-            raise RuntimeError(f"leakage: test ids in fold {k} validation set")
+                               f"appear in fold {k}")
 
 
 @dataclass
@@ -220,31 +240,38 @@ def _mean_record(records: list[dict]) -> dict:
     return mean
 
 
+def _fit(g: HetGraph, cache: ModelCache, split: _ResolvedPlan, k: int, label: str,
+         model_cfg: ModelConfig, train_cfg: TrainConfig, n_rank_negatives: int):
+    """Train on every fold but k plus equal negatives, early-stopping on fold k.
+
+    `label` ("fold{k}" or "test-model") names the run in its seed labels.
+    """
+    seed = train_cfg.seed
+    train_pos = [p for i, fold in enumerate(split.folds) if i != k for p in fold]
+    train_neg = sample_training_negatives(
+        train_pos, derive_seed(seed, f"train-neg/{label}"), g.sizes,
+        known_positives=split.known)
+    val_set = build_ranking_set(g, split.folds[k], n_rank_negatives,
+                                derive_seed(seed, f"val-neg/{label}"), split.known)
+    params = init_params(cache, model_cfg, derive_seed(seed, f"params/{label}"))
+    report = train(g, cache, params, train_pos + train_neg, val_set, train_cfg)
+    return params, report, val_set, len(train_pos), len(train_neg)
+
+
 def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
            train_cfg: TrainConfig, n_rank_negatives: int = 30,
            max_workers: int = 1) -> CVResult:
     """5-fold CV: train on 4 folds plus equal negatives, rank the held-out fold."""
-    audit_no_leakage(plan)
-    positives = derive_positive_triplets(g)
-    by_id = {g.triplet_id(p): p for p in positives}
-    known = {p.key() for p in positives}
+    split = _resolve_plan(g, plan)
     cache = ModelCache(g, model_cfg.variant)
-    seed = train_cfg.seed
 
     def run_fold(k: int) -> FoldResult:
-        train_pos = _resolve_ids(plan.fold_train_ids(k), by_id, f"fold {k} train")
-        val_pos = _resolve_ids(plan.fold_val_ids(k), by_id, f"fold {k} val")
-        train_neg = sample_training_negatives(
-            train_pos, derive_seed(seed, f"train-neg/fold{k}"), g.sizes,
-            known_positives=known)
-        val_set = build_ranking_set(g, val_pos, n_rank_negatives,
-                                    derive_seed(seed, f"val-neg/fold{k}"), known)
-        params = init_params(cache, model_cfg, derive_seed(seed, f"params/fold{k}"))
-        report = train(g, cache, params, train_pos + train_neg, val_set, train_cfg)
+        params, report, val_set, n_pos, n_neg = _fit(
+            g, cache, split, k, f"fold{k}", model_cfg, train_cfg, n_rank_negatives)
         cases = score_ranking_set(g, cache, params, val_set)
         return FoldResult(fold=k, metrics=rank_metrics(cases),
                           report=report, params=params, cases=cases,
-                          n_train_pos=len(train_pos), n_train_neg=len(train_neg))
+                          n_train_pos=n_pos, n_train_neg=n_neg)
 
     n_folds = len(plan.folds)
     if max_workers > 1:
@@ -269,33 +296,26 @@ def train_for_test(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     folds plus equal sampled negatives form the training set.  Test
     positives are never visible here (audited).
     """
-    audit_no_leakage(plan)
-    positives = derive_positive_triplets(g)
-    by_id = {g.triplet_id(p): p for p in positives}
-    known = {p.key() for p in positives}
+    split = _resolve_plan(g, plan)
+    if not split.test:
+        raise ValueError("train_for_test: the split holds no test positives")
     cache = ModelCache(g, model_cfg.variant)
-    seed = train_cfg.seed
-
-    train_pos = _resolve_ids(plan.fold_train_ids(0), by_id, "test-model train")
-    val_pos = _resolve_ids(plan.fold_val_ids(0), by_id, "test-model val")
-    train_neg = sample_training_negatives(
-        train_pos, derive_seed(seed, "train-neg/test-model"), g.sizes,
-        known_positives=known)
-    val_set = build_ranking_set(g, val_pos, 30,
-                                derive_seed(seed, "val-neg/test-model"), known)
-    params = init_params(cache, model_cfg, derive_seed(seed, "params/test-model"))
-    report = train(g, cache, params, train_pos + train_neg, val_set, train_cfg)
+    params, report, _, _, _ = _fit(g, cache, split, 0, "test-model",
+                                   model_cfg, train_cfg, 30)
     return params, report, cache
+
+
+def build_test_set(g: HetGraph, plan: SplitPlan, seed: int,
+                   n_rank_negatives: int) -> RankingSet:
+    """Each test positive with its freshly sampled pool of negatives."""
+    split = _resolve_plan(g, plan)
+    return build_ranking_set(g, split.test, n_rank_negatives,
+                             derive_seed(seed, "test-neg"), split.known)
 
 
 def run_test(g: HetGraph, plan: SplitPlan, cache: ModelCache, params: ModelParams,
              seed: int, n_rank_negatives: int = 30):
     """Rank each test positive against freshly sampled negatives."""
-    positives = derive_positive_triplets(g)
-    by_id = {g.triplet_id(p): p for p in positives}
-    known = {p.key() for p in positives}
-    test_pos = _resolve_ids(plan.test, by_id, "test")
-    test_set = build_ranking_set(g, test_pos, n_rank_negatives,
-                                 derive_seed(seed, "test-neg"), known)
-    cases = score_ranking_set(g, cache, params, test_set)
+    cases = score_ranking_set(g, cache, params,
+                              build_test_set(g, plan, seed, n_rank_negatives))
     return rank_metrics(cases), cases

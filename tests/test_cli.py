@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hcmgnn.cli import main
+from hcmgnn.cli import build_graph, build_split, load_config, main
 from hcmgnn.evaluation import load_embeddings
 from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
 
@@ -167,3 +167,64 @@ def test_run_config_is_written_without_timestamps(tmp_path):
     run1 = open(os.path.join(out, "run.json"), "rb").read()
     main(["synth", "--config", cfg])
     assert open(os.path.join(out, "run.json"), "rb").read() == run1
+
+
+def tampered_split_config(tmp_path, tamper):
+    """write_config's config, with a split_file holding its split after `tamper`."""
+    cfg_path, _ = write_config(tmp_path)
+    cfg = load_config(cfg_path)
+    g = build_graph(cfg)
+    plan = build_split(cfg, g)
+    tamper(plan)
+    split_path = str(tmp_path / "split.json")
+    plan.save(split_path)
+    cfg_path, _ = write_config(tmp_path, split_file=split_path)
+    return load_config(cfg_path), g, plan, split_path
+
+
+def test_valid_split_file_loads_unchanged(tmp_path):
+    cfg, g, plan, _ = tampered_split_config(tmp_path, lambda plan: None)
+    assert build_split(cfg, g) == plan
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda plan: plan.folds[0].append("g0|m0|d999"), "fold 0 id .* not a known positive"),
+    (lambda plan: plan.folds[1].append(plan.test[0]), "appears more than once"),
+    (lambda plan: plan.folds[2].append(plan.folds[3][0]), "appears more than once"),
+    (lambda plan: plan.folds[4].clear(), "fold 4 is empty"),
+], ids=["unknown-id", "test-in-fold", "fold-overlap", "empty-fold"])
+def test_bad_split_file_rejected_at_load(tmp_path, tamper, message):
+    cfg, g, _, split_path = tampered_split_config(tmp_path, tamper)
+    with pytest.raises(ValueError, match=message) as err:
+        build_split(cfg, g)
+    assert split_path in str(err.value)
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"spilt": {"folds": 5}}, "'spilt'"),
+    ({"model": {**SMALL_MODEL, "hedas": 2}}, "'model.hedas'"),
+    ({"train": {"max_epochs": 3, "patiense": 5}}, "'train.patiense'"),
+    ({"train": {"max_epochs": 3, "seed": 4}}, "'train.seed'"),
+    ({"split": {"folds": 5, "test_frac": 0.2}}, "'split.test_frac'"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "density": 0.2}}, "'synthetic.density'"),
+], ids=["top", "model", "train", "train-seed", "split", "synthetic"])
+def test_unknown_config_key_rejected(tmp_path, override, key):
+    cfg_path, _ = write_config(tmp_path, **override)
+    with pytest.raises(ValueError, match=f"unknown config key {key}") as err:
+        load_config(cfg_path)
+    assert cfg_path in str(err.value)
+
+
+def test_unknown_dataset_key_rejected(tmp_path):
+    doc = {"seed": 1, "out": str(tmp_path / "o"),
+           "dataset": {"gene_microbe": "gm.tsv", "gene_disease": "gd.tsv",
+                       "microbe_disease": "md.tsv", "features": {"gnee": "f.csv"}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config key 'dataset.features.gnee'"):
+        load_config(str(path))
+    doc["dataset"]["feature"] = doc["dataset"].pop("features")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown config key 'dataset.feature'"):
+        load_config(str(path))

@@ -1,0 +1,77 @@
+"""Golden outputs: every file the CLI writes, byte for byte, for one config.
+
+All six commands run on `test_cli.write_config`'s config at 3 epochs, and
+the sha256 of every data, metrics, export and checkpoint file must equal
+the value recorded here.  A change that alters any output, even in the
+last bit of a float, fails this test; such a change must say why and
+record the new hashes.  `run.json` is left out because it holds the
+output path.
+"""
+
+import hashlib
+import os
+
+from hcmgnn.cli import main
+from test_cli import write_config
+
+COMMANDS = ("synth", "cv", "test", "ablate", "stratify", "instances")
+
+GOLDEN = {
+    "checkpoints/fold0.json":
+        "0048f2716094d45141b0b4dedd7e7a5ba991f8f51544e44a3668c3d8721140ce",
+    "checkpoints/fold1.json":
+        "02cacc6daed6a3c3387d9e2312ce7fd83926a824c2a59ba17a9f4b072e3f6f4c",
+    "checkpoints/fold2.json":
+        "78c37bc7281fec5b4f59c168a4565549b6873277cb9f16b4a7d5f185fd097957",
+    "checkpoints/fold3.json":
+        "471b7f057c9cc1fc15dfa8837553f7c7b9451a6b11d858675fbf8d3c8449fddf",
+    "checkpoints/fold4.json":
+        "d3e34ad06031883a595c95be3a3e1b14e06f6d42a58a90ee23a955ac4cc64da6",
+    "checkpoints/test.json":
+        "d7b72ed7ae6629a464db21dc9b98a66f9cfec85cd6e88e945a13836be9511d41",
+    "data/edges_gene_disease.tsv":
+        "f2890fc1c474d40975bd0849e4feb551883fba224d03ecbdbacea5d3084c2e52",
+    "data/edges_gene_microbe.tsv":
+        "ad01d325884d57757588416e8a92cb1037b0144e430ec481d26df6a21e294535",
+    "data/edges_microbe_disease.tsv":
+        "448e006a18f33e264afbe5434370b9b1e67d33fd0dcc4357301a349cc351d409",
+    "data/features_disease.csv":
+        "7f8748782dcb7f43882155f57700e5833af6edb1d31400c38ec80c1959774c5f",
+    "data/features_gene.csv":
+        "2b1ea5a55a9c788e7d363e35ff568a51f3726a61d8fc5753694d1902499f5fd3",
+    "data/features_microbe.csv":
+        "1a296f7d84d15a69bdf7cb7314d711a4d6746db5ea571aef0bb997c208262579",
+    "data/manifest.json":
+        "e03c67442fd8e7de815a2ab62f50b2eeea8d62a9f224e6cfbf969de37eeb3bfc",
+    "exports/instances.tsv":
+        "c6ee4379bfff415e0cb3da75a27f68da5fe6534b8db0ebb86a7f9318f2fa18ec",
+    "exports/test_embeddings.tsv":
+        "1d20f39d9aa5d2a8108f8cfa37e04e34a83ac326d08439fc4f550a89e7d915b8",
+    "metrics/ablation.json":
+        "a87d86358f38fc7edc1a3f41aac74c34b4543315feb78888445f961f8f610272",
+    "metrics/cv.json":
+        "b12082327d09566a135d23d44b6d79a96e41defeb578e6d6ad311aede477c90c",
+    "metrics/strata.tsv":
+        "d2c3da3d0df4a23d24c31925460e8b3b911b80f6017855c4529bad32019b2a1f",
+    "metrics/test.json":
+        "7ba4fea5df674cd37ee704a680c27c91599f66560f5818c0dbfc4e858619681b",
+}
+
+
+def output_hashes(out) -> dict[str, str]:
+    hashes = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, out).replace(os.sep, "/")
+            if rel != "run.json":
+                with open(path, "rb") as fh:
+                    hashes[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(hashes.items()))
+
+
+def test_every_output_matches_its_golden_hash(tmp_path):
+    cfg, out = write_config(tmp_path)
+    for command in COMMANDS:
+        assert main([command, "--config", cfg]) == 0, command
+    assert output_hashes(out) == GOLDEN

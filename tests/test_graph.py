@@ -52,6 +52,16 @@ def test_malformed_row_reports_line_number(tmp_path):
         load_edges(gm, gd, md)
 
 
+def test_pipe_in_node_id_rejected_with_line(tmp_path):
+    # 'a|b'+'c' and 'a'+'b|c' would both give the triplet id 'a|b|c|...'
+    gm, gd, md = write_dataset(tmp_path, gm="a\tb|c\na|b\tc\n")
+    with pytest.raises(ValueError, match=r"gm\.tsv:1: node id contains '\|'"):
+        load_edges(gm, gd, md)
+    gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\n", md="m1\td|1\n")
+    with pytest.raises(ValueError, match=r"md\.tsv:1"):
+        load_edges(gm, gd, md)
+
+
 def test_feature_loading_and_fallbacks(tmp_path):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\ng2\tm1\n", gd="g1\td1\n",
                                md="m1\td1\n")
@@ -226,6 +236,16 @@ def test_split_requires_enough_positives(tiny_graph):
     pos = derive_positive_triplets(tiny_graph)
     with pytest.raises(ValueError):
         make_split(tiny_graph, pos[:3], folds=5, rng_seed=0)
+
+
+def test_split_checks_fold_sizes_after_the_test_slice():
+    rng = np.random.default_rng(1)
+    g = random_graph(rng, 10, 10, 10, p=0.0)
+    # 5 positives hold 5 folds, but not once half of them go to the test slice
+    with pytest.raises(ValueError, match="cannot fill 5 folds"):
+        make_split(g, make_positives(5), test_fraction=0.5, folds=5, rng_seed=0)
+    plan = make_split(g, make_positives(10), test_fraction=0.5, folds=5, rng_seed=0)
+    assert [len(f) for f in plan.folds] == [1, 1, 1, 1, 1]
 
 
 def test_split_plan_file_round_trip(tmp_path):

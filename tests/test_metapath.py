@@ -4,10 +4,15 @@ import pytest
 import hcmgnn.metapath as mp
 from conftest import random_graph, toy_graph
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph, derive_positive_triplets
-from hcmgnn.metapath import (CausalSubgraph, InstanceExplosion, Metapath,
-                             ablation_metapaths, causal_metapaths, dump_instances,
-                             enumerate_instance_rows, enumerate_instances,
-                             extract_subgraph, instances_involving)
+from hcmgnn.metapath import (InstanceExplosion, Metapath, ablation_metapaths,
+                             causal_metapaths, dump_instances,
+                             enumerate_instance_rows)
+
+
+def involving(rows, p, t, v):
+    """Indices of the instance rows holding node v in a position of type t."""
+    cols = [i for i, u in enumerate(p.types) if u is t]
+    return np.flatnonzero((rows[:, cols] == v).any(axis=1)).tolist()
 
 
 def test_six_causal_paths_in_canonical_order():
@@ -21,9 +26,12 @@ def test_six_causal_paths_in_canonical_order():
 
 def test_subgraph_holds_the_two_relation_edge_sets(tiny_graph):
     p = causal_metapaths()[4]  # M-D-G
-    sg = extract_subgraph(tiny_graph, p)
-    assert sg.edge_sets[0] is tiny_graph.edges[(MICROBE, DISEASE)]
-    assert sg.edge_sets[1] is tiny_graph.edges[(DISEASE, GENE)]
+    assert p.relations == ((MICROBE, DISEASE), (DISEASE, GENE))
+    rows = enumerate_instance_rows(tiny_graph, p).tolist()
+    assert rows
+    for m, d, g in rows:
+        assert (m, d) in tiny_graph.edges[(MICROBE, DISEASE)]
+        assert (d, g) in tiny_graph.edges[(DISEASE, GENE)]
 
 
 def test_subgraph_with_missing_relations_is_empty():
@@ -31,14 +39,16 @@ def test_subgraph_with_missing_relations_is_empty():
                  {(GENE, MICROBE): [], (GENE, DISEASE): [(0, 0)],
                   (MICROBE, DISEASE): []},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    sg = extract_subgraph(g, causal_metapaths()[0])  # G-M-D
-    assert sg.edge_sets == (set(), set())
-    assert enumerate_instances(sg) == []
+    p = causal_metapaths()[0]  # G-M-D
+    assert [g.edges[r] for r in p.relations] == [set(), set()]
+    assert enumerate_instance_rows(g, p).shape == (0, 3)
 
 
-def test_extract_rejects_non_causal(tiny_graph):
+def test_enumeration_rejects_unknown_kind(tiny_graph):
     with pytest.raises(ValueError):
-        extract_subgraph(tiny_graph, ablation_metapaths("pairwise-2")[0])
+        enumerate_instance_rows(tiny_graph, Metapath((GENE, MICROBE, DISEASE), "causal-4"))
+    with pytest.raises(ValueError):
+        ablation_metapaths("causal-4")
 
 
 def test_each_relation_used_by_exactly_two_causal_paths():
@@ -54,8 +64,7 @@ def test_single_triangle_instances():
                   (MICROBE, DISEASE): [(0, 0)]},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
     for p in causal_metapaths():
-        inst = enumerate_instances(extract_subgraph(g, p))
-        assert [i.nodes for i in inst] == [(0, 0, 0)]
+        assert enumerate_instance_rows(g, p).tolist() == [[0, 0, 0]]
 
 
 def test_join_over_shared_intermediate():
@@ -124,12 +133,9 @@ def test_every_triangle_appears_once_per_subgraph():
 def test_instances_involving_membership(tiny_graph):
     p = causal_metapaths()[0]
     rows = enumerate_instance_rows(tiny_graph, p)
-    inst = enumerate_instances(extract_subgraph(tiny_graph, p))
-    assert len(inst) == rows.shape[0]
-    got = instances_involving(rows, (MICROBE, 0), metapath=p)
     expect = [i for i, r in enumerate(rows.tolist()) if r[1] == 0]
-    assert got == expect
-    assert instances_involving(inst, (MICROBE, 0)) == expect
+    assert expect
+    assert involving(rows, p, MICROBE, 0) == expect
 
 
 def test_node_without_edges_has_no_instances():
@@ -139,7 +145,7 @@ def test_node_without_edges_has_no_instances():
                  {GENE: np.eye(2), MICROBE: np.eye(1), DISEASE: np.eye(1)})
     p = causal_metapaths()[0]
     rows = enumerate_instance_rows(g, p)
-    assert instances_involving(rows, (GENE, 1), metapath=p) == []
+    assert involving(rows, p, GENE, 1) == []
 
 
 def test_membership_total_is_three_per_instance():
@@ -150,7 +156,7 @@ def test_membership_total_is_three_per_instance():
         total = 0
         for t in (GENE, MICROBE, DISEASE):
             for v in range(g.num_nodes(t)):
-                total += len(instances_involving(rows, (t, v), metapath=p))
+                total += len(involving(rows, p, t, v))
         assert total == 3 * rows.shape[0]
 
 

@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import toy_graph
 from hcmgnn.evaluation import rank_metrics
 from hcmgnn.gradcheck import grad_check
-from hcmgnn.graph import (GENE, MICROBE, DISEASE, LabeledTriplet, SplitPlan,
-                          derive_positive_triplets, make_split)
+from hcmgnn import training
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
+                          SplitPlan, derive_positive_triplets, make_split)
 from hcmgnn.model import ModelCache, ModelConfig, init_params
 from hcmgnn.synthetic import generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
@@ -191,6 +194,47 @@ def test_leakage_audit_fires_on_tampered_plan():
     mc = ModelConfig(**SMALL_MODEL)
     with pytest.raises(RuntimeError, match="leakage"):
         run_cv(g, bad, mc, TrainConfig(seed=0, max_epochs=2))
+
+
+def test_unknown_test_id_fails_before_any_training(monkeypatch):
+    g = small_planted()
+    _, plan = fold_fixture(g, seed=2)
+    bad = SplitPlan(test=plan.test + ["g0|m0|nowhere"], folds=plan.folds,
+                    seed=plan.seed)
+    monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(KeyError, match=re.escape("test: triplet id 'g0|m0|nowhere'")):
+        train_for_test(g, bad, ModelConfig(**SMALL_MODEL), TrainConfig(seed=0))
+
+
+def test_empty_test_set_fails_before_any_training(monkeypatch):
+    g = small_planted()
+    _, plan = fold_fixture(g, seed=2)
+    monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained"))
+    with pytest.raises(ValueError, match="no test positives"):
+        train_for_test(g, SplitPlan(test=[], folds=plan.folds, seed=plan.seed),
+                       ModelConfig(**SMALL_MODEL), TrainConfig(seed=0))
+
+
+def test_ranking_set_ids_built_once_and_reused(monkeypatch):
+    g = small_planted()
+    pos = derive_positive_triplets(g)
+    rset = build_ranking_set(g, pos[:4], 5, 3, {p.key() for p in pos})
+    pools = [[p] + negs for p, negs in zip(pos[:4], rset.negatives)]
+    assert rset.candidate_ids == [[g.triplet_id(t) for t in pool] for pool in pools]
+    flat = [t for pool in pools for t in pool]
+    assert [a.tolist() for a in rset.index] == [[t.gene for t in flat],
+                                                [t.microbe for t in flat],
+                                                [t.disease for t in flat]]
+
+    def no_ids(self, t):
+        raise AssertionError("scoring rebuilt a triplet id")
+
+    monkeypatch.setattr(HetGraph, "triplet_id", no_ids)
+    cache = ModelCache(g, "full")
+    cases = score_ranking_set(g, cache, init_params(cache, ModelConfig(**SMALL_MODEL), 0),
+                              rset)
+    assert [c.candidate_ids for c in cases] == rset.candidate_ids
+    assert [c.avg_degree for c in cases] == rset.avg_degrees
 
 
 # ---- independent test ----
