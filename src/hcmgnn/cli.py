@@ -22,7 +22,7 @@ from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
 from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
                     derive_positive_triplets, load_edges, make_split)
 from .metapath import causal_metapaths, dump_instances
-from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, forward)
+from .model import VARIANTS, ModelCache, ModelConfig, ModelParams
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
 from .training import (TrainConfig, build_test_set, run_cv, run_test,
@@ -211,11 +211,14 @@ def cmd_cv(cfg: RunConfig) -> str:
 
 def _test_run(model_cfg: ModelConfig, train_cfg: TrainConfig, g: HetGraph,
               plan: SplitPlan):
-    """Fit the test model, then rank the test set with it."""
+    """Fit the test model, then rank the test set with it.
+
+    Also returns the forward output the test set was scored from.
+    """
     params, report, cache = train_for_test(g, plan, model_cfg, train_cfg)
     test_set = build_test_set(g, plan, train_cfg.seed, 30)
-    cases = score_ranking_set(g, cache, params, test_set)
-    return params, report, cache, test_set, cases
+    cases, out = score_ranking_set(g, cache, params, test_set)
+    return params, report, test_set, cases, out
 
 
 def cmd_test(cfg: RunConfig) -> str:
@@ -223,14 +226,13 @@ def cmd_test(cfg: RunConfig) -> str:
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     plan = build_split(cfg, g)
-    params, report, cache, test_set, cases = _test_run(cfg.model, cfg.train, g, plan)
+    params, report, test_set, cases, out = _test_run(cfg.model, cfg.train, g, plan)
     metrics = rank_metrics(cases)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
 
     # embed every ranked candidate, each pool's positive first, for projection tools
     ids = [cid for pool in test_set.candidate_ids for cid in pool]
     labels = [int(j == 0) for pool in test_set.candidate_ids for j in range(len(pool))]
-    out = forward(cache, params, test_set.index)
     vecs = np.concatenate([out.embeddings[t].data[rows]
                            for t, rows in zip((GENE, MICROBE, DISEASE), test_set.index)],
                           axis=1)
@@ -259,7 +261,7 @@ def cmd_ablate(cfg: RunConfig) -> str:
     def run_variant(variant: str) -> dict:
         row = {"variant": variant, "split_hash": shash, "error": None}
         try:
-            _, report, _, _, cases = _test_run(replace(cfg.model, variant=variant),
+            _, report, _, cases, _ = _test_run(replace(cfg.model, variant=variant),
                                                cfg.train, g, plan)
             row.update(rank_metrics(cases))
             row["best_epoch"] = report.best_epoch

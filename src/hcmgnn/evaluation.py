@@ -115,12 +115,16 @@ def silhouette(embeddings, labels) -> float:
     classes = np.unique(y)
     if classes.size != 2:
         raise ValueError(f"silhouette: need exactly 2 classes, got {classes.size}")
-    # row-wise exact differences; the Gram-matrix shortcut loses precision
-    dist = np.empty((x.shape[0], x.shape[0]))
-    for i in range(x.shape[0]):
-        dist[i] = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+    # Row-wise exact differences; the Gram-matrix shortcut loses precision.
+    # |x_i - x_j| is bit-symmetric, so each pair is computed once, into a
+    # packed upper triangle whose row i holds j = i..n-1.
+    n = x.shape[0]
+    start = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])
+    tri = np.empty(start[-1])
+    for i in range(n):
+        tri[start[i]:start[i + 1]] = np.sqrt(((x[i:] - x[i]) ** 2).sum(axis=1))
 
-    scores = np.zeros(x.shape[0])
+    scores = np.zeros(n)
     for cls in classes:
         own = np.nonzero(y == cls)[0]
         other = np.nonzero(y != cls)[0]
@@ -128,8 +132,10 @@ def silhouette(embeddings, labels) -> float:
             logger.warning("silhouette: class %r has a single point, scored 0", cls)
             continue
         for i in own:
-            a = dist[i, own].sum() / (own.size - 1)
-            b = dist[i, other].mean()
+            dist = np.concatenate([tri[start[:i] + i - np.arange(i)],
+                                   tri[start[i]:start[i + 1]]])
+            a = dist[own].sum() / (own.size - 1)
+            b = dist[other].mean()
             denom = max(a, b)
             scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())

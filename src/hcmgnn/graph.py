@@ -62,6 +62,11 @@ class HetGraph:
         self.node_ids = {t: list(node_ids[t]) for t in EntityType}
         self.node_index = {t: {v: i for i, v in enumerate(self.node_ids[t])}
                            for t in EntityType}
+        for t in EntityType:
+            rows = np.shape(features[t])[0]
+            if rows != len(self.node_ids[t]):
+                raise ValueError(f"{t.name.lower()} features have {rows} rows "
+                                 f"for {len(self.node_ids[t])} nodes")
         self.features = features
 
         self.edges: dict[tuple[EntityType, EntityType], set[tuple[int, int]]] = {
@@ -319,8 +324,24 @@ class SplitPlan:
 
     @classmethod
     def load(cls, path) -> "SplitPlan":
+        """Read a split file; a missing key or a wrong type is an error naming it."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: a split file is a JSON object")
+        for key in ("test", "folds", "seed"):
+            if key not in doc:
+                raise ValueError(f"{path}: the split file has no {key!r}")
+
+        def ids(v):
+            return isinstance(v, list) and all(isinstance(t, str) for t in v)
+
+        if not ids(doc["test"]):
+            raise ValueError(f"{path}: 'test' must be a list of triplet ids")
+        if not (isinstance(doc["folds"], list) and all(map(ids, doc["folds"]))):
+            raise ValueError(f"{path}: 'folds' must be a list of lists of triplet ids")
+        if type(doc["seed"]) is not int:
+            raise ValueError(f"{path}: 'seed' must be an integer")
         return cls(test=doc["test"], folds=doc["folds"], seed=doc["seed"])
 
 

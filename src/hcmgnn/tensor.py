@@ -301,11 +301,25 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx])
 
     def rule(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accumulate(a, ga)
+        _accumulate(a, _scatter_add(idx, g, a.shape[0]))
 
     return _record(out, (a,), rule)
+
+
+def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[j] = sum of values[i] with idx[i] == j, over n output rows.
+
+    `np.bincount` adds its weights in input order, so each output sums its
+    rows in row order, bit for bit as an unbuffered `ufunc.at` addition
+    into zeros does; `np.add.reduceat` does not keep that order.  A 2-D
+    `values` goes through the flat index idx * cols + column.
+    """
+    if values.ndim == 1:
+        return np.bincount(idx, weights=values, minlength=n)
+    cols = values.shape[1]
+    flat = (idx[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=n * cols).reshape(n, cols)
 
 
 def _check_segments(seg: np.ndarray, nrows: int, num_segments: int, opname: str):
@@ -320,9 +334,7 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
     a = _as_tensor(a)
     seg = np.asarray(segments, dtype=np.int64)
     _check_segments(seg, a.shape[0], num_segments, "segment_sum")
-    acc = np.zeros((num_segments, a.shape[1]))
-    np.add.at(acc, seg, a.data)
-    out = Tensor(acc)
+    out = Tensor(_scatter_add(seg, a.data, num_segments))
 
     def rule(g):
         _accumulate(a, g[seg])
@@ -336,10 +348,8 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     seg = np.asarray(segments, dtype=np.int64)
     _check_segments(seg, a.shape[0], num_segments, "segment_mean")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
-    acc = np.zeros((num_segments, a.shape[1]))
-    np.add.at(acc, seg, a.data)
     safe = np.maximum(counts, 1.0)
-    out = Tensor(acc / safe[:, None])
+    out = Tensor(_scatter_add(seg, a.data, num_segments) / safe[:, None])
 
     def rule(g):
         _accumulate(a, g[seg] / safe[seg][:, None])
@@ -396,15 +406,12 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, seg, x)
     e = np.exp(x - seg_max[seg])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, seg, e)
-    y = e / denom[seg]
+    y = e / _scatter_add(seg, e, num_segments)[seg]
     out = Tensor(y[:, None])
 
     def rule(g):
         gy = g[:, 0] * y
-        dot = np.zeros(num_segments)
-        np.add.at(dot, seg, gy)
+        dot = _scatter_add(seg, gy, num_segments)
         _accumulate(a, (gy - y * dot[seg])[:, None])
 
     return _record(out, (a,), rule)

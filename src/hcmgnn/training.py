@@ -14,7 +14,8 @@ from .evaluation import RankedCase, make_case, rank_metrics
 from .graph import (HetGraph, LabeledTriplet, SplitPlan, avg_node_degree,
                     derive_positive_triplets, sample_negatives,
                     sample_training_negatives)
-from .model import ModelCache, ModelConfig, ModelParams, forward, init_params
+from .model import (ForwardOutput, ModelCache, ModelConfig, ModelParams, forward,
+                    init_params)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -78,16 +79,20 @@ def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
 
 
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
-                      rset: RankingSet) -> list[RankedCase]:
-    """Score every candidate pool in one forward pass, then rank."""
-    scores = forward(cache, params, rset.index).scores.data[:, 0]
+                      rset: RankingSet) -> tuple[list[RankedCase], ForwardOutput]:
+    """Score every candidate pool in one forward pass, then rank.
+
+    Returns the ranked cases and the forward output they were scored from.
+    """
+    out = forward(cache, params, rset.index)
+    scores = out.scores.data[:, 0]
     cases = []
     off = 0
     for ids, degree in zip(rset.candidate_ids, rset.avg_degrees):
         cases.append(make_case(ids[0], ids[1:], scores[off:off + len(ids)],
                                avg_degree=degree))
         off += len(ids)
-    return cases
+    return cases, out
 
 
 class EarlyStopper:
@@ -157,7 +162,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
         opt.step()
         losses.append(value)
 
-        cases = score_ranking_set(g, cache, params, val_set)
+        cases, _ = score_ranking_set(g, cache, params, val_set)
         metric = rank_metrics(cases)[cfg.val_metric]
         val_trace.append(metric)
         if stopper.update(metric):
@@ -268,7 +273,7 @@ def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     def run_fold(k: int) -> FoldResult:
         params, report, val_set, n_pos, n_neg = _fit(
             g, cache, split, k, f"fold{k}", model_cfg, train_cfg, n_rank_negatives)
-        cases = score_ranking_set(g, cache, params, val_set)
+        cases, _ = score_ranking_set(g, cache, params, val_set)
         return FoldResult(fold=k, metrics=rank_metrics(cases),
                           report=report, params=params, cases=cases,
                           n_train_pos=n_pos, n_train_neg=n_neg)
@@ -316,6 +321,6 @@ def build_test_set(g: HetGraph, plan: SplitPlan, seed: int,
 def run_test(g: HetGraph, plan: SplitPlan, cache: ModelCache, params: ModelParams,
              seed: int, n_rank_negatives: int = 30):
     """Rank each test positive against freshly sampled negatives."""
-    cases = score_ranking_set(g, cache, params,
-                              build_test_set(g, plan, seed, n_rank_negatives))
+    cases, _ = score_ranking_set(g, cache, params,
+                                 build_test_set(g, plan, seed, n_rank_negatives))
     return rank_metrics(cases), cases

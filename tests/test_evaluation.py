@@ -186,6 +186,46 @@ def test_silhouette_matches_sklearn():
         sklearn_metrics.silhouette_score(x, y), abs=1e-12)
 
 
+def _silhouette_full_matrix(embeddings, labels) -> float:
+    """The n x n distance-matrix silhouette, kept as the bit-exact reference."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    y = np.asarray(labels)
+    classes = np.unique(y)
+    dist = np.empty((x.shape[0], x.shape[0]))
+    for i in range(x.shape[0]):
+        dist[i] = np.sqrt(((x - x[i]) ** 2).sum(axis=1))
+
+    scores = np.zeros(x.shape[0])
+    for cls in classes:
+        own = np.nonzero(y == cls)[0]
+        other = np.nonzero(y != cls)[0]
+        if own.size == 1:
+            continue
+        for i in own:
+            a = dist[i, own].sum() / (own.size - 1)
+            b = dist[i, other].mean()
+            denom = max(a, b)
+            scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return float(scores.mean())
+
+
+@pytest.mark.parametrize("n,d,singleton", [(2, 1, True), (37, 3, False),
+                                           (64, 192, False), (90, 16, True)])
+def test_silhouette_bit_identical_to_full_matrix(n, d, singleton):
+    rng = np.random.default_rng(n * 1000 + d)
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    y = rng.integers(0, 2, size=n)
+    y[:2] = [0, 1]
+    if singleton:
+        y[:] = 0
+        y[n // 2] = 1
+    if n > 4:
+        # coincident points, within a class and across the two classes
+        x[n - 1] = x[n - 2] = x[1]
+        x[3] = x[0]
+    assert silhouette(x, y) == _silhouette_full_matrix(x, y)
+
+
 def test_silhouette_requires_two_classes():
     with pytest.raises(ValueError):
         silhouette(np.ones((3, 2)), np.array([1, 1, 1]))

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -253,6 +254,33 @@ def test_split_plan_file_round_trip(tmp_path):
     path = tmp_path / "split.json"
     plan.save(path)
     assert SplitPlan.load(path) == plan
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"folds": []}, "has no 'test'"),
+    ({"test": [], "seed": 0}, "has no 'folds'"),
+    ({"test": [], "folds": [["a|b|c"]]}, "has no 'seed'"),
+    ({"test": "a|b|c", "folds": [["d|e|f"]], "seed": 0}, "'test' must be a list"),
+    ({"test": [], "folds": ["d|e|f"], "seed": 0}, "'folds' must be a list of lists"),
+    ({"test": [], "folds": [[1, 2]], "seed": 0}, "'folds' must be a list of lists"),
+    ({"test": [], "folds": [["d|e|f"]], "seed": "0"}, "'seed' must be an integer"),
+    ({"test": [], "folds": [["d|e|f"]], "seed": True}, "'seed' must be an integer"),
+    ([["a|b|c"]], "is a JSON object"),
+], ids=["no-test", "no-folds", "no-seed", "test-str", "folds-flat", "fold-ints",
+        "seed-str", "seed-bool", "not-object"])
+def test_split_file_with_missing_or_mistyped_key_rejected(tmp_path, doc, message):
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message) as err:
+        SplitPlan.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_feature_rows_must_match_node_count():
+    feats = {GENE: np.eye(3), MICROBE: np.eye(1), DISEASE: np.eye(1)}
+    with pytest.raises(ValueError, match="gene features have 3 rows for 2 nodes"):
+        HetGraph({GENE: ["g0", "g1"], MICROBE: ["m0"], DISEASE: ["d0"]},
+                 {(GENE, MICROBE): [(0, 0)]}, feats)
 
 
 def test_triangle_degrees_average_two():

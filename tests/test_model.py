@@ -3,12 +3,15 @@ import pytest
 
 import hcmgnn.tensor as T
 from conftest import random_graph, toy_graph
-from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet
+from hcmgnn.gradcheck import grad_check
+from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
+                          derive_positive_triplets)
 from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
                           encode_instance, feature_transform, forward,
                           fuse_subgraphs, init_params, instance_attention,
                           multi_head_aggregate, predict)
 from hcmgnn.tensor import ShapeError, Tensor
+from hcmgnn.training import loss_fn
 
 SMALL = dict(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
 
@@ -327,6 +330,25 @@ def single_triangle_graph():
 
 def elu_np(x):
     return np.where(x > 0, x, np.exp(np.minimum(x, 0)) - 1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_full_loss_gradients_match_finite_differences(variant):
+    g = toy_graph(seed=0)
+    samples = derive_positive_triplets(g) + [
+        LabeledTriplet(0, 1, 0, 0, "sampled-negative"),
+        LabeledTriplet(0, 1, 1, 0, "sampled-negative"),
+        LabeledTriplet(1, 1, 0, 0, "sampled-negative")]
+    labels = np.array([s.label for s in samples], dtype=np.float64)
+    cache = ModelCache(g, variant)
+    params = init_params(cache, small_config(variant), 1)
+
+    def full_loss(*_):
+        return loss_fn(forward(cache, params, samples).scores, labels, 0.7)
+
+    report = grad_check(full_loss, list(params.named().values()), h=1e-6, tol=1e-4)
+    assert report.n_checked > 0
+    assert report.passed, (report.max_rel_error, report.worst)
 
 
 def test_womp1_aggregates_tail_projections_for_heads_only():

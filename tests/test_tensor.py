@@ -207,3 +207,88 @@ def test_mean_rows_value_and_grad():
         assert np.allclose(m.data, [[2.0, 4.0]])
         tape.backward(T.sum_sq(m))
     assert np.allclose(x.grad, [[2.0, 4.0], [2.0, 4.0]])
+
+
+# ---- scatter kernels, bit for bit against np.add.at ----
+
+ID_LAYOUTS = ("sorted", "unsorted", "repeated", "empty-segments", "zero-rows")
+
+
+def scatter_case(layout: str, cols: int, seed: int = 0):
+    """Segment ids over 10 segments and values from 1e-3 to 1e3, with -0.0."""
+    rng = np.random.default_rng(seed)
+    n, m = 10, 0 if layout == "zero-rows" else 60
+    if layout == "repeated":
+        ids = np.full(m, 4)
+    elif layout == "empty-segments":
+        ids = rng.choice([0, 3, 7], size=m)
+    else:
+        ids = rng.integers(0, n, size=m)
+        if layout == "sorted":
+            ids = np.sort(ids)
+    x = rng.normal(size=(m, cols)) * 10.0 ** rng.uniform(-3, 3, size=(m, cols))
+    if m and layout != "repeated":
+        x[ids == ids[0]] = -0.0    # one segment of negative zeros only
+    if m:
+        x[rng.integers(0, m, size=5), 0] = -0.0
+    return ids, x, n
+
+
+def assert_same_bits(got, expect):
+    assert got.shape == expect.shape
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
+def add_at(ids, values, n):
+    acc = np.zeros((n,) + values.shape[1:])
+    np.add.at(acc, ids, values)
+    return acc
+
+
+def upstream(out: Tensor, w: np.ndarray) -> Tensor:
+    """A 1x1 loss whose gradient at `out` is exactly `w`."""
+    rows, cols = out.shape
+    weighted = T.hadamard(out, T.constant(w))
+    return T.matmul(T.matmul(T.constant(np.ones((1, rows))), weighted),
+                    T.constant(np.ones((cols, 1))))
+
+
+@pytest.mark.parametrize("cols", [1, 16])
+@pytest.mark.parametrize("layout", ID_LAYOUTS)
+def test_segment_sum_and_mean_bit_identical_to_add_at(layout, cols):
+    ids, x, n = scatter_case(layout, cols)
+    acc = add_at(ids, x, n)
+    safe = np.maximum(np.bincount(ids, minlength=n).astype(np.float64), 1.0)
+    assert_same_bits(T.segment_sum(Tensor(x), ids, n).data, acc)
+    assert_same_bits(T.segment_mean(Tensor(x), ids, n).data, acc / safe[:, None])
+
+
+@pytest.mark.parametrize("cols", [1, 16])
+@pytest.mark.parametrize("layout", ID_LAYOUTS)
+def test_gather_rows_gradient_bit_identical_to_add_at(layout, cols):
+    ids, w, n = scatter_case(layout, cols)
+    a = Tensor(np.random.default_rng(1).normal(size=(n, cols)), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(upstream(T.gather_rows(a, ids), w))
+    assert_same_bits(a.grad, add_at(ids, w, n))
+
+
+@pytest.mark.parametrize("layout", [lay for lay in ID_LAYOUTS if lay != "zero-rows"])
+def test_segment_softmax_value_and_gradient_bit_identical_to_add_at(layout):
+    ids, x, n = scatter_case(layout, 1)
+    _, w, _ = scatter_case(layout, 1, seed=1)
+    v = x[:, 0]
+    seg_max = np.full(n, -np.inf)
+    np.maximum.at(seg_max, ids, v)
+    e = np.exp(v - seg_max[ids])
+    y = e / add_at(ids, e, n)[ids]
+    gy = w[:, 0] * y
+    grad = gy - y * add_at(ids, gy, n)[ids]
+
+    a = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.segment_softmax(a, ids, n)
+        tape.backward(upstream(out, w))
+    assert_same_bits(out.data, y[:, None])
+    assert_same_bits(a.grad, grad[:, None])

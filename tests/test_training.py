@@ -231,8 +231,8 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
 
     monkeypatch.setattr(HetGraph, "triplet_id", no_ids)
     cache = ModelCache(g, "full")
-    cases = score_ranking_set(g, cache, init_params(cache, ModelConfig(**SMALL_MODEL), 0),
-                              rset)
+    cases, _ = score_ranking_set(g, cache,
+                                 init_params(cache, ModelConfig(**SMALL_MODEL), 0), rset)
     assert [c.candidate_ids for c in cases] == rset.candidate_ids
     assert [c.avg_degree for c in cases] == rset.avg_degrees
 
