@@ -20,7 +20,7 @@ import numpy as np
 from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
                          silhouette, stratify_by_degree)
 from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
-                    derive_positive_triplets, load_edges, make_split)
+                    derive_positive_triplets, load_edges, load_json, make_split)
 from .metapath import causal_metapaths, dump_instances
 from .model import VARIANTS, ModelCache, ModelConfig, ModelParams
 from .seeding import derive_seed
@@ -78,8 +78,7 @@ def _check_keys(path, where: str, block, allowed: set[str]):
 
 def load_config(path, seed_override=None, out_override=None,
                 variant_override=None) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     _check_keys(path, "", doc, _TOP_KEYS)
     for name, allowed in _BLOCK_KEYS.items():
         if doc.get(name) is not None:

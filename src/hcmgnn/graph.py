@@ -41,6 +41,10 @@ RELATIONS: list[tuple[EntityType, EntityType]] = [
 PAIR_KINDS = [(GENE, MICROBE), (GENE, DISEASE), (MICROBE, DISEASE)]
 
 
+class InstanceExplosion(RuntimeError):
+    """A join would give more rows than its limit."""
+
+
 @dataclass(frozen=True)
 class LabeledTriplet:
     gene: int
@@ -76,13 +80,12 @@ class HetGraph:
                 self.edges[(a, b)].add((u, v))
                 self.edges[(b, a)].add((v, u))
 
-        self.adj: dict[tuple[EntityType, EntityType], dict[int, np.ndarray]] = {}
+        # each relation once more as lexsorted, read-only (E, 2) rows
+        self.edge_rows: dict[tuple[EntityType, EntityType], np.ndarray] = {}
         for rel, pairs in self.edges.items():
-            out: dict[int, list[int]] = {}
-            for u, v in pairs:
-                out.setdefault(u, []).append(v)
-            self.adj[rel] = {u: np.array(sorted(vs), dtype=np.int64)
-                             for u, vs in out.items()}
+            rows = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+            rows.flags.writeable = False
+            self.edge_rows[rel] = rows
 
     def num_nodes(self, t: EntityType) -> int:
         return len(self.node_ids[t])
@@ -92,7 +95,9 @@ class HetGraph:
         return (self.num_nodes(GENE), self.num_nodes(MICROBE), self.num_nodes(DISEASE))
 
     def neighbors(self, rel: tuple[EntityType, EntityType], u: int) -> np.ndarray:
-        return self.adj[rel].get(u, np.empty(0, dtype=np.int64))
+        rows = self.edge_rows[rel]
+        heads = rows[:, 0]
+        return rows[heads.searchsorted(u):heads.searchsorted(u + 1), 1]
 
     def degree(self, t: EntityType, v: int) -> int:
         """Distinct cross-type neighbors; each bidirectional pair counts once."""
@@ -106,6 +111,15 @@ class HetGraph:
         return "|".join((self.node_ids[GENE][t.gene],
                          self.node_ids[MICROBE][t.microbe],
                          self.node_ids[DISEASE][t.disease]))
+
+
+def load_json(path):
+    """Parse a JSON file; a file that is not valid JSON is an error naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def _read_edge_file(path, kind, registries) -> list[tuple[int, int]]:
@@ -200,19 +214,69 @@ def load_edges(gene_microbe_path, gene_disease_path, microbe_disease_path,
     return HetGraph(node_ids, undirected, features)
 
 
+def join_rows(left: np.ndarray, right: np.ndarray, limit: int | None = None) -> np.ndarray:
+    """Each row of `left` extended by every `right` row that starts at its last node.
+
+    The shared node appears once.  `right` must be sorted by its first
+    column; lexsorted inputs give a lexsorted output.  A join that would
+    give more than `limit` rows raises InstanceExplosion before any row is
+    built.
+    """
+    lo = np.searchsorted(right[:, 0], left[:, -1], side="left")
+    hi = np.searchsorted(right[:, 0], left[:, -1], side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if limit is not None and total > limit:
+        raise InstanceExplosion(f"a join of {total} rows exceeds the limit of {limit}")
+    # output row k of left row i takes right row lo[i] + (k - first output row of i)
+    ri = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return np.concatenate([left[np.repeat(np.arange(left.shape[0]), counts)],
+                           right[ri, 1:]], axis=1)
+
+
 def derive_positive_triplets(g: HetGraph) -> list[LabeledTriplet]:
-    """Enumerate all gene/microbe/disease triangles, lexicographically sorted."""
-    out = []
-    adj_gd = g.adj[(GENE, DISEASE)]
-    adj_md = g.adj[(MICROBE, DISEASE)]
-    for gi, mi in sorted(g.edges[(GENE, MICROBE)]):
-        dg = adj_gd.get(gi)
-        dm = adj_md.get(mi)
-        if dg is None or dm is None:
-            continue
-        for d in np.intersect1d(dg, dm, assume_unique=True):
-            out.append(LabeledTriplet(gi, mi, int(d), 1, "observed"))
-    return out
+    """Enumerate all gene/microbe/disease triangles, lexicographically sorted.
+
+    A triangle is a G-M-D walk whose gene-disease edge exists too.
+    """
+    gmd = join_rows(g.edge_rows[(GENE, MICROBE)], g.edge_rows[(MICROBE, DISEASE)])
+    gd = g.edge_rows[(GENE, DISEASE)]
+    n_d = g.num_nodes(DISEASE)
+    closed = np.isin(gmd[:, 0] * n_d + gmd[:, 2], gd[:, 0] * n_d + gd[:, 1])
+    return [LabeledTriplet(gi, mi, di, 1, "observed") for gi, mi, di in gmd[closed].tolist()]
+
+
+def _known_keys(positives: list[LabeledTriplet], sizes: tuple[int, int, int],
+                known_positives, name: str) -> set[tuple[int, int, int]]:
+    """The triplets no negative may be; rejects an empty positive set or a full universe."""
+    if not positives:
+        raise ValueError(f"{name}: positive set is empty")
+    if known_positives is None:
+        known_positives = {p.key() for p in positives}
+    n_g, n_m, n_d = sizes
+    if n_g * n_m * n_d <= len(known_positives):
+        raise ValueError(f"{name}: universe not larger than the positive set")
+    return known_positives
+
+
+def _corrupt(rng, p: LabeledTriplet, slot: int, sizes: tuple[int, int, int],
+             known, chosen: set, budget: int, name: str) -> tuple[LabeledTriplet, int]:
+    """Redraw `slot` of p until the triplet is neither known nor already chosen.
+
+    Spends one of `budget` draws per try and returns the negative with the
+    draws left; raises naming p once the budget is spent.
+    """
+    g, m, d = p.gene, p.microbe, p.disease
+    n = sizes[slot]
+    while budget > 0:
+        budget -= 1
+        x = int(rng.integers(n))
+        cand = (x, m, d) if slot == 0 else (g, x, d) if slot == 1 else (g, m, x)
+        if cand not in known and cand not in chosen:
+            chosen.add(cand)
+            return LabeledTriplet(*cand, 0, "sampled-negative"), budget
+    raise RuntimeError(f"{name}: ran out of draws for a new negative of positive "
+                       f"({p.gene},{p.microbe},{p.disease})")
 
 
 def sample_negatives(positives: list[LabeledTriplet], count_per_positive: int,
@@ -222,43 +286,19 @@ def sample_negatives(positives: list[LabeledTriplet], count_per_positive: int,
 
     Emits count_per_positive distinct negatives per positive, in
     positive-major order.  Candidates that hit a known positive or repeat
-    an earlier candidate for the same positive are rejected and redrawn.
+    an earlier candidate for the same positive are rejected and redrawn,
+    within 1000 draws per negative asked of each positive.
     """
-    if not positives:
-        raise ValueError("sample_negatives: positive set is empty")
-    n_g, n_m, n_d = sizes
-    universe = n_g * n_m * n_d
-    if known_positives is None:
-        known_positives = {p.key() for p in positives}
-    if universe <= len(known_positives):
-        raise ValueError("sample_negatives: universe not larger than the positive set")
-
+    known = _known_keys(positives, sizes, known_positives, "sample_negatives")
     rng = np.random.default_rng(rng_seed)
     out = []
-    max_trials = 1000 * count_per_positive
     for p in positives:
         chosen = set()
-        trials = 0
+        budget = 1000 * count_per_positive
         for j in range(count_per_positive):
-            slot = j % 3
-            while True:
-                if trials >= max_trials:
-                    raise RuntimeError(
-                        f"sample_negatives: could not draw {count_per_positive} distinct "
-                        f"negatives for positive ({p.gene},{p.microbe},{p.disease}) "
-                        f"after {max_trials} trials")
-                trials += 1
-                if slot == 0:
-                    cand = (int(rng.integers(n_g)), p.microbe, p.disease)
-                elif slot == 1:
-                    cand = (p.gene, int(rng.integers(n_m)), p.disease)
-                else:
-                    cand = (p.gene, p.microbe, int(rng.integers(n_d)))
-                if cand in known_positives or cand in chosen:
-                    continue
-                chosen.add(cand)
-                out.append(LabeledTriplet(cand[0], cand[1], cand[2], 0, "sampled-negative"))
-                break
+            neg, budget = _corrupt(rng, p, j % 3, sizes, known, chosen, budget,
+                                   "sample_negatives")
+            out.append(neg)
     return out
 
 
@@ -268,40 +308,15 @@ def sample_training_negatives(positives: list[LabeledTriplet], rng_seed: int,
     """One negative per positive, the corrupted slot cycling across positives.
 
     Keeps the three corruption slots balanced over the whole training set,
-    which a per-positive count of 1 cannot do.
+    which a per-positive count of 1 cannot do.  No negative repeats, and
+    each positive gets 1000 draws.
     """
-    if not positives:
-        raise ValueError("sample_training_negatives: positive set is empty")
-    n_g, n_m, n_d = sizes
-    if known_positives is None:
-        known_positives = {p.key() for p in positives}
-    if n_g * n_m * n_d <= len(known_positives):
-        raise ValueError("sample_training_negatives: universe not larger than positives")
-
+    known = _known_keys(positives, sizes, known_positives, "sample_training_negatives")
     rng = np.random.default_rng(rng_seed)
-    out = []
     chosen = set()
-    for i, p in enumerate(positives):
-        slot = i % 3
-        trials = 0
-        while True:
-            if trials >= 1000:
-                raise RuntimeError(
-                    f"sample_training_negatives: stuck on positive "
-                    f"({p.gene},{p.microbe},{p.disease})")
-            trials += 1
-            if slot == 0:
-                cand = (int(rng.integers(n_g)), p.microbe, p.disease)
-            elif slot == 1:
-                cand = (p.gene, int(rng.integers(n_m)), p.disease)
-            else:
-                cand = (p.gene, p.microbe, int(rng.integers(n_d)))
-            if cand in known_positives or cand in chosen:
-                continue
-            chosen.add(cand)
-            out.append(LabeledTriplet(cand[0], cand[1], cand[2], 0, "sampled-negative"))
-            break
-    return out
+    return [_corrupt(rng, p, i % 3, sizes, known, chosen, 1000,
+                     "sample_training_negatives")[0]
+            for i, p in enumerate(positives)]
 
 
 @dataclass
@@ -325,8 +340,7 @@ class SplitPlan:
     @classmethod
     def load(cls, path) -> "SplitPlan":
         """Read a split file; a missing key or a wrong type is an error naming it."""
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = load_json(path)
         if not isinstance(doc, dict):
             raise ValueError(f"{path}: a split file is a JSON object")
         for key in ("test", "folds", "seed"):

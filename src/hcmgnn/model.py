@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .graph import DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph
+from .graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
+                    load_json)
 from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
                        ablation_metapaths, causal_metapaths,
                        enumerate_instance_rows)
@@ -99,14 +100,11 @@ class ModelCache:
             self.features = {t: graph.features[t] for t in EntityType}
         self.feature_dims = {t: self.features[t].shape[1] for t in EntityType}
 
-        self.instance_rows: dict[str, np.ndarray] = {}
         self.global_rows: dict[str, np.ndarray] = {}
         self.pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for p in self.metapaths:
-            rows = enumerate_instance_rows(graph, p)
-            self.instance_rows[p.name] = rows
             off = np.array([self.offsets[t] for t in p.types], dtype=np.int64)
-            grows = rows + off[None, :]
+            grows = enumerate_instance_rows(graph, p) + off[None, :]
             self.global_rows[p.name] = grows
             self.pairs[p.name] = self._build_pairs(grows,
                                                    delivery_positions(variant, len(p.types)))
@@ -119,9 +117,10 @@ class ModelCache:
             return empty, empty
         nodes = np.concatenate([grows[:, pos] for pos in positions])
         insts = np.tile(np.arange(s, dtype=np.int64), len(positions))
-        # a node revisited inside one instance receives its message once
-        uniq = np.unique(np.stack([nodes, insts], axis=1), axis=0)
-        return uniq[:, 0], uniq[:, 1]
+        # a node revisited inside one instance receives its message once;
+        # the key node * s + inst dedupes and sorts by (node, inst)
+        keys = np.unique(nodes * s + insts)
+        return keys // s, keys % s
 
 
 def _type_key(t: EntityType) -> str:
@@ -188,9 +187,8 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != "hcmgnn-checkpoint-v1":
+        doc = load_json(path)
+        if not isinstance(doc, dict) or doc.get("format") != "hcmgnn-checkpoint-v1":
             raise ValueError(f"{path}: not a model checkpoint")
         config = ModelConfig(**doc["config"])
         fdims = {EntityType[k.upper()]: int(v) for k, v in doc["feature_dims"].items()}

@@ -228,3 +228,13 @@ def test_unknown_dataset_key_rejected(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'dataset.feature'"):
         load_config(str(path))
+
+
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": }', encoding="utf-8")
+    with pytest.raises(ValueError, match="not valid JSON") as err:
+        load_config(str(path))
+    assert str(path) in str(err.value)
+    assert main(["cv", "--config", str(path)]) == 1
+    assert str(path) in capsys.readouterr().err

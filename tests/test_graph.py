@@ -193,6 +193,21 @@ def test_negative_sampling_exhaustion_names_positive():
         sample_negatives(pos, 1, rng_seed=0, sizes=g.sizes)
 
 
+def test_negative_draws_running_out_name_the_positive():
+    # one triangle; its only gene-slot corruption is itself, so slot 0 never succeeds
+    g = HetGraph({GENE: ["g0"], MICROBE: ["m0", "m1"], DISEASE: ["d0"]},
+                 {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],
+                  (MICROBE, DISEASE): [(0, 0)]},
+                 {GENE: np.eye(1), MICROBE: np.eye(2), DISEASE: np.eye(1)})
+    pos = derive_positive_triplets(g)
+    assert [p.key() for p in pos] == [(0, 0, 0)] and np.prod(g.sizes) == 2
+    with pytest.raises(RuntimeError, match=r"sample_negatives: .*positive \(0,0,0\)"):
+        sample_negatives(pos, 1, rng_seed=0, sizes=g.sizes)
+    with pytest.raises(RuntimeError,
+                       match=r"sample_training_negatives: .*positive \(0,0,0\)"):
+        sample_training_negatives(pos, 0, g.sizes)
+
+
 def test_training_negatives_balance_slots_globally():
     rng = np.random.default_rng(3)
     g = random_graph(rng, 15, 12, 12, p=0.3)
@@ -276,6 +291,13 @@ def test_split_file_with_missing_or_mistyped_key_rejected(tmp_path, doc, message
     assert str(path) in str(err.value)
 
 
+def test_split_file_that_is_not_json_names_the_file(tmp_path):
+    path = write(tmp_path / "split.json", '{"test": [')
+    with pytest.raises(ValueError, match="not valid JSON") as err:
+        SplitPlan.load(path)
+    assert path in str(err.value)
+
+
 def test_feature_rows_must_match_node_count():
     feats = {GENE: np.eye(3), MICROBE: np.eye(1), DISEASE: np.eye(1)}
     with pytest.raises(ValueError, match="gene features have 3 rows for 2 nodes"):
@@ -299,6 +321,19 @@ def test_isolated_node_contributes_zero_degree():
                  {GENE: np.eye(2), MICROBE: np.eye(1), DISEASE: np.eye(1)})
     neg = LabeledTriplet(1, 0, 0, 0, "sampled-negative")
     assert avg_node_degree(g, neg) == pytest.approx((0 + 2 + 2) / 3)
+
+
+def test_neighbors_of_a_node_without_edges_is_empty_int64():
+    g = HetGraph({GENE: ["g0", "g_iso"], MICROBE: ["m0", "m1"], DISEASE: ["d0"]},
+                 {(GENE, MICROBE): [(0, 1), (0, 0)], (GENE, DISEASE): [],
+                  (MICROBE, DISEASE): [(1, 0)]},
+                 {GENE: np.eye(2), MICROBE: np.eye(2), DISEASE: np.eye(1)})
+    for rel, u in [((GENE, MICROBE), 1), ((GENE, DISEASE), 0), ((DISEASE, MICROBE), 1),
+                   ((MICROBE, DISEASE), 0)]:
+        nb = g.neighbors(rel, u)
+        assert nb.dtype == np.int64 and nb.shape == (0,)
+    assert g.neighbors((GENE, MICROBE), 0).tolist() == [0, 1]
+    assert g.neighbors((DISEASE, MICROBE), 0).tolist() == [1]
 
 
 def test_degree_matches_adjacency_recount():

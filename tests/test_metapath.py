@@ -209,6 +209,22 @@ def test_instance_explosion_guard(monkeypatch):
         enumerate_instance_rows(g, causal_metapaths()[0])
 
 
+def test_symmetric_five_join_has_its_own_explosion_guard(monkeypatch):
+    rng = np.random.default_rng(1)
+    g = random_graph(rng, 10, 10, 10, p=0.5)
+    p = ablation_metapaths("symmetric-5")[0]  # G-M-D-M-G
+    halves = [enumerate_instance_rows(g, Metapath(p.types[:3], "causal-3")).shape[0],
+              enumerate_instance_rows(g, Metapath(p.types[2:], "causal-3")).shape[0]]
+    full = enumerate_instance_rows(g, p).shape[0]
+    assert max(halves) < full
+    # both causal-3 halves fit, only the five-node join is over the limit
+    monkeypatch.setattr(mp, "MAX_INSTANCES", max(halves))
+    with pytest.raises(InstanceExplosion, match="G-M-D-M-G"):
+        enumerate_instance_rows(g, p)
+    monkeypatch.setattr(mp, "MAX_INSTANCES", full)
+    assert enumerate_instance_rows(g, p).shape[0] == full
+
+
 def test_instance_dump_format(tmp_path, tiny_graph):
     path = tmp_path / "instances.tsv"
     dump_instances(path, tiny_graph, causal_metapaths())

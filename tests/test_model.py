@@ -7,8 +7,8 @@ from hcmgnn.gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
                           derive_positive_triplets)
 from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
-                          encode_instance, feature_transform, forward,
-                          fuse_subgraphs, init_params, instance_attention,
+                          delivery_positions, encode_instance, feature_transform,
+                          forward, fuse_subgraphs, init_params, instance_attention,
                           multi_head_aggregate, predict)
 from hcmgnn.tensor import ShapeError, Tensor
 from hcmgnn.training import loss_fn
@@ -403,6 +403,23 @@ def test_womp3_five_node_fold_formula():
     assert np.array_equal(h[1], np.zeros(3))
 
 
+def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
+    rng = np.random.default_rng(4)
+    g = random_graph(rng, 6, 5, 5, p=0.5)
+    revisits = 0
+    for variant in VARIANTS:
+        cache = ModelCache(g, variant)
+        for p in cache.metapaths:
+            grows = cache.global_rows[p.name]
+            cols = delivery_positions(variant, len(p.types))
+            expect = sorted({(int(grows[i, c]), i) for i in range(len(grows)) for c in cols})
+            revisits += len(grows) * len(cols) - len(expect)
+            nodes, insts = cache.pairs[p.name]
+            assert nodes.dtype == insts.dtype == np.int64
+            assert list(zip(nodes.tolist(), insts.tolist())) == expect, (variant, p)
+    assert revisits > 0  # symmetric-5 walks that return to their first node
+
+
 def test_relation_embeddings_shared_across_paths_and_heads(tiny_graph):
     for variant in VARIANTS:
         cfg = small_config(variant)
@@ -451,3 +468,11 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_graph):
     out1 = forward(cache, params, some_samples(tiny_graph))
     out2 = forward(cache, loaded, some_samples(tiny_graph))
     assert np.array_equal(out1.scores.data, out2.scores.data)
+
+
+def test_checkpoint_that_is_not_json_names_the_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"format": "hcmgnn-checkpoint-v1", ', encoding="utf-8")
+    with pytest.raises(ValueError, match="not valid JSON") as err:
+        ModelParams.load(path)
+    assert str(path) in str(err.value)
