@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -22,11 +21,11 @@ from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
 from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
                     derive_positive_triplets, load_edges, load_json, make_split)
 from .metapath import causal_metapaths, dump_instances
-from .model import VARIANTS, ModelCache, ModelConfig, ModelParams
+from .model import VARIANTS, ModelCache, ModelConfig, ModelParams, config_block
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
 from .training import (TrainConfig, build_test_set, run_cv, run_test,
-                       score_ranking_set, train_for_test)
+                       score_ranking_set, thread_map, train_for_test)
 
 _FEATURE_KEYS = {"gene": GENE, "microbe": MICROBE, "disease": DISEASE}
 
@@ -96,7 +95,8 @@ def load_config(path, seed_override=None, out_override=None,
     train_doc["seed"] = seed
     out = out_override or doc.get("out") or "runs/out"
     return RunConfig(seed=seed, out=out,
-                     model=ModelConfig(**model_doc), train=TrainConfig(**train_doc),
+                     model=config_block(ModelConfig, model_doc, f"{path}: model"),
+                     train=config_block(TrainConfig, train_doc, f"{path}: train"),
                      synthetic=doc.get("synthetic"), dataset=doc.get("dataset"),
                      split=doc.get("split"), split_file=doc.get("split_file"))
 
@@ -269,12 +269,7 @@ def cmd_ablate(cfg: RunConfig) -> str:
             row["error"] = f"{type(exc).__name__}: {exc}"
         return row
 
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_variant, VARIANTS))
-    else:
-        rows = [run_variant(v) for v in VARIANTS]
+    rows = thread_map(run_variant, VARIANTS, _threads())
 
     path = os.path.join(cfg.out, "metrics", "ablation.json")
     _write_json(path, {"split_hash": shash, "seed": cfg.seed, "rows": rows})
@@ -318,10 +313,12 @@ def cmd_instances(cfg: RunConfig) -> str:
 
 
 def main(argv=None) -> int:
+    commands = {"synth": cmd_synth, "cv": cmd_cv, "test": cmd_test, "ablate": cmd_ablate,
+                "stratify": lambda cfg: cmd_stratify(cfg, checkpoint_path=args.checkpoint),
+                "instances": cmd_instances}
     parser = argparse.ArgumentParser(prog="hcmgnn",
                                      description="causal-metapath triplet ranking")
-    parser.add_argument("command",
-                        choices=["synth", "cv", "test", "ablate", "stratify", "instances"])
+    parser.add_argument("command", choices=list(commands))
     parser.add_argument("--config", required=True, help="run config JSON")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
@@ -334,18 +331,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out, variant_override=args.variant)
-        if args.command == "synth":
-            cmd_synth(cfg)
-        elif args.command == "cv":
-            cmd_cv(cfg)
-        elif args.command == "test":
-            cmd_test(cfg)
-        elif args.command == "ablate":
-            cmd_ablate(cfg)
-        elif args.command == "stratify":
-            cmd_stratify(cfg, checkpoint_path=args.checkpoint)
-        elif args.command == "instances":
-            cmd_instances(cfg)
+        commands[args.command](cfg)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Tri-partite gene/microbe/disease graph: ingestion, triplets, splits.
 
 Associations are undirected on disk but materialized as six directed
-relation edge sets, one per ordered type pair.  A (gene, microbe,
+relation edge arrays, one per ordered type pair.  A (gene, microbe,
 disease) triplet is positive exactly when all three pairwise edges
 exist, i.e. the triplet closes a triangle.
 """
@@ -61,11 +61,9 @@ class HetGraph:
     """Immutable after construction; safe for shared reads."""
 
     def __init__(self, node_ids: dict[EntityType, list[str]],
-                 undirected_edges: dict[tuple[EntityType, EntityType], list[tuple[int, int]]],
+                 undirected_edges: dict[tuple[EntityType, EntityType], np.ndarray | list],
                  features: dict[EntityType, np.ndarray]):
         self.node_ids = {t: list(node_ids[t]) for t in EntityType}
-        self.node_index = {t: {v: i for i, v in enumerate(self.node_ids[t])}
-                           for t in EntityType}
         for t in EntityType:
             rows = np.shape(features[t])[0]
             if rows != len(self.node_ids[t]):
@@ -73,19 +71,15 @@ class HetGraph:
                                  f"for {len(self.node_ids[t])} nodes")
         self.features = features
 
-        self.edges: dict[tuple[EntityType, EntityType], set[tuple[int, int]]] = {
-            rel: set() for rel in RELATIONS}
-        for (a, b), pairs in undirected_edges.items():
-            for u, v in pairs:
-                self.edges[(a, b)].add((u, v))
-                self.edges[(b, a)].add((v, u))
-
-        # each relation once more as lexsorted, read-only (E, 2) rows
+        # each relation as lexsorted, distinct, read-only (E, 2) rows; a kind
+        # given as (b, a) contributes its pairs reversed to (a, b)
         self.edge_rows: dict[tuple[EntityType, EntityType], np.ndarray] = {}
-        for rel, pairs in self.edges.items():
-            rows = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+        for a, b in RELATIONS:
+            fwd, rev = (np.asarray(undirected_edges.get(k, ()), dtype=np.int64).reshape(-1, 2)
+                        for k in ((a, b), (b, a)))
+            rows = np.unique(np.concatenate([fwd, rev[:, ::-1]]), axis=0)
             rows.flags.writeable = False
-            self.edge_rows[rel] = rows
+            self.edge_rows[(a, b)] = rows
 
     def num_nodes(self, t: EntityType) -> int:
         return len(self.node_ids[t])
@@ -123,11 +117,10 @@ def load_json(path):
 
 
 def _read_edge_file(path, kind, registries) -> list[tuple[int, int]]:
+    """The file's (a, b) index pairs in row order; HetGraph drops the duplicates."""
     a_type, b_type = kind
     reg_a, reg_b = registries[a_type], registries[b_type]
     pairs = []
-    seen = set()
-    duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
@@ -140,13 +133,9 @@ def _read_edge_file(path, kind, registries) -> list[tuple[int, int]]:
             if "|" in line:
                 raise ValueError(f"{path}:{lineno}: node id contains '|', "
                                  "which separates the ids inside a triplet id")
-            ia = reg_a.setdefault(fields[0], len(reg_a))
-            ib = reg_b.setdefault(fields[1], len(reg_b))
-            if (ia, ib) in seen:
-                duplicates += 1
-                continue
-            seen.add((ia, ib))
-            pairs.append((ia, ib))
+            pairs.append((reg_a.setdefault(fields[0], len(reg_a)),
+                          reg_b.setdefault(fields[1], len(reg_b))))
+    duplicates = len(pairs) - len(set(pairs))
     if duplicates:
         logger.warning("%s: dropped %d duplicate edges", path, duplicates)
     return pairs
@@ -325,9 +314,6 @@ class SplitPlan:
     test: list[str]
     folds: list[list[str]]
     seed: int
-
-    def fold_train_ids(self, k: int) -> list[str]:
-        return [tid for i, fold in enumerate(self.folds) if i != k for tid in fold]
 
     def to_json(self) -> str:
         return json.dumps({"test": self.test, "folds": self.folds, "seed": self.seed},

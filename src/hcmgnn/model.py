@@ -11,7 +11,7 @@ the metapath family but reuse the same machinery.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,26 @@ from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
+CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v1"
+
+
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def check_field_types(config):
+    """Reject a dataclass field not of its declared type; a bool is no number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
+
+def config_block(cls, block, where: str):
+    """`cls(**block)`; a bad key or value is an error naming `where`."""
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -36,29 +56,25 @@ class ModelConfig:
     variant: str = "full"
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.proj_dim < 1 or self.heads < 1:
-            raise ValueError("proj_dim and heads must be >= 1")
+        for name in ("proj_dim", "heads", "fusion_dim", "mlp_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     @property
     def embed_dim(self) -> int:
         return self.heads * self.proj_dim
 
 
-def metapath_family(variant: str) -> str:
-    if variant == "woMP-iii":
-        return SYMMETRIC_5
-    if variant == "woTM":
-        return PAIRWISE_2
-    return CAUSAL_3
-
-
 def family_paths(variant: str) -> list[Metapath]:
-    fam = metapath_family(variant)
-    if fam == CAUSAL_3:
-        return causal_metapaths()
-    return ablation_metapaths(fam)
+    """The metapaths whose views the variant fuses."""
+    if variant == "woMP-iii":
+        return ablation_metapaths(SYMMETRIC_5)
+    if variant == "woTM":
+        return ablation_metapaths(PAIRWISE_2)
+    return causal_metapaths()
 
 
 def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
@@ -131,22 +147,68 @@ def _rel_key(rel: tuple[EntityType, EntityType]) -> str:
     return f"rel_{rel[0].name[0]}{rel[1].name[0]}"
 
 
-def _glorot(rng, rows: int, cols: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols))
+def _attn_key(p: Metapath, head: int) -> str:
+    return f"attn_{p.name}_h{head}"
 
 
+def _glorot(rng, shape: tuple[int, int]) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _near_one(rng, shape: tuple[int, int]) -> np.ndarray:
+    return 1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=shape)
+
+
+def _zeros(rng, shape: tuple[int, int]) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def param_specs(config: ModelConfig, feature_dims: dict[EntityType, int]):
+    """Every learnable tensor as a (name, shape, init) row, in init's draw order.
+
+    `init(rng, shape)` draws the tensor's start value; the order of the rows
+    fixes the RNG stream, so checkpoints depend on it.
+    """
+    f, d, fd, hid = config.proj_dim, config.embed_dim, config.fusion_dim, config.mlp_hidden
+    specs = [(f"proj_{_type_key(t)}", (f, feature_dims[t]), _glorot) for t in EntityType]
+    specs += [(_rel_key(rel), (1, f), _near_one) for rel in RELATIONS]
+    specs += [(_attn_key(p, k), (2 * f, 1), _glorot)
+              for p in family_paths(config.variant) for k in range(config.heads)]
+    for t in EntityType:
+        key = _type_key(t)
+        specs += [(f"fuse_W_{key}", (fd, d), _glorot), (f"fuse_b_{key}", (1, fd), _zeros),
+                  (f"fuse_q_{key}", (fd, 1), _glorot)]
+    specs += [("mlp_W1", (hid, 3 * d), _glorot), ("mlp_b1", (1, hid), _zeros),
+              ("mlp_W2", (1, hid), _glorot), ("mlp_b2", (1, 1), _zeros)]
+    return specs
+
+
+def _check_state(specs, state: dict, where: str) -> dict[str, np.ndarray]:
+    """Float64 copies of `state`'s arrays, in spec order.
+
+    A missing, unexpected or misshapen tensor is an error naming `where`.
+    """
+    extra = sorted(set(state).difference(name for name, _, _ in specs))
+    if extra:
+        raise ValueError(f"{where}: unexpected tensor {extra[0]!r}")
+    arrays = {}
+    for name, shape, _ in specs:
+        if name not in state:
+            raise ValueError(f"{where}: missing tensor {name!r}")
+        arrays[name] = np.array(state[name], dtype=np.float64)
+        if arrays[name].shape != shape:
+            raise ValueError(f"{where}: tensor {name!r} has shape "
+                             f"{list(arrays[name].shape)}, expected {list(shape)}")
+    return arrays
+
+
+@dataclass
 class ModelParams:
     """All learnable tensors, keyed by stable names for Adam and checkpoints."""
-
-    def __init__(self, tensors: dict[str, Tensor], config: ModelConfig,
-                 feature_dims: dict[EntityType, int]):
-        self.tensors = tensors
-        self.config = config
-        self.feature_dims = dict(feature_dims)
-
-    def named(self) -> dict[str, Tensor]:
-        return self.tensors
+    tensors: dict[str, Tensor]
+    config: ModelConfig
+    feature_dims: dict[EntityType, int]
 
     def proj(self, t: EntityType) -> Tensor:
         return self.tensors[f"proj_{_type_key(t)}"]
@@ -155,7 +217,11 @@ class ModelParams:
         return self.tensors[_rel_key(rel)]
 
     def attn(self, p: Metapath, head: int) -> Tensor:
-        return self.tensors[f"attn_{p.name}_h{head}"]
+        return self.tensors[_attn_key(p, head)]
+
+    def fuse(self, t: EntityType) -> tuple[Tensor, Tensor, Tensor]:
+        """The type-level fusion's (q, W, b) for entity type t."""
+        return tuple(self.tensors[f"fuse_{part}_{_type_key(t)}"] for part in "qWb")
 
     def zero_grad(self):
         for p in self.tensors.values():
@@ -165,17 +231,13 @@ class ModelParams:
         return {name: p.data.copy() for name, p in self.tensors.items()}
 
     def load_state(self, state: dict[str, np.ndarray]):
-        if set(state) != set(self.tensors):
-            raise ValueError("parameter state does not match this model's tensors")
-        for name, arr in state.items():
-            if arr.shape != self.tensors[name].shape:
-                raise ValueError(f"state shape mismatch for {name}: "
-                                 f"{arr.shape} vs {self.tensors[name].shape}")
-            self.tensors[name].data = np.array(arr, dtype=np.float64)
+        specs = param_specs(self.config, self.feature_dims)
+        for name, arr in _check_state(specs, state, "parameter state").items():
+            self.tensors[name].data = arr
 
     def save(self, path):
         doc = {
-            "format": "hcmgnn-checkpoint-v1",
+            "format": CHECKPOINT_FORMAT,
             "config": asdict(self.config),
             "feature_dims": {_type_key(t): int(d) for t, d in self.feature_dims.items()},
             "tensors": {name: {"shape": list(p.shape),
@@ -187,51 +249,43 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> "ModelParams":
+        """Read a checkpoint, checking it against `param_specs` of its own config.
+
+        Every error names the file and the key or tensor at fault.
+        """
         doc = load_json(path)
-        if not isinstance(doc, dict) or doc.get("format") != "hcmgnn-checkpoint-v1":
+        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a model checkpoint")
-        config = ModelConfig(**doc["config"])
-        fdims = {EntityType[k.upper()]: int(v) for k, v in doc["feature_dims"].items()}
-        tensors = {}
+        for key in ("config", "feature_dims", "tensors"):
+            if not isinstance(doc.get(key), dict):
+                raise ValueError(f"{path}: the checkpoint has no {key!r} object")
+        config = config_block(ModelConfig, doc["config"], f"{path}: config")
+        fdims = doc["feature_dims"]
+        if (sorted(fdims) != sorted(map(_type_key, EntityType))
+                or not all(type(n) is int and n >= 1 for n in fdims.values())):
+            raise ValueError(f"{path}: 'feature_dims' must map gene, microbe and "
+                             f"disease to positive integers, got {fdims!r}")
+        fdims = {t: fdims[_type_key(t)] for t in EntityType}
+        state = {}
         for name, entry in doc["tensors"].items():
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            tensors[name] = Tensor(arr, requires_grad=True)
-        return cls(tensors, config, fdims)
+            try:  # a data length that does not fit the shape fails the reshape
+                state[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: tensor {name!r}: {exc}") from exc
+        arrays = _check_state(param_specs(config, fdims), state, str(path))
+        return cls({name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()},
+                   config, fdims)
 
 
 def init_params(cache: ModelCache, config: ModelConfig, seed: int) -> ModelParams:
-    """Seeded Glorot init; relation embeddings start near all-ones."""
+    """Seeded draws from `param_specs`; relation embeddings start near all-ones."""
     if config.variant != cache.variant:
         raise ValueError(f"cache built for variant {cache.variant!r}, "
                          f"config wants {config.variant!r}")
     rng = np.random.default_rng(seed)
-    f_prime = config.proj_dim
-    tensors: dict[str, Tensor] = {}
-    for t in EntityType:
-        tensors[f"proj_{_type_key(t)}"] = Tensor(
-            _glorot(rng, f_prime, cache.feature_dims[t]), requires_grad=True)
-    for rel in RELATIONS:
-        tensors[_rel_key(rel)] = Tensor(
-            1.0 + 0.1 * rng.uniform(-1.0, 1.0, size=(1, f_prime)), requires_grad=True)
-    for p in cache.metapaths:
-        for k in range(config.heads):
-            tensors[f"attn_{p.name}_h{k}"] = Tensor(
-                _glorot(rng, 2 * f_prime, 1), requires_grad=True)
-    d_embed = config.embed_dim
-    for t in EntityType:
-        key = _type_key(t)
-        tensors[f"fuse_W_{key}"] = Tensor(
-            _glorot(rng, config.fusion_dim, d_embed), requires_grad=True)
-        tensors[f"fuse_b_{key}"] = Tensor(
-            np.zeros((1, config.fusion_dim)), requires_grad=True)
-        tensors[f"fuse_q_{key}"] = Tensor(
-            _glorot(rng, config.fusion_dim, 1), requires_grad=True)
-    tensors["mlp_W1"] = Tensor(_glorot(rng, config.mlp_hidden, 3 * d_embed),
-                               requires_grad=True)
-    tensors["mlp_b1"] = Tensor(np.zeros((1, config.mlp_hidden)), requires_grad=True)
-    tensors["mlp_W2"] = Tensor(_glorot(rng, 1, config.mlp_hidden), requires_grad=True)
-    tensors["mlp_b2"] = Tensor(np.zeros((1, 1)), requires_grad=True)
-    return ModelParams(tensors, config, cache.feature_dims)
+    tensors = {name: Tensor(init(rng, shape), requires_grad=True)
+               for name, shape, init in param_specs(config, cache.feature_dims)}
+    return ModelParams(tensors, config, dict(cache.feature_dims))
 
 
 def feature_transform(x: Tensor, w: Tensor) -> Tensor:
@@ -316,17 +370,6 @@ class ForwardOutput:
     attention: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict)
 
 
-def _sample_indices(samples):
-    if isinstance(samples, tuple) and len(samples) == 3:
-        return (np.asarray(samples[0], dtype=np.int64),
-                np.asarray(samples[1], dtype=np.int64),
-                np.asarray(samples[2], dtype=np.int64))
-    genes = np.array([s.gene for s in samples], dtype=np.int64)
-    microbes = np.array([s.microbe for s in samples], dtype=np.int64)
-    diseases = np.array([s.disease for s in samples], dtype=np.int64)
-    return genes, microbes, diseases
-
-
 def _metapath_messages(cache: ModelCache, params: ModelParams,
                        p: Metapath, h_all: Tensor) -> Tensor:
     rows = cache.global_rows[p.name]
@@ -341,12 +384,12 @@ def _metapath_messages(cache: ModelCache, params: ModelParams,
     return encode_walk(cols, rels)
 
 
-def forward(cache: ModelCache, params: ModelParams, samples,
-            config: ModelConfig | None = None) -> ForwardOutput:
-    """Score `samples` and expose embeddings, fusion weights and attention."""
-    config = config or params.config
-    if config != params.config:
-        raise ValueError("forward: config does not match the parameters' config")
+def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
+    """Score the triplets of `index` and expose embeddings, fusion weights and attention.
+
+    `index` is the triple (genes, microbes, diseases) of int64 node-index arrays.
+    """
+    config = params.config
     if config.variant != cache.variant:
         raise ValueError(f"forward: cache holds {cache.variant!r} instance tables, "
                          f"config wants {config.variant!r}")
@@ -397,16 +440,12 @@ def forward(cache: ModelCache, params: ModelParams, samples,
             z = T.smul(z, 1.0 / n_paths)
             beta_row = np.full(n_paths, 1.0 / n_paths)
         else:
-            key = _type_key(t)
-            z, beta = fuse_subgraphs(views,
-                                     params.tensors[f"fuse_q_{key}"],
-                                     params.tensors[f"fuse_W_{key}"],
-                                     params.tensors[f"fuse_b_{key}"])
+            z, beta = fuse_subgraphs(views, *params.fuse(t))
             beta_row = beta.data[0].copy()
         embeddings[t] = z
         fusion_weights[t] = beta_row
 
-    genes, microbes, diseases = _sample_indices(samples)
+    genes, microbes, diseases = index
     scores = predict(T.gather_rows(embeddings[GENE], genes),
                      T.gather_rows(embeddings[MICROBE], microbes),
                      T.gather_rows(embeddings[DISEASE], diseases),

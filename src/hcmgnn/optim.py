@@ -45,7 +45,3 @@ class Adam:
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None

@@ -106,8 +106,7 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
     undirected = {}
     for kind in PAIR_KINDS:
         p = _edge_prob(scores[kind], bias)
-        rows, cols = np.nonzero(uniforms[kind] < p)
-        undirected[kind] = list(zip(rows.tolist(), cols.tolist()))
+        undirected[kind] = np.argwhere(uniforms[kind] < p)
     realized = _density(scores, uniforms, bias)
 
     features = {t: latents[t] + rng.normal(0.0, FEATURE_NOISE_STD,
@@ -127,7 +126,7 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
             path = os.path.join(out_dir, fname)
             a, b_t = kind
             with open(path, "w", encoding="utf-8") as fh:
-                for u, v in sorted(undirected[kind]):
+                for u, v in graph.edge_rows[kind].tolist():
                     fh.write(f"{node_ids[a][u]}\t{node_ids[b_t][v]}\n")
             files[fname] = path
         for t in EntityType:

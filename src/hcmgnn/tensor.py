@@ -59,10 +59,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return t
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.shape}")
@@ -250,44 +246,32 @@ def smul(a: Tensor, s) -> Tensor:
     return _record(out, (a,), rule)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
+def _concat(parts: list[Tensor], axis: int, opname: str) -> Tensor:
+    """Join `parts` along `axis`; every other extent must agree."""
     parts = [_as_tensor(p) for p in parts]
     if not parts:
-        raise ShapeError("concat_cols: empty input list")
-    rows = parts[0].shape[0]
+        raise ShapeError(f"{opname}: empty input list")
+    other = 1 - axis
     for p in parts:
-        if p.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row mismatch {p.shape} vs {parts[0].shape}")
-    widths = [p.shape[1] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+        if p.shape[other] != parts[0].shape[other]:
+            raise ShapeError(f"{opname}: {'row' if other == 0 else 'col'} mismatch "
+                             f"{p.shape} vs {parts[0].shape}")
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
 
     def rule(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, off:off + w])
-            off += w
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            _accumulate(p, g[:, lo:hi] if axis == 1 else g[lo:hi, :])
 
     return _record(out, tuple(parts), rule)
+
+
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, 1, "concat_cols")
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows: empty input list")
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != cols:
-            raise ShapeError(f"concat_rows: col mismatch {p.shape} vs {parts[0].shape}")
-    heights = [p.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-
-    def rule(g):
-        off = 0
-        for p, h in zip(parts, heights):
-            _accumulate(p, g[off:off + h, :])
-            off += h
-
-    return _record(out, tuple(parts), rule)
+    return _concat(parts, 0, "concat_rows")
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import logging
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .evaluation import RankedCase, make_case, rank_metrics
+from .evaluation import METRIC_KEYS, RankedCase, make_case, rank_metrics
 from .graph import (HetGraph, LabeledTriplet, SplitPlan, avg_node_degree,
                     derive_positive_triplets, sample_negatives,
                     sample_training_negatives)
-from .model import (ForwardOutput, ModelCache, ModelConfig, ModelParams, forward,
-                    init_params)
+from .model import (ForwardOutput, ModelCache, ModelConfig, ModelParams,
+                    check_field_types, forward, init_params)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -33,6 +32,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.val_metric not in METRIC_KEYS:
+            raise ValueError(f"val_metric must be one of {METRIC_KEYS}, got {self.val_metric!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.patience < 1:
@@ -63,6 +65,12 @@ class RankingSet:
     avg_degrees: list[float]
 
 
+def triplet_index(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (genes, microbes, diseases) int64 index arrays that `forward` scores."""
+    return tuple(np.array([getattr(t, slot) for t in triplets], dtype=np.int64)
+                 for slot in ("gene", "microbe", "disease"))
+
+
 def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
                       known_positives) -> RankingSet:
     flat = sample_negatives(positives, n_negatives, seed, g.sizes,
@@ -70,10 +78,8 @@ def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
     grouped = [flat[i * n_negatives:(i + 1) * n_negatives]
                for i in range(len(positives))]
     pools = [[pos] + negs for pos, negs in zip(positives, grouped)]
-    candidates = [t for pool in pools for t in pool]
-    index = tuple(np.array([getattr(t, slot) for t in candidates], dtype=np.int64)
-                  for slot in ("gene", "microbe", "disease"))
-    return RankingSet(negatives=grouped, index=index,
+    return RankingSet(negatives=grouped,
+                      index=triplet_index([t for pool in pools for t in pool]),
                       candidate_ids=[[g.triplet_id(t) for t in pool] for pool in pools],
                       avg_degrees=[avg_node_degree(g, pos) for pos in positives])
 
@@ -129,22 +135,20 @@ class TrainReport:
     best_metric: float
     best_state: dict
     epochs_run: int
-    wall_seconds: float
 
 
 def train(g: HetGraph, cache: ModelCache, params: ModelParams,
-          train_samples: list[LabeledTriplet], val_set: RankingSet,
-          cfg: TrainConfig) -> TrainReport:
+          train_index: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
+          val_set: RankingSet, cfg: TrainConfig) -> TrainReport:
     """Full-batch epochs with early stopping on the validation ranking metric.
 
-    On return `params` holds the best-validation checkpoint, which is also
-    in `report.best_state`.
+    `train_index` is the training triplets' (genes, microbes, diseases)
+    index triple and `labels` their 0/1 labels.  On return `params` holds
+    the best-validation checkpoint, which is also in `report.best_state`.
     """
-    if not train_samples:
+    if labels.size == 0:
         raise ValueError("train: empty training set")
-    labels = np.array([s.label for s in train_samples], dtype=np.float64)
-    opt = Adam(params.named(), lr=cfg.lr)
-    start = time.perf_counter()
+    opt = Adam(params.tensors, lr=cfg.lr)
 
     losses: list[float] = []
     val_trace: list[float] = []
@@ -153,7 +157,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     for epoch in range(1, cfg.max_epochs + 1):
         params.zero_grad()
         with Tape() as tape:
-            out = forward(cache, params, train_samples)
+            out = forward(cache, params, train_index)
             loss = loss_fn(out.scores, labels, cfg.gamma)
             value = loss.item()
             if not np.isfinite(value):
@@ -173,8 +177,15 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     params.load_state(best_state)
     return TrainReport(train_losses=losses, val_trace=val_trace,
                        best_epoch=stopper.best_epoch, best_metric=float(stopper.best),
-                       best_state=best_state, epochs_run=len(losses),
-                       wall_seconds=time.perf_counter() - start)
+                       best_state=best_state, epochs_run=len(losses))
+
+
+def thread_map(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], on `workers` threads when that is more than one."""
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _resolve_ids(ids, by_id, where: str) -> list[LabeledTriplet]:
@@ -259,7 +270,9 @@ def _fit(g: HetGraph, cache: ModelCache, split: _ResolvedPlan, k: int, label: st
     val_set = build_ranking_set(g, split.folds[k], n_rank_negatives,
                                 derive_seed(seed, f"val-neg/{label}"), split.known)
     params = init_params(cache, model_cfg, derive_seed(seed, f"params/{label}"))
-    report = train(g, cache, params, train_pos + train_neg, val_set, train_cfg)
+    samples = train_pos + train_neg
+    report = train(g, cache, params, triplet_index(samples),
+                   np.array([t.label for t in samples], dtype=np.float64), val_set, train_cfg)
     return params, report, val_set, len(train_pos), len(train_neg)
 
 
@@ -278,12 +291,7 @@ def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
                           report=report, params=params, cases=cases,
                           n_train_pos=n_pos, n_train_neg=n_neg)
 
-    n_folds = len(plan.folds)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_fold, range(n_folds)))
-    else:
-        results = [run_fold(k) for k in range(n_folds)]
+    results = thread_map(run_fold, range(len(plan.folds)), max_workers)
 
     records = []
     for r in results:

@@ -2,6 +2,12 @@ import numpy as np
 import pytest
 
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph
+from hcmgnn.training import triplet_index as index_of  # noqa: F401  (a test helper)
+
+
+def edge_set(g, rel):
+    """The (u, v) pairs of relation `rel` as a set of int tuples."""
+    return set(map(tuple, g.edge_rows[rel].tolist()))
 
 
 def toy_graph(seed=0, feat_dim=3):

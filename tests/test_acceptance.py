@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import toy_graph
+from conftest import edge_set, index_of, toy_graph
 from hcmgnn.cli import main as cli_main
 from hcmgnn.evaluation import make_case, rank_metrics
 from hcmgnn.gradcheck import grad_check
@@ -50,10 +50,11 @@ def test_criterion_1_gradient_oracle():
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     cache = ModelCache(g, cfg.variant)
     params = init_params(cache, cfg, 1)
-    tensors = list(params.named().values())
+    tensors = list(params.tensors.values())
+    index = index_of(samples)
 
     def full_loss(*_):
-        return loss_fn(forward(cache, params, samples).scores, labels, 0.7)
+        return loss_fn(forward(cache, params, index).scores, labels, 0.7)
 
     report = grad_check(full_loss, tensors, h=1e-6, tol=1e-4)
     elapsed = time.perf_counter() - start
@@ -66,10 +67,10 @@ def test_criterion_1_gradient_oracle():
 def brute_force_rows(g, p):
     sizes = [g.num_nodes(t) for t in p.types]
     a1 = np.zeros((sizes[0], sizes[1]), dtype=bool)
-    for u, v in g.edges[p.relations[0]]:
+    for u, v in edge_set(g, p.relations[0]):
         a1[u, v] = True
     a2 = np.zeros((sizes[1], sizes[2]), dtype=bool)
-    for u, v in g.edges[p.relations[1]]:
+    for u, v in edge_set(g, p.relations[1]):
         a2[u, v] = True
     return sorted(map(tuple, np.argwhere(a1[:, :, None] & a2[None, :, :]).tolist()))
 
@@ -119,7 +120,7 @@ def test_criterion_3_normalization_suite():
     worst = 0.0
     for seed in range(100):
         params = init_params(cache, cfg, seed)
-        out = forward(cache, params, samples)
+        out = forward(cache, params, index_of(samples))
         for heads in out.attention.values():
             for seg, alpha in heads:
                 sums = np.zeros(cache.total_nodes)
@@ -196,8 +197,7 @@ def test_criterion_6_protocol_fidelity():
     assert all(len(c.candidate_ids) == 31 for c in cases)
 
     test_ids = set(plan.test)
-    leaked = sum(len(test_ids.intersection(plan.fold_train_ids(k)))
-                 for k in range(5))
+    leaked = sum(len(test_ids.intersection(fold)) for fold in plan.folds)
     verdict(6, leaked == 0,
             "5 folds, train negatives == train positives per fold, every "
             "validation/test positive ranked against exactly 30 negatives, "

@@ -216,6 +216,28 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
     assert cfg_path in str(err.value)
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"model": {**SMALL_MODEL, "heads": 0}}, "model: heads must be >= 1"),
+    ({"model": {**SMALL_MODEL, "fusion_dim": 0}}, "model: fusion_dim must be >= 1"),
+    ({"model": {**SMALL_MODEL, "heads": "4"}}, "model: heads must be int, got '4'"),
+    ({"model": {**SMALL_MODEL, "heads": True}}, "model: heads must be int, got True"),
+    ({"model": {**SMALL_MODEL, "mlp_hidden": 6.0}}, "model: mlp_hidden must be int"),
+    ({"model": {**SMALL_MODEL, "leaky_slope": "x"}}, "model: leaky_slope must be float"),
+    ({"train": {"max_epochs": 3, "patience": "x"}}, "train: patience must be int"),
+    ({"train": {"max_epochs": False}}, "train: max_epochs must be int, got False"),
+    ({"train": {"max_epochs": 3, "gamma": 2}}, r"train: gamma must lie in \[0, 1\]"),
+    ({"train": {"max_epochs": 3, "val_metric": "auc"}}, "train: val_metric must be one of"),
+], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
+        "patience-str", "epochs-bool", "gamma-2", "metric-unknown"])
+def test_bad_config_value_names_the_file(tmp_path, capsys, override, message):
+    cfg_path, _ = write_config(tmp_path, **override)
+    with pytest.raises(ValueError, match=message) as err:
+        load_config(cfg_path)
+    assert str(err.value).startswith(f"{cfg_path}: ")
+    assert main(["cv", "--config", cfg_path]) == 1
+    assert f"error: {cfg_path}: " in capsys.readouterr().err
+
+
 def test_unknown_dataset_key_rejected(tmp_path):
     doc = {"seed": 1, "out": str(tmp_path / "o"),
            "dataset": {"gene_microbe": "gm.tsv", "gene_disease": "gd.tsv",

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, toy_graph
-from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, HetGraph,
+from conftest import edge_set, random_graph, toy_graph
+from hcmgnn.graph import (DISEASE, GENE, MICROBE, PAIR_KINDS, RELATIONS, HetGraph,
                           LabeledTriplet, SplitPlan, avg_node_degree,
                           derive_positive_triplets, load_edges, make_split,
                           sample_negatives, sample_training_negatives)
@@ -27,15 +27,34 @@ def write_dataset(tmp_path, gm="", gd="", md=""):
 def test_single_row_materializes_both_directions(tmp_path):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\n")
     g = load_edges(gm, gd, md)
-    assert g.edges[(GENE, MICROBE)] == {(0, 0)}
-    assert g.edges[(MICROBE, GENE)] == {(0, 0)}
-    assert len(g.edges[(GENE, MICROBE)]) == len(g.edges[(MICROBE, GENE)]) == 1
+    assert edge_set(g, (GENE, MICROBE)) == {(0, 0)}
+    assert edge_set(g, (MICROBE, GENE)) == {(0, 0)}
+    assert len(g.edge_rows[(GENE, MICROBE)]) == len(g.edge_rows[(MICROBE, GENE)]) == 1
+
+
+def test_edge_rows_are_the_distinct_pairs_lexsorted_read_only():
+    # G-M unsorted with a duplicate and also given as M-G; M-D missing
+    gm, mg, gd = [(2, 0), (0, 1), (2, 0), (1, 1)], [(1, 0), (0, 2), (2, 2)], [(1, 0), (0, 0)]
+    g = HetGraph({GENE: ["g0", "g1", "g2"], MICROBE: ["m0", "m1", "m2"], DISEASE: ["d0"]},
+                 {(GENE, MICROBE): gm, (MICROBE, GENE): mg, (GENE, DISEASE): gd},
+                 {GENE: np.eye(3), MICROBE: np.eye(3), DISEASE: np.eye(1)})
+    gm_all = gm + [(v, u) for u, v in mg]
+    expect = {(GENE, MICROBE): gm_all, (GENE, DISEASE): gd, (MICROBE, DISEASE): []}
+    for (a, b), pairs in list(expect.items()):
+        expect[(b, a)] = [(v, u) for u, v in pairs]
+    for rel in RELATIONS:
+        rows = g.edge_rows[rel]
+        ref = np.array(sorted(set(expect[rel])), dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(rows, ref), rel
+        assert rows.dtype == np.int64 and rows.shape == ref.shape
+        assert not rows.flags.writeable
+    assert g.edge_rows[(MICROBE, DISEASE)].shape == (0, 2)
 
 
 def test_empty_relation_file_is_valid(tmp_path):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\n", gd="g1\td1\n")
     g = load_edges(gm, gd, md)
-    assert g.edges[(MICROBE, DISEASE)] == set()
+    assert edge_set(g, (MICROBE, DISEASE)) == set()
     assert g.num_nodes(DISEASE) == 1
 
 
@@ -43,7 +62,7 @@ def test_duplicate_edges_deduplicated_with_count(tmp_path, caplog):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\ng1\tm1\ng1\tm1\n")
     with caplog.at_level(logging.WARNING):
         g = load_edges(gm, gd, md)
-    assert len(g.edges[(GENE, MICROBE)]) == 1
+    assert len(g.edge_rows[(GENE, MICROBE)]) == 1
     assert "2 duplicate" in caplog.text
 
 
@@ -116,13 +135,12 @@ def test_open_path_is_not_a_triangle():
 
 
 def brute_force_triangles(g):
+    gm, gd, md = (edge_set(g, kind) for kind in PAIR_KINDS)
     out = []
     for gi in range(g.num_nodes(GENE)):
         for mi in range(g.num_nodes(MICROBE)):
             for di in range(g.num_nodes(DISEASE)):
-                if ((gi, mi) in g.edges[(GENE, MICROBE)]
-                        and (gi, di) in g.edges[(GENE, DISEASE)]
-                        and (mi, di) in g.edges[(MICROBE, DISEASE)]):
+                if (gi, mi) in gm and (gi, di) in gd and (mi, di) in md:
                     out.append((gi, mi, di))
     return out
 
@@ -343,9 +361,9 @@ def test_degree_matches_adjacency_recount():
         expected = 0
         for t, v in [(GENE, p.gene), (MICROBE, p.microbe), (DISEASE, p.disease)]:
             seen = set()
-            for (a, b), pairs in g.edges.items():
+            for a, b in RELATIONS:
                 if a is t:
-                    seen.update((b, w) for u, w in pairs if u == v)
+                    seen.update((b, w) for u, w in edge_set(g, (a, b)) if u == v)
             expected += len(seen)
         assert avg_node_degree(g, p) == pytest.approx(expected / 3)
 
@@ -356,6 +374,6 @@ def test_bidirectionality_exact_transposes(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, 6, 5, 4, p=0.4)
     for a, b in RELATIONS:
-        fwd = g.edges[(a, b)]
-        rev = {(v, u) for u, v in g.edges[(b, a)]}
+        fwd = edge_set(g, (a, b))
+        rev = {(v, u) for u, v in edge_set(g, (b, a))}
         assert fwd == rev

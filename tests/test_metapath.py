@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hcmgnn.metapath as mp
-from conftest import random_graph, toy_graph
+from conftest import edge_set, random_graph, toy_graph
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph, derive_positive_triplets
 from hcmgnn.metapath import (InstanceExplosion, Metapath, ablation_metapaths,
                              causal_metapaths, dump_instances,
@@ -30,8 +30,8 @@ def test_subgraph_holds_the_two_relation_edge_sets(tiny_graph):
     rows = enumerate_instance_rows(tiny_graph, p).tolist()
     assert rows
     for m, d, g in rows:
-        assert (m, d) in tiny_graph.edges[(MICROBE, DISEASE)]
-        assert (d, g) in tiny_graph.edges[(DISEASE, GENE)]
+        assert (m, d) in edge_set(tiny_graph, (MICROBE, DISEASE))
+        assert (d, g) in edge_set(tiny_graph, (DISEASE, GENE))
 
 
 def test_subgraph_with_missing_relations_is_empty():
@@ -40,7 +40,7 @@ def test_subgraph_with_missing_relations_is_empty():
                   (MICROBE, DISEASE): []},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
     p = causal_metapaths()[0]  # G-M-D
-    assert [g.edges[r] for r in p.relations] == [set(), set()]
+    assert [edge_set(g, r) for r in p.relations] == [set(), set()]
     assert enumerate_instance_rows(g, p).shape == (0, 3)
 
 
@@ -80,10 +80,10 @@ def brute_force_rows(g, p):
     """Full grid scan over the node triple, independent of the join code."""
     sizes = [g.num_nodes(t) for t in p.types]
     a1 = np.zeros((sizes[0], sizes[1]), dtype=bool)
-    for u, v in g.edges[p.relations[0]]:
+    for u, v in edge_set(g, p.relations[0]):
         a1[u, v] = True
     a2 = np.zeros((sizes[1], sizes[2]), dtype=bool)
-    for u, v in g.edges[p.relations[1]]:
+    for u, v in edge_set(g, p.relations[1]):
         a2[u, v] = True
     hits = a1[:, :, None] & a2[None, :, :]
     return sorted(map(tuple, np.argwhere(hits).tolist()))
@@ -174,7 +174,7 @@ def test_pairwise2_family_instances_are_edge_sets(tiny_graph):
     assert {p.name for p in paths} == {"G-M", "M-G", "G-D", "D-G", "M-D", "D-M"}
     gm = next(p for p in paths if p.name == "G-M")
     rows = enumerate_instance_rows(tiny_graph, gm)
-    assert set(map(tuple, rows.tolist())) == tiny_graph.edges[(GENE, MICROBE)]
+    assert set(map(tuple, rows.tolist())) == edge_set(tiny_graph, (GENE, MICROBE))
 
 
 def test_symmetric5_matches_walk_oracle():
@@ -183,8 +183,8 @@ def test_symmetric5_matches_walk_oracle():
     p = next(q for q in ablation_metapaths("symmetric-5") if q.name == "G-M-D-M-G")
     got = sorted(map(tuple, enumerate_instance_rows(g, p).tolist()))
     expect = []
-    gm = g.edges[(GENE, MICROBE)]
-    md = g.edges[(MICROBE, DISEASE)]
+    gm = edge_set(g, (GENE, MICROBE))
+    md = edge_set(g, (MICROBE, DISEASE))
     for a in range(5):
         for b in range(5):
             if (a, b) not in gm:

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import hcmgnn.tensor as T
-from conftest import random_graph, toy_graph
+from conftest import edge_set, index_of, random_graph, toy_graph
 from hcmgnn.gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
                           derive_positive_triplets)
@@ -11,7 +13,9 @@ from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
                           forward, fuse_subgraphs, init_params, instance_attention,
                           multi_head_aggregate, predict)
 from hcmgnn.tensor import ShapeError, Tensor
+from hcmgnn.cli import main
 from hcmgnn.training import loss_fn
+from test_cli import write_config
 
 SMALL = dict(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
 
@@ -21,8 +25,8 @@ def small_config(variant="full"):
 
 
 def some_samples(g):
-    return [LabeledTriplet(0, 0, 0, 1, "observed"),
-            LabeledTriplet(1, 1, 0, 0, "sampled-negative")]
+    return index_of([LabeledTriplet(0, 0, 0, 1, "observed"),
+                     LabeledTriplet(1, 1, 0, 0, "sampled-negative")])
 
 
 # ---- feature transform ----
@@ -209,8 +213,8 @@ def test_empty_instance_set_yields_zero_view():
     cfg = small_config()
     cache = ModelCache(g, cfg.variant)
     params = init_params(cache, cfg, 1)
-    out = forward(cache, params, [LabeledTriplet(0, 0, 0, 1, "observed"),
-                                  LabeledTriplet(1, 0, 0, 0, "sampled-negative")])
+    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed"),
+                                           LabeledTriplet(1, 0, 0, 0, "sampled-negative")]))
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
     h = out.subgraph_embeddings["G-M-D"].data
     assert np.array_equal(h[1], np.zeros(cfg.embed_dim))
@@ -222,7 +226,7 @@ def test_full_equals_woaf_when_all_views_equal():
     g = HetGraph({GENE: ["g0"], MICROBE: ["m0"], DISEASE: ["d0"]},
                  {(GENE, MICROBE): [], (GENE, DISEASE): [], (MICROBE, DISEASE): []},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    samples = [LabeledTriplet(0, 0, 0, 0, "sampled-negative")]
+    samples = index_of([LabeledTriplet(0, 0, 0, 0, "sampled-negative")])
     outs = {}
     for variant in ("full", "woAF"):
         cfg = small_config(variant)
@@ -243,12 +247,11 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     cfg_full = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6)
     cfg_ii = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6,
                          variant="woMP-ii")
+    samples = index_of([LabeledTriplet(0, 0, 0, 1, "observed")])
     out_full = forward(ModelCache(g, "full"),
-                       init_params(ModelCache(g, "full"), cfg_full, 3),
-                       [LabeledTriplet(0, 0, 0, 1, "observed")])
+                       init_params(ModelCache(g, "full"), cfg_full, 3), samples)
     out_ii = forward(ModelCache(g, "woMP-ii"),
-                     init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3),
-                     [LabeledTriplet(0, 0, 0, 1, "observed")])
+                     init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3), samples)
     # head is row 0 (gene), tail is row 2 (disease) for G-M-D
     h_full = out_full.subgraph_embeddings["G-M-D"].data
     h_ii = out_ii.subgraph_embeddings["G-M-D"].data
@@ -283,7 +286,7 @@ def permute_graph(g, rng):
     for kind in [(GENE, MICROBE), (GENE, DISEASE), (MICROBE, DISEASE)]:
         a, b = kind
         edges[kind] = [(int(perms[a][u]), int(perms[b][v]))
-                       for u, v in g.edges[kind]]
+                       for u, v in edge_set(g, kind)]
     return HetGraph(node_ids, edges, feats), perms
 
 
@@ -299,8 +302,8 @@ def test_permutation_equivariance():
     samples2 = [LabeledTriplet(int(perms[GENE][s.gene]), int(perms[MICROBE][s.microbe]),
                                int(perms[DISEASE][s.disease]), s.label, s.provenance)
                 for s in samples1]
-    out1 = forward(cache1, params, samples1)
-    out2 = forward(cache2, params, samples2)
+    out1 = forward(cache1, params, index_of(samples1))
+    out2 = forward(cache2, params, index_of(samples2))
     for t in (GENE, MICROBE, DISEASE):
         # row i of graph 1 lands at row perms[t][i] in graph 2
         assert np.allclose(out1.embeddings[t].data,
@@ -340,13 +343,14 @@ def test_full_loss_gradients_match_finite_differences(variant):
         LabeledTriplet(0, 1, 1, 0, "sampled-negative"),
         LabeledTriplet(1, 1, 0, 0, "sampled-negative")]
     labels = np.array([s.label for s in samples], dtype=np.float64)
+    index = index_of(samples)
     cache = ModelCache(g, variant)
     params = init_params(cache, small_config(variant), 1)
 
     def full_loss(*_):
-        return loss_fn(forward(cache, params, samples).scores, labels, 0.7)
+        return loss_fn(forward(cache, params, index).scores, labels, 0.7)
 
-    report = grad_check(full_loss, list(params.named().values()), h=1e-6, tol=1e-4)
+    report = grad_check(full_loss, list(params.tensors.values()), h=1e-6, tol=1e-4)
     assert report.n_checked > 0
     assert report.passed, (report.max_rel_error, report.worst)
 
@@ -357,7 +361,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
                       variant="woMP-i")
     cache = ModelCache(g, "woMP-i")
     params = init_params(cache, cfg, 6)
-    out = forward(cache, params, [LabeledTriplet(0, 0, 0, 1, "observed")])
+    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
     h = out.subgraph_embeddings["G-M-D"].data
     h_disease = params.proj(DISEASE).data @ g.features[DISEASE][0]
     assert np.allclose(h[0], elu_np(h_disease))  # head view = ELU(tail projection)
@@ -371,7 +375,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
                       variant="woTM")
     cache = ModelCache(g, "woTM")
     params = init_params(cache, cfg, 8)
-    out = forward(cache, params, [LabeledTriplet(0, 0, 0, 1, "observed")])
+    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
     h = out.subgraph_embeddings["G-M"].data
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -388,7 +392,7 @@ def test_womp3_five_node_fold_formula():
                       variant="woMP-iii")
     cache = ModelCache(g, "woMP-iii")
     params = init_params(cache, cfg, 9)
-    out = forward(cache, params, [LabeledTriplet(0, 0, 0, 1, "observed")])
+    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
     h = out.subgraph_embeddings["G-M-D-M-G"].data
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -449,7 +453,7 @@ def test_forward_rejects_unseen_entities(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg.variant)
     params = init_params(cache, cfg, 0)
-    ghost = [LabeledTriplet(99, 0, 0, 0, "sampled-negative")]
+    ghost = index_of([LabeledTriplet(99, 0, 0, 0, "sampled-negative")])
     with pytest.raises(ShapeError):
         forward(cache, params, ghost)
 
@@ -476,3 +480,32 @@ def test_checkpoint_that_is_not_json_names_the_file(tmp_path):
     with pytest.raises(ValueError, match="not valid JSON") as err:
         ModelParams.load(path)
     assert str(path) in str(err.value)
+
+
+def transpose_entry(entry):
+    rows, cols = entry["shape"]
+    data = np.array(entry["data"]).reshape(rows, cols).T
+    return {"shape": [cols, rows], "data": data.reshape(-1).tolist()}
+
+
+@pytest.mark.parametrize("tamper, key", [
+    (lambda doc: doc["tensors"].pop("mlp_W2"), "'mlp_W2'"),
+    (lambda doc: doc["tensors"]["mlp_b2"].update(shape=[3, 3]), "'mlp_b2'"),
+    (lambda doc: doc["config"].update(heads=3), "'attn_G-M-D_h2'"),
+    (lambda doc: doc["config"].update(heads="2"), "heads"),
+    (lambda doc: doc.pop("feature_dims"), "'feature_dims'"),
+    (lambda doc: doc["tensors"].update(extra={"shape": [1, 1], "data": [0.0]}), "'extra'"),
+    (lambda doc: doc["tensors"].update(mlp_W1=transpose_entry(doc["tensors"]["mlp_W1"])),
+     "'mlp_W1'"),
+], ids=["missing-tensor", "wrong-length", "heads-3-of-2", "config-value",
+        "missing-feature-dims", "extra-tensor", "transposed"])
+def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tamper, key):
+    path = tmp_path / "ckpt.json"
+    init_params(ModelCache(tiny_graph, "full"), small_config(), 0).save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    tamper(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg, _ = write_config(tmp_path)
+    assert main(["stratify", "--config", cfg, "--checkpoint", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and key in err, err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
+from conftest import edge_set
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, RELATIONS, derive_positive_triplets,
+                          load_edges)
 from hcmgnn.synthetic import CalibrationError, generate_synthetic
 
 
@@ -23,7 +25,7 @@ def test_different_seed_changes_output(tmp_path):
 
 def test_zero_density_limit_has_no_edges():
     ds = generate_synthetic(8, 8, 8, 4, 0.2, rng_seed=0, bias=-1e9)
-    assert all(len(e) == 0 for e in ds.graph.edges.values())
+    assert all(len(e) == 0 for e in ds.graph.edge_rows.values())
     assert derive_positive_triplets(ds.graph) == []
 
 
@@ -54,17 +56,18 @@ def test_written_files_reload_to_same_graph(tmp_path):
                                    MICROBE: ds.files["features_microbe.csv"],
                                    DISEASE: ds.files["features_disease.csv"]})
     g1 = ds.graph
+    index2 = {t: {v: i for i, v in enumerate(g2.node_ids[t])} for t in (GENE, MICROBE, DISEASE)}
     # node sets can differ only by isolated nodes, which have no edges
-    for rel, pairs in g1.edges.items():
-        reloaded = {(g2.node_index[rel[0]][g1.node_ids[rel[0]][u]],
-                     g2.node_index[rel[1]][g1.node_ids[rel[1]][v]])
-                    for u, v in pairs}
-        assert reloaded == g2.edges[rel]
+    for rel in RELATIONS:
+        reloaded = {(index2[rel[0]][g1.node_ids[rel[0]][u]],
+                     index2[rel[1]][g1.node_ids[rel[1]][v]])
+                    for u, v in edge_set(g1, rel)}
+        assert reloaded == edge_set(g2, rel)
     # features round-trip exactly through repr()
     for t in (GENE, MICROBE, DISEASE):
         for nid in g2.node_ids[t]:
-            i1 = g1.node_index[t][nid]
-            i2 = g2.node_index[t][nid]
+            i1 = g1.node_ids[t].index(nid)
+            i2 = index2[t][nid]
             assert np.array_equal(g1.features[t][i1], g2.features[t][i2])
     assert ([p.key() for p in derive_positive_triplets(g1)]
             if g1.sizes == g2.sizes else True)

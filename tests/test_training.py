@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import toy_graph
+from conftest import index_of, toy_graph
 from hcmgnn.evaluation import rank_metrics
 from hcmgnn.gradcheck import grad_check
 from hcmgnn import training
@@ -113,7 +113,7 @@ def test_train_rejects_empty_training_set():
     params = init_params(cache, mc, 0)
     val = build_ranking_set(g, pos[:3], 5, 0, {p.key() for p in pos})
     with pytest.raises(ValueError, match="empty"):
-        train(g, cache, params, [], val, TrainConfig())
+        train(g, cache, params, index_of([]), np.array([]), val, TrainConfig())
 
 
 def test_train_returns_best_checkpoint():
@@ -154,7 +154,7 @@ def test_run_cv_protocol_counts():
     assert result.mean["fold"] == "mean"
     for k, fold in enumerate(result.folds):
         assert fold.n_train_neg == fold.n_train_pos
-        assert fold.n_train_pos == len(plan.fold_train_ids(k))
+        assert fold.n_train_pos == sum(len(f) for i, f in enumerate(plan.folds) if i != k)
         for case in fold.cases:
             assert len(case.candidate_ids) == 31
     for key in ("hit1", "hit3", "hit5", "ndcg1", "ndcg3", "ndcg5", "mrr"):
