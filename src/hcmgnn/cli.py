@@ -80,14 +80,17 @@ def load_config(path, seed_override=None, out_override=None,
     doc = load_json(path)
     _check_keys(path, "", doc, _TOP_KEYS)
     for name, allowed in _BLOCK_KEYS.items():
-        if doc.get(name) is not None:
+        if name in doc:
             _check_keys(path, f"{name}.", doc[name], allowed)
-    features = (doc.get("dataset") or {}).get("features")
+    features = doc.get("dataset", {}).get("features")
     if features is not None:
         _check_keys(path, "dataset.features.", features, set(_FEATURE_KEYS))
     if ("synthetic" in doc) == ("dataset" in doc):
-        raise ValueError("config must contain exactly one of 'synthetic' or 'dataset'")
-    seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+        raise ValueError(f"{path}: config must contain exactly one of "
+                         f"'synthetic' or 'dataset'")
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"{path}: seed must be int, got {seed!r}")
     model_doc = dict(doc.get("model", {}))
     if variant_override is not None:
         model_doc["variant"] = variant_override
@@ -212,12 +215,12 @@ def _test_run(model_cfg: ModelConfig, train_cfg: TrainConfig, g: HetGraph,
               plan: SplitPlan):
     """Fit the test model, then rank the test set with it.
 
-    Also returns the forward output the test set was scored from.
+    Also returns the embeddings the test set was scored from.
     """
     params, report, cache = train_for_test(g, plan, model_cfg, train_cfg)
     test_set = build_test_set(g, plan, train_cfg.seed, 30)
-    cases, out = score_ranking_set(g, cache, params, test_set)
-    return params, report, test_set, cases, out
+    cases, embeddings = score_ranking_set(g, cache, params, test_set)
+    return params, report, test_set, cases, embeddings
 
 
 def cmd_test(cfg: RunConfig) -> str:
@@ -225,14 +228,14 @@ def cmd_test(cfg: RunConfig) -> str:
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     plan = build_split(cfg, g)
-    params, report, test_set, cases, out = _test_run(cfg.model, cfg.train, g, plan)
+    params, report, test_set, cases, embeddings = _test_run(cfg.model, cfg.train, g, plan)
     metrics = rank_metrics(cases)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
 
     # embed every ranked candidate, each pool's positive first, for projection tools
     ids = [cid for pool in test_set.candidate_ids for cid in pool]
     labels = [int(j == 0) for pool in test_set.candidate_ids for j in range(len(pool))]
-    vecs = np.concatenate([out.embeddings[t].data[rows]
+    vecs = np.concatenate([embeddings[t].data[rows]
                            for t, rows in zip((GENE, MICROBE, DISEASE), test_set.index)],
                           axis=1)
     export_path = os.path.join(cfg.out, "exports", "test_embeddings.tsv")

@@ -445,12 +445,22 @@ def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
         embeddings[t] = z
         fusion_weights[t] = beta_row
 
-    genes, microbes, diseases = index
-    scores = predict(T.gather_rows(embeddings[GENE], genes),
-                     T.gather_rows(embeddings[MICROBE], microbes),
-                     T.gather_rows(embeddings[DISEASE], diseases),
-                     params.tensors["mlp_W1"], params.tensors["mlp_b1"],
-                     params.tensors["mlp_W2"], params.tensors["mlp_b2"])
     return ForwardOutput(embeddings=embeddings, subgraph_embeddings=subgraph_embeds,
-                         fusion_weights=fusion_weights, scores=scores,
+                         fusion_weights=fusion_weights,
+                         scores=score_triplets(embeddings, params, index),
                          attention=attention)
+
+
+def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
+                   index) -> Tensor:
+    """The MLP head alone: score the triplets of `index` from fused embeddings.
+
+    `embeddings` are `forward`'s per-type outputs; `index` is the triple
+    (genes, microbes, diseases) of int64 node-index arrays.
+    """
+    genes, microbes, diseases = index
+    return predict(T.gather_rows(embeddings[GENE], genes),
+                   T.gather_rows(embeddings[MICROBE], microbes),
+                   T.gather_rows(embeddings[DISEASE], diseases),
+                   params.tensors["mlp_W1"], params.tensors["mlp_b1"],
+                   params.tensors["mlp_W2"], params.tensors["mlp_b2"])

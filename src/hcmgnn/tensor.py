@@ -117,13 +117,20 @@ class Tape:
             rule(out.grad)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add `g` into `t.grad`.
+
+    A rule sets `fresh` only for an array it has just allocated and hands
+    over whole, which `t` may then own and add into in place.  Any other
+    `g` (the output's own grad, a slice or a transpose of it) is shared
+    with another tensor, so its first store is a copy.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if fresh else g.copy()
     else:
-        t.grad = t.grad + g
+        t.grad += g
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
@@ -161,8 +168,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def rule(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, fresh=True)
+        _accumulate(b, a.data.T @ g, fresh=True)
 
     return _record(out, (a, b), rule)
 
@@ -198,9 +205,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if kind == "same":
             _accumulate(b, g)
         elif kind == "row":
-            _accumulate(b, g.sum(axis=0, keepdims=True))
+            _accumulate(b, g.sum(axis=0, keepdims=True), fresh=True)
         else:
-            _accumulate(b, g.sum(axis=1, keepdims=True))
+            _accumulate(b, g.sum(axis=1, keepdims=True), fresh=True)
 
     return _record(out, (a, b), rule)
 
@@ -212,13 +219,13 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def rule(g):
-        _accumulate(a, g * b.data)
+        _accumulate(a, g * b.data, fresh=True)
         gb = g * a.data
         if kind == "row":
             gb = gb.sum(axis=0, keepdims=True)
         elif kind == "col":
             gb = gb.sum(axis=1, keepdims=True)
-        _accumulate(b, gb)
+        _accumulate(b, gb, fresh=True)
 
     return _record(out, (a, b), rule)
 
@@ -232,8 +239,8 @@ def smul(a: Tensor, s) -> Tensor:
         out = Tensor(a.data * s.data[0, 0])
 
         def rule(g):
-            _accumulate(a, g * s.data[0, 0])
-            _accumulate(s, np.array([[float((g * a.data).sum())]]))
+            _accumulate(a, g * s.data[0, 0], fresh=True)
+            _accumulate(s, np.array([[float((g * a.data).sum())]]), fresh=True)
 
         return _record(out, (a, s), rule)
 
@@ -241,7 +248,7 @@ def smul(a: Tensor, s) -> Tensor:
     out = Tensor(a.data * c)
 
     def rule(g):
-        _accumulate(a, g * c)
+        _accumulate(a, g * c, fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -285,7 +292,7 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx])
 
     def rule(g):
-        _accumulate(a, _scatter_add(idx, g, a.shape[0]))
+        _accumulate(a, _scatter_add(idx, g, a.shape[0]), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -321,7 +328,7 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(seg, a.data, num_segments))
 
     def rule(g):
-        _accumulate(a, g[seg])
+        _accumulate(a, g[seg], fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -336,7 +343,7 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(seg, a.data, num_segments) / safe[:, None])
 
     def rule(g):
-        _accumulate(a, g[seg] / safe[seg][:, None])
+        _accumulate(a, g[seg] / safe[seg][:, None], fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -350,7 +357,7 @@ def mean_rows(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(axis=0, keepdims=True))
 
     def rule(g):
-        _accumulate(a, np.repeat(g, n, axis=0) / n)
+        _accumulate(a, np.repeat(g, n, axis=0) / n, fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -367,7 +374,7 @@ def row_softmax(a: Tensor) -> Tensor:
 
     def rule(g):
         dot = (g * y).sum(axis=1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, y * (g - dot), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -396,7 +403,7 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
     def rule(g):
         gy = g[:, 0] * y
         dot = _scatter_add(seg, gy, num_segments)
-        _accumulate(a, (gy - y * dot[seg])[:, None])
+        _accumulate(a, (gy - y * dot[seg])[:, None], fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -407,7 +414,7 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     deriv = np.where(a.data > 0, 1.0, slope)
 
     def rule(g):
-        _accumulate(a, g * deriv)
+        _accumulate(a, g * deriv, fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -419,7 +426,7 @@ def elu(a: Tensor) -> Tensor:
     deriv = np.where(a.data > 0, 1.0, ex)
 
     def rule(g):
-        _accumulate(a, g * deriv)
+        _accumulate(a, g * deriv, fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -430,7 +437,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def rule(g):
-        _accumulate(a, g * (1.0 - y * y))
+        _accumulate(a, g * (1.0 - y * y), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -444,7 +451,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def rule(g):
-        _accumulate(a, g * y * (1.0 - y))
+        _accumulate(a, g * y * (1.0 - y), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -455,6 +462,6 @@ def sum_sq(a: Tensor) -> Tensor:
     out = Tensor(np.array([[float((a.data * a.data).sum())]]))
 
     def rule(g):
-        _accumulate(a, 2.0 * a.data * g[0, 0])
+        _accumulate(a, 2.0 * a.data * g[0, 0], fresh=True)
 
     return _record(out, (a,), rule)

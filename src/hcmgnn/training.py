@@ -10,11 +10,11 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import METRIC_KEYS, RankedCase, make_case, rank_metrics
-from .graph import (HetGraph, LabeledTriplet, SplitPlan, avg_node_degree,
-                    derive_positive_triplets, sample_negatives,
+from .graph import (EntityType, HetGraph, LabeledTriplet, SplitPlan,
+                    avg_node_degree, derive_positive_triplets, sample_negatives,
                     sample_training_negatives)
-from .model import (ForwardOutput, ModelCache, ModelConfig, ModelParams,
-                    check_field_types, forward, init_params)
+from .model import (ModelCache, ModelConfig, ModelParams, check_field_types,
+                    forward, init_params, score_triplets)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -39,6 +39,10 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 
 
 def loss_fn(scores: Tensor, labels, gamma: float) -> Tensor:
@@ -85,20 +89,27 @@ def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
 
 
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
-                      rset: RankingSet) -> tuple[list[RankedCase], ForwardOutput]:
-    """Score every candidate pool in one forward pass, then rank.
+                      rset: RankingSet, embeddings: dict[EntityType, Tensor] | None = None
+                      ) -> tuple[list[RankedCase], dict[EntityType, Tensor]]:
+    """Score every candidate pool in one batch, then rank.
 
-    Returns the ranked cases and the forward output they were scored from.
+    `embeddings`, when given, are `forward`'s per-type outputs at `params`,
+    and only the MLP head runs on them; otherwise one `forward` computes
+    them.  Returns the ranked cases and the embeddings they were scored from.
     """
-    out = forward(cache, params, rset.index)
-    scores = out.scores.data[:, 0]
+    if embeddings is None:
+        out = forward(cache, params, rset.index)
+        embeddings, scores = out.embeddings, out.scores
+    else:
+        scores = score_triplets(embeddings, params, rset.index)
+    scores = scores.data[:, 0]
     cases = []
     off = 0
     for ids, degree in zip(rset.candidate_ids, rset.avg_degrees):
         cases.append(make_case(ids[0], ids[1:], scores[off:off + len(ids)],
                                avg_degree=degree))
         off += len(ids)
-    return cases, out
+    return cases, embeddings
 
 
 class EarlyStopper:
@@ -134,6 +145,7 @@ class TrainReport:
     best_epoch: int
     best_metric: float
     best_state: dict
+    best_cases: list[RankedCase]   # the validation pools ranked at best_state
     epochs_run: int
 
 
@@ -143,8 +155,15 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     """Full-batch epochs with early stopping on the validation ranking metric.
 
     `train_index` is the training triplets' (genes, microbes, diseases)
-    index triple and `labels` their 0/1 labels.  On return `params` holds
-    the best-validation checkpoint, which is also in `report.best_state`.
+    index triple and `labels` their 0/1 labels.  Each epoch's step is
+    validated, and the best-validated state is kept.  On return `params`
+    holds that checkpoint, which is also in `report.best_state`.
+
+    One graph pass serves each parameter state: the taped pass of epoch
+    e runs at the state epoch e-1's step produced, so its embeddings also
+    score the validation pools for epoch e-1, before this epoch's step
+    updates the parameters in place.  Only the last state needs a pass
+    of its own.
     """
     if labels.size == 0:
         raise ValueError("train: empty training set")
@@ -154,30 +173,39 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     val_trace: list[float] = []
     stopper = EarlyStopper(cfg.patience)
     best_state = params.state()
+    best_cases: list[RankedCase] = []
+
+    def validate(embeddings=None) -> bool:
+        """Record the metric of the current state; True iff training should stop."""
+        nonlocal best_state, best_cases
+        cases, _ = score_ranking_set(g, cache, params, val_set, embeddings=embeddings)
+        metric = rank_metrics(cases)[cfg.val_metric]
+        val_trace.append(metric)
+        if stopper.update(metric):
+            best_state, best_cases = params.state(), cases
+        return stopper.should_stop
+
     for epoch in range(1, cfg.max_epochs + 1):
         params.zero_grad()
         with Tape() as tape:
             out = forward(cache, params, train_index)
             loss = loss_fn(out.scores, labels, cfg.gamma)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise RuntimeError(f"train: non-finite loss at epoch {epoch}")
-            tape.backward(loss)
+        if epoch > 1 and validate(out.embeddings):
+            break
+        value = loss.item()
+        if not np.isfinite(value):
+            raise RuntimeError(f"train: non-finite loss at epoch {epoch}")
+        tape.backward(loss)
         opt.step()
         losses.append(value)
-
-        cases, _ = score_ranking_set(g, cache, params, val_set)
-        metric = rank_metrics(cases)[cfg.val_metric]
-        val_trace.append(metric)
-        if stopper.update(metric):
-            best_state = params.state()
-        elif stopper.should_stop:
-            break
+    else:  # no early stop: the last step's state is not validated yet
+        validate()
 
     params.load_state(best_state)
     return TrainReport(train_losses=losses, val_trace=val_trace,
                        best_epoch=stopper.best_epoch, best_metric=float(stopper.best),
-                       best_state=best_state, epochs_run=len(losses))
+                       best_state=best_state, best_cases=best_cases,
+                       epochs_run=len(losses))
 
 
 def thread_map(fn, items, workers: int) -> list:
@@ -233,7 +261,6 @@ class FoldResult:
     metrics: dict[str, float]
     report: TrainReport
     params: ModelParams
-    cases: list[RankedCase]
     n_train_pos: int
     n_train_neg: int
 
@@ -273,7 +300,7 @@ def _fit(g: HetGraph, cache: ModelCache, split: _ResolvedPlan, k: int, label: st
     samples = train_pos + train_neg
     report = train(g, cache, params, triplet_index(samples),
                    np.array([t.label for t in samples], dtype=np.float64), val_set, train_cfg)
-    return params, report, val_set, len(train_pos), len(train_neg)
+    return params, report, len(train_pos), len(train_neg)
 
 
 def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
@@ -284,11 +311,10 @@ def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     cache = ModelCache(g, model_cfg.variant)
 
     def run_fold(k: int) -> FoldResult:
-        params, report, val_set, n_pos, n_neg = _fit(
+        params, report, n_pos, n_neg = _fit(
             g, cache, split, k, f"fold{k}", model_cfg, train_cfg, n_rank_negatives)
-        cases, _ = score_ranking_set(g, cache, params, val_set)
-        return FoldResult(fold=k, metrics=rank_metrics(cases),
-                          report=report, params=params, cases=cases,
+        return FoldResult(fold=k, metrics=rank_metrics(report.best_cases),
+                          report=report, params=params,
                           n_train_pos=n_pos, n_train_neg=n_neg)
 
     results = thread_map(run_fold, range(len(plan.folds)), max_workers)
@@ -313,8 +339,8 @@ def train_for_test(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     if not split.test:
         raise ValueError("train_for_test: the split holds no test positives")
     cache = ModelCache(g, model_cfg.variant)
-    params, report, _, _, _ = _fit(g, cache, split, 0, "test-model",
-                                   model_cfg, train_cfg, 30)
+    params, report, _, _ = _fit(g, cache, split, 0, "test-model",
+                                model_cfg, train_cfg, 30)
     return params, report, cache
 
 

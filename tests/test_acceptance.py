@@ -189,7 +189,7 @@ def test_criterion_6_protocol_fidelity():
     assert len(result.folds) == 5
     for fold in result.folds:
         assert fold.n_train_neg == fold.n_train_pos
-        for case in fold.cases:
+        for case in fold.report.best_cases:
             assert len(case.candidate_ids) == 1 + 30
 
     params, _, cache = train_for_test(g, plan, cfg, tcfg)

@@ -227,8 +227,22 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
     ({"train": {"max_epochs": False}}, "train: max_epochs must be int, got False"),
     ({"train": {"max_epochs": 3, "gamma": 2}}, r"train: gamma must lie in \[0, 1\]"),
     ({"train": {"max_epochs": 3, "val_metric": "auc"}}, "train: val_metric must be one of"),
+    ({"train": {"max_epochs": 0}}, "train: max_epochs must be >= 1"),
+    ({"train": {"max_epochs": -3}}, "train: max_epochs must be >= 1"),
+    ({"train": {"max_epochs": 3, "lr": -1.0}}, "train: lr must be finite and > 0, got -1.0"),
+    ({"train": {"max_epochs": 3, "lr": float("nan")}}, "train: lr must be finite and > 0"),
+    ({"seed": 1.9}, "seed must be int, got 1.9"),
+    ({"seed": "5"}, "seed must be int, got '5'"),
+    ({"seed": True}, "seed must be int, got True"),
+    ({"model": None}, "'model' must be a JSON object"),
+    ({"train": None}, "'train' must be a JSON object"),
+    ({"dataset": {"gene_microbe": "gm.tsv", "gene_disease": "gd.tsv",
+                  "microbe_disease": "md.tsv"}},
+     "config must contain exactly one of 'synthetic' or 'dataset'"),
 ], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
-        "patience-str", "epochs-bool", "gamma-2", "metric-unknown"])
+        "patience-str", "epochs-bool", "gamma-2", "metric-unknown", "epochs-0",
+        "epochs-negative", "lr-negative", "lr-nan", "seed-float", "seed-str", "seed-bool",
+        "model-null", "train-null", "synthetic-and-dataset"])
 def test_bad_config_value_names_the_file(tmp_path, capsys, override, message):
     cfg_path, _ = write_config(tmp_path, **override)
     with pytest.raises(ValueError, match=message) as err:

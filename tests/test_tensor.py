@@ -163,6 +163,42 @@ def test_gather_rows_accumulates_repeats():
     assert np.allclose(x.grad, [[4.0, 8.0], [6.0, 8.0]])
 
 
+def _copying_accumulate(t, g, fresh=False):
+    """The accumulation rule before `fresh`: copy each first grad, sum into a new array."""
+    if not t.requires_grad:
+        return
+    t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+def test_accumulate_without_copies_matches_copying_and_aliases_nothing(monkeypatch):
+    rng = np.random.default_rng(8)
+    xv, wv = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+
+    def grads():
+        """Every grad on a tape where each aliasing op is the first to reach its leaf."""
+        xs = [Tensor(xv.copy(), requires_grad=True) for _ in range(5)]
+        w = Tensor(wv.copy(), requires_grad=True)
+        with Tape() as tape:
+            u = T.add(T.add(xs[0], xs[0]), T.hadamard(xs[1], xs[1]))
+            v = T.add(u, T.matmul(u, w))   # u gets a pass-through, then a product
+            c = T.concat_cols([xs[2], xs[2], v])
+            t = T.matmul(T.transpose(xs[3]), v)
+            picked = T.add(T.gather_rows(xs[4], [0, 2, 2]), T.gather_rows(xs[4], [1, 2, 0]))
+            loss = T.add(T.add(T.sum_sq(T.tanh(c)), T.sum_sq(t)), T.sum_sq(picked))
+            tape.backward(loss)
+        return [x.grad for x in xs + [w]] + [out.grad for out, _ in tape._records]
+
+    got = grads()
+    monkeypatch.setattr(T, "_accumulate", _copying_accumulate)
+    expect = grads()
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for i, a in enumerate(got):
+        for b in got[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_concat_split_gradients():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     b = Tensor(np.full((2, 3), 2.0), requires_grad=True)

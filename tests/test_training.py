@@ -8,8 +8,10 @@ from hcmgnn.evaluation import rank_metrics
 from hcmgnn.gradcheck import grad_check
 from hcmgnn import training
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
-                          SplitPlan, derive_positive_triplets, make_split)
-from hcmgnn.model import ModelCache, ModelConfig, init_params
+                          SplitPlan, derive_positive_triplets, make_split,
+                          sample_training_negatives)
+from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
+from hcmgnn.optim import Adam
 from hcmgnn.synthetic import generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
 from hcmgnn.training import (EarlyStopper, TrainConfig, audit_no_leakage,
@@ -142,6 +144,91 @@ def test_loss_trace_on_planted_dataset_decreases():
     assert losses[9] < losses[0]
 
 
+def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
+    """The epoch loop before validation reused the training pass, kept as the oracle.
+
+    Each epoch runs a taped forward and the step, then a second, untaped
+    forward at the stepped parameters to validate.  Returns the losses,
+    the trace, the best epoch, the best state and the best state's cases.
+    """
+    opt = Adam(params.tensors, lr=cfg.lr)
+
+    losses = []
+    val_trace = []
+    stopper = EarlyStopper(cfg.patience)
+    best_state = params.state()
+    for epoch in range(1, cfg.max_epochs + 1):
+        params.zero_grad()
+        with Tape() as tape:
+            out = forward(cache, params, train_index)
+            loss = loss_fn(out.scores, labels, cfg.gamma)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise RuntimeError(f"train: non-finite loss at epoch {epoch}")
+            tape.backward(loss)
+        opt.step()
+        losses.append(value)
+
+        cases, _ = score_ranking_set(g, cache, params, val_set)
+        metric = rank_metrics(cases)[cfg.val_metric]
+        val_trace.append(metric)
+        if stopper.update(metric):
+            best_state = params.state()
+        elif stopper.should_stop:
+            break
+
+    params.load_state(best_state)
+    cases, _ = score_ranking_set(g, cache, params, val_set)
+    return losses, val_trace, stopper.best_epoch, best_state, cases
+
+
+def train_inputs(variant):
+    """A cache, a training index with labels and a validation set on the planted graph."""
+    g = small_planted()
+    pos = derive_positive_triplets(g)
+    known = {p.key() for p in pos}
+    val_set = build_ranking_set(g, pos[:8], 30, 1, known)
+    train_pos = pos[8:]
+    samples = train_pos + sample_training_negatives(train_pos, 2, g.sizes,
+                                                    known_positives=known)
+    labels = np.array([t.label for t in samples], dtype=np.float64)
+    return g, ModelCache(g, variant), index_of(samples), labels, val_set
+
+
+@pytest.mark.parametrize("variant", ["full", "woTM"])
+@pytest.mark.parametrize("max_epochs, patience, stops", [(6, 50, False), (40, 1, True),
+                                                         (1, 50, False)],
+                         ids=["no-stop", "patience-1", "one-epoch"])
+def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patience,
+                                         stops):
+    g, cache, index, labels, val_set = train_inputs(variant)
+    mc = ModelConfig(**SMALL_MODEL, variant=variant)
+    tc = TrainConfig(lr=0.05, max_epochs=max_epochs, patience=patience)
+    losses, val_trace, best_epoch, best_state, cases = two_pass_train(
+        g, cache, init_params(cache, mc, 4), index, labels, val_set, tc)
+
+    calls = []
+    counted = training.forward
+    monkeypatch.setattr(training, "forward", lambda *a: calls.append(1) or counted(*a))
+    params = init_params(cache, mc, 4)
+    report = train(g, cache, params, index, labels, val_set, tc)
+
+    assert (report.epochs_run < max_epochs) == stops
+    assert np.array_equal(report.train_losses, losses)
+    assert np.array_equal(report.val_trace, val_trace)
+    assert report.best_epoch == best_epoch
+    assert report.epochs_run == len(losses)
+    assert sorted(report.best_state) == sorted(best_state)
+    for name, arr in best_state.items():
+        assert np.array_equal(report.best_state[name], arr)
+        assert np.array_equal(params.tensors[name].data, arr)
+    assert [c.rank for c in report.best_cases] == [c.rank for c in cases]
+    for got, expect in zip(report.best_cases, cases):
+        assert np.array_equal(got.scores, expect.scores)
+    # one graph pass per parameter state: the taped pass of each epoch, plus the last
+    assert len(calls) == report.epochs_run + 1
+
+
 # ---- CV protocol ----
 
 def test_run_cv_protocol_counts():
@@ -155,11 +242,24 @@ def test_run_cv_protocol_counts():
     for k, fold in enumerate(result.folds):
         assert fold.n_train_neg == fold.n_train_pos
         assert fold.n_train_pos == sum(len(f) for i, f in enumerate(plan.folds) if i != k)
-        for case in fold.cases:
+        for case in fold.report.best_cases:
             assert len(case.candidate_ids) == 31
     for key in ("hit1", "hit3", "hit5", "ndcg1", "ndcg3", "ndcg5", "mrr"):
         assert result.mean[key] == pytest.approx(
             np.mean([r[key] for r in result.records]))
+
+
+def test_run_cv_scores_each_fold_from_its_training_passes(monkeypatch):
+    g = small_planted()
+    _, plan = fold_fixture(g, seed=2)
+    calls = []
+    counted = training.forward
+    monkeypatch.setattr(training, "forward", lambda *a: calls.append(1) or counted(*a))
+    result = run_cv(g, plan, ModelConfig(**SMALL_MODEL),
+                    TrainConfig(seed=9, max_epochs=3, patience=50))
+    assert len(calls) == sum(fold.report.epochs_run + 1 for fold in result.folds)
+    for fold in result.folds:
+        assert fold.metrics == rank_metrics(fold.report.best_cases)
 
 
 def test_run_cv_mean_is_fold_order_invariant():
