@@ -21,7 +21,8 @@ from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
 from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
                     derive_positive_triplets, load_edges, load_json, make_split)
 from .metapath import causal_metapaths, dump_instances
-from .model import VARIANTS, ModelCache, ModelConfig, ModelParams, config_block
+from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, check_type,
+                    config_block)
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
 from .training import (TrainConfig, build_test_set, run_cv, run_test,
@@ -39,6 +40,13 @@ _BLOCK_KEYS = {
     "model": {f.name for f in fields(ModelConfig)},
     "train": {f.name for f in fields(TrainConfig)} - {"seed"},
     "split": {"test_fraction", "folds"},
+}
+# the type of each value load_config checks itself; model and train check theirs
+_VALUE_TYPES = {
+    "": {"out": "str", "split_file": "str"},
+    "synthetic.": {"n_genes": "int", "n_microbes": "int", "n_diseases": "int",
+                   "latent_dim": "int", "edge_density": "float", "rng_seed": "int"},
+    "split.": {"test_fraction": "float", "folds": "int"},
 }
 
 
@@ -89,8 +97,15 @@ def load_config(path, seed_override=None, out_override=None,
         raise ValueError(f"{path}: config must contain exactly one of "
                          f"'synthetic' or 'dataset'")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"{path}: seed must be int, got {seed!r}")
+    try:
+        check_type("seed", seed, "int")
+        for where, types in _VALUE_TYPES.items():
+            block = doc.get(where.rstrip("."), {}) if where else doc
+            for key, type_name in types.items():
+                if key in block:
+                    check_type(f"{where}{key}", block[key], type_name)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     model_doc = dict(doc.get("model", {}))
     if variant_override is not None:
         model_doc["variant"] = variant_override

@@ -104,6 +104,14 @@ def stratify_by_degree(cases: list[RankedCase], thresholds) -> list[StratumRepor
     return reports
 
 
+# Rows per block of the distance matrix; a block of 256 rows by n columns
+# is all of the matrix held at once.
+_BLOCK_ROWS = 256
+# A squared distance at most this share of |x_i|^2 + |x_j|^2 has lost most of
+# its digits to cancellation in the Gram form and is recomputed exactly.
+_CANCEL_SHARE = 1e-6
+
+
 def silhouette(embeddings, labels) -> float:
     """Mean silhouette over two classes with Euclidean distance.
 
@@ -115,29 +123,44 @@ def silhouette(embeddings, labels) -> float:
     classes = np.unique(y)
     if classes.size != 2:
         raise ValueError(f"silhouette: need exactly 2 classes, got {classes.size}")
-    # Row-wise exact differences; the Gram-matrix shortcut loses precision.
-    # |x_i - x_j| is bit-symmetric, so each pair is computed once, into a
-    # packed upper triangle whose row i holds j = i..n-1.
-    n = x.shape[0]
-    start = np.concatenate([[0], np.cumsum(np.arange(n, 0, -1))])
-    tri = np.empty(start[-1])
-    for i in range(n):
-        tri[start[i]:start[i + 1]] = np.sqrt(((x[i:] - x[i]) ** 2).sum(axis=1))
-
-    scores = np.zeros(n)
-    for cls in classes:
-        own = np.nonzero(y == cls)[0]
-        other = np.nonzero(y != cls)[0]
-        if own.size == 1:
+    col = (y == classes[1]).astype(np.intp)     # each point's class, 0 or 1
+    member = np.eye(2)[col]                     # n x 2 one-hot of the classes
+    counts = member.sum(axis=0)
+    for cls, count in zip(classes, counts):
+        if count == 1:
             logger.warning("silhouette: class %r has a single point, scored 0", cls)
-            continue
-        for i in own:
-            dist = np.concatenate([tri[start[:i] + i - np.arange(i)],
-                                   tri[start[i]:start[i + 1]]])
-            a = dist[own].sum() / (own.size - 1)
-            b = dist[other].mean()
-            denom = max(a, b)
-            scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+
+    # Distances by row block from the Gram expansion |x|^2 + |y|^2 - 2 x.y.
+    # Where d^2 is at most _CANCEL_SHARE of |x|^2 + |y|^2 the expansion has
+    # cancelled (a duplicate row can come out nonzero), so those pairs, the
+    # diagonal among them, take the exact ((x - y)**2).sum(); coincident
+    # points are then exactly 0 apart.  Each block's distances are summed
+    # per class by one product with `member`.
+    n = x.shape[0]
+    sq = np.einsum("ij,ij->i", x, x)
+    sums = np.empty((n, 2))
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = x[lo:lo + _BLOCK_ROWS]
+        norms = sq[lo:lo + _BLOCK_ROWS, None] + sq
+        d2 = block @ x.T
+        d2 *= -2.0
+        d2 += norms
+        rows, cols = np.nonzero(d2 <= _CANCEL_SHARE * norms)
+        # exact differences in chunks no larger than the block, however
+        # many pairs cancel (collapsed embeddings cancel everywhere)
+        step = max(1, d2.size // x.shape[1])
+        for s in range(0, rows.size, step):
+            r, c = rows[s:s + step], cols[s:s + step]
+            d2[r, c] = ((block[r] - x[c]) ** 2).sum(axis=1)
+        sums[lo:lo + _BLOCK_ROWS] = np.sqrt(d2) @ member
+
+    own = np.arange(n), col
+    other = np.arange(n), 1 - col
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[own] / (counts[col] - 1)
+        b = sums[other] / counts[1 - col]
+        denom = np.maximum(a, b)
+        scores = np.where((counts[col] > 1) & (denom > 0.0), (b - a) / denom, 0.0)
     return float(scores.mean())
 
 
@@ -147,8 +170,8 @@ def export_embeddings(path, triplet_ids, labels, vectors):
     if len(triplet_ids) != vectors.shape[0] or len(labels) != vectors.shape[0]:
         raise ValueError("export_embeddings: ids, labels and vectors must align")
     with open(path, "w", encoding="utf-8") as fh:
-        for tid, label, vec in zip(triplet_ids, labels, vectors):
-            vals = "\t".join(repr(float(v)) for v in vec)
+        for tid, label, row in zip(triplet_ids, labels, vectors.tolist()):
+            vals = "\t".join(map(repr, row))
             fh.write(f"{tid}\t{int(label)}\t{vals}\n")
 
 

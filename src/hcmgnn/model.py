@@ -30,12 +30,16 @@ CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v1"
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
+def check_type(name: str, value, type_name: str):
+    """Reject a value not of `type_name` ("int", "float" or "str"); a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type_name]):
+        raise ValueError(f"{name} must be {type_name}, got {value!r}")
+
+
 def check_field_types(config):
-    """Reject a dataclass field not of its declared type; a bool is no number."""
+    """Reject a dataclass field not of its declared type."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        check_type(f.name, getattr(config, f.name), f.type)
 
 
 def config_block(cls, block, where: str):

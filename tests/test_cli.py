@@ -239,10 +239,29 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
     ({"dataset": {"gene_microbe": "gm.tsv", "gene_disease": "gd.tsv",
                   "microbe_disease": "md.tsv"}},
      "config must contain exactly one of 'synthetic' or 'dataset'"),
+    ({"out": 5}, "out must be str, got 5"),
+    ({"split_file": ["s.json"]}, r"split_file must be str, got \['s.json'\]"),
+    ({"synthetic": {"n_genes": "20", "n_microbes": 16, "n_diseases": 16}},
+     "synthetic.n_genes must be int, got '20'"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16.0, "n_diseases": 16}},
+     "synthetic.n_microbes must be int, got 16.0"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": True}},
+     "synthetic.n_diseases must be int, got True"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "latent_dim": "4"}}, "synthetic.latent_dim must be int, got '4'"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "rng_seed": 3.5}}, "synthetic.rng_seed must be int, got 3.5"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "edge_density": "0.2"}},
+     "synthetic.edge_density must be float, got '0.2'"),
+    ({"split": {"test_fraction": "0.1"}}, "split.test_fraction must be float, got '0.1'"),
+    ({"split": {"folds": "5"}}, "split.folds must be int, got '5'"),
 ], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
         "patience-str", "epochs-bool", "gamma-2", "metric-unknown", "epochs-0",
         "epochs-negative", "lr-negative", "lr-nan", "seed-float", "seed-str", "seed-bool",
-        "model-null", "train-null", "synthetic-and-dataset"])
+        "model-null", "train-null", "synthetic-and-dataset", "out-int", "split-file-list",
+        "n-genes-str", "n-microbes-float", "n-diseases-bool", "latent-dim-str",
+        "rng-seed-float", "density-str", "test-fraction-str", "folds-str"])
 def test_bad_config_value_names_the_file(tmp_path, capsys, override, message):
     cfg_path, _ = write_config(tmp_path, **override)
     with pytest.raises(ValueError, match=message) as err:
