@@ -3,8 +3,11 @@
 Every differentiable quantity in the model is a `Tensor`: a row-major
 float64 matrix, optionally tracked on the active `Tape`.  The tape is
 define-by-run: ops executed while a tape is active append their backward
-rules, and `Tape.backward(loss)` replays them in reverse.  Without an
-active tape ops just compute values (inference mode).
+rules, and `Tape.backward(loss)` replays them in reverse.  The sweep
+consumes the tape: each record, with the arrays its rule saved and the
+grad of its output, is freed as the sweep passes it, so only leaf grads
+remain afterwards.  Without an active tape ops just compute values
+(inference mode).
 
 Tapes are thread-local, so concurrent evaluations must each open their
 own `Tape`.
@@ -83,10 +86,15 @@ def active_tape() -> "Tape | None":
 
 
 class Tape:
-    """Ordered record of operations for one reverse-mode sweep."""
+    """Ordered record of operations for one reverse-mode sweep.
+
+    `backward` consumes the records as it runs them; `len` still counts
+    every op recorded.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, "callable"]] = []
+        self._n_recorded = 0
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -101,20 +109,27 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        return self._n_recorded
 
     def backward(self, loss: Tensor):
-        """Populate grads of every requires_grad ancestor of `loss`."""
+        """Populate grads of every requires_grad leaf ancestor of `loss`.
+
+        Each record is popped as its rule runs, and its output's grad is
+        handed to the rule and reset to None, so every intermediate grad
+        and saved array is freed once the sweep has passed it.
+        """
         if loss.shape != (1, 1):
             raise TapeError(f"loss must be 1x1, got {loss.shape}")
         if self._consumed:
             raise TapeError("backward already ran on this tape; build a new tape")
         self._consumed = True
         loss.grad = np.ones((1, 1))
-        for out, rule in reversed(self._records):
-            if out.grad is None or not out.requires_grad:
-                continue
-            rule(out.grad)
+        records = self._records
+        while records:
+            out, rule = records.pop()
+            g, out.grad = out.grad, None
+            if g is not None and out.requires_grad:
+                rule(g)
 
 
 def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
@@ -138,6 +153,7 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], rule) -> Tensor:
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._records.append((out, rule))
+        tape._n_recorded += 1
     return out
 
 
@@ -411,10 +427,9 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
-    deriv = np.where(a.data > 0, 1.0, slope)
 
-    def rule(g):
-        _accumulate(a, g * deriv, fresh=True)
+    def rule(g):  # the mask is built only when a backward runs
+        _accumulate(a, g * np.where(a.data > 0, 1.0, slope), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -423,10 +438,9 @@ def elu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     ex = np.exp(np.minimum(a.data, 0.0))
     out = Tensor(np.where(a.data > 0, a.data, ex - 1.0))
-    deriv = np.where(a.data > 0, 1.0, ex)
 
-    def rule(g):
-        _accumulate(a, g * deriv, fresh=True)
+    def rule(g):  # the mask is built only when a backward runs
+        _accumulate(a, g * np.where(a.data > 0, 1.0, ex), fresh=True)
 
     return _record(out, (a,), rule)
 

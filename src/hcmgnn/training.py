@@ -161,9 +161,12 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
 
     One graph pass serves each parameter state: the taped pass of epoch
     e runs at the state epoch e-1's step produced, so its embeddings also
-    score the validation pools for epoch e-1, before this epoch's step
-    updates the parameters in place.  Only the last state needs a pass
-    of its own.
+    score the validation pools for epoch e-1.  Each epoch runs the
+    backward, then that validation, then the step, which updates the
+    parameters in place.  Validating after the backward keeps it off the
+    tape's peak: the sweep has freed the tape, and the backward changes
+    neither the embeddings nor the parameter data.  Only the last state
+    needs a pass of its own.
     """
     if labels.size == 0:
         raise ValueError("train: empty training set")
@@ -190,12 +193,12 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
         with Tape() as tape:
             out = forward(cache, params, train_index)
             loss = loss_fn(out.scores, labels, cfg.gamma)
+        tape.backward(loss)
         if epoch > 1 and validate(out.embeddings):
             break
         value = loss.item()
         if not np.isfinite(value):
             raise RuntimeError(f"train: non-finite loss at epoch {epoch}")
-        tape.backward(loss)
         opt.step()
         losses.append(value)
     else:  # no early stop: the last step's state is not validated yet

@@ -170,23 +170,46 @@ def _copying_accumulate(t, g, fresh=False):
     t.grad = g.copy() if t.grad is None else t.grad + g
 
 
-def test_accumulate_without_copies_matches_copying_and_aliases_nothing(monkeypatch):
+def _keeping_backward(tape, loss):
+    """The sweep before records were freed: run every rule, keep every record and grad."""
+    loss.grad = np.ones((1, 1))
+    for out, rule in reversed(tape._records):
+        if out.grad is not None and out.requires_grad:
+            rule(out.grad)
+
+
+def _mixed_loss(xs, w):
+    """A loss where each aliasing op is the first to reach its leaf."""
+    u = T.add(T.add(xs[0], xs[0]), T.hadamard(xs[1], xs[1]))
+    v = T.add(u, T.matmul(u, w))   # u gets a pass-through, then a product
+    c = T.concat_cols([xs[2], xs[2], v])
+    t = T.matmul(T.transpose(xs[3]), v)
+    picked = T.add(T.gather_rows(xs[4], [0, 2, 2]), T.gather_rows(xs[4], [1, 2, 0]))
+    return T.add(T.add(T.sum_sq(T.tanh(c)), T.sum_sq(t)), T.sum_sq(picked))
+
+
+def _mixed_leaves():
     rng = np.random.default_rng(8)
     xv, wv = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    return ([Tensor(xv.copy(), requires_grad=True) for _ in range(5)],
+            Tensor(wv.copy(), requires_grad=True))
 
+
+def test_accumulate_without_copies_matches_copying_and_aliases_nothing(monkeypatch):
     def grads():
-        """Every grad on a tape where each aliasing op is the first to reach its leaf."""
-        xs = [Tensor(xv.copy(), requires_grad=True) for _ in range(5)]
-        w = Tensor(wv.copy(), requires_grad=True)
+        """Every leaf grad, then every intermediate grad as its rule receives it."""
+        xs, w = _mixed_leaves()
+        received = []
+
+        def keeping(rule):
+            return lambda g: (received.append(g), rule(g))
+
         with Tape() as tape:
-            u = T.add(T.add(xs[0], xs[0]), T.hadamard(xs[1], xs[1]))
-            v = T.add(u, T.matmul(u, w))   # u gets a pass-through, then a product
-            c = T.concat_cols([xs[2], xs[2], v])
-            t = T.matmul(T.transpose(xs[3]), v)
-            picked = T.add(T.gather_rows(xs[4], [0, 2, 2]), T.gather_rows(xs[4], [1, 2, 0]))
-            loss = T.add(T.add(T.sum_sq(T.tanh(c)), T.sum_sq(t)), T.sum_sq(picked))
-            tape.backward(loss)
-        return [x.grad for x in xs + [w]] + [out.grad for out, _ in tape._records]
+            loss = _mixed_loss(xs, w)
+        tape._records = [(out, keeping(rule)) for out, rule in tape._records]
+        tape.backward(loss)
+        assert len(received) == len(tape)
+        return [x.grad for x in xs + [w]] + received
 
     got = grads()
     monkeypatch.setattr(T, "_accumulate", _copying_accumulate)
@@ -197,6 +220,66 @@ def test_accumulate_without_copies_matches_copying_and_aliases_nothing(monkeypat
     for i, a in enumerate(got):
         for b in got[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+def test_backward_consumes_the_tape_and_keeps_leaf_grads():
+    xs, w = _mixed_leaves()
+    with Tape() as tape:
+        loss = _mixed_loss(xs, w)
+    intermediates = [out for out, _ in tape._records]
+    n_ops = len(tape)
+    assert n_ops == len(intermediates) > 0
+    tape.backward(loss)
+    assert tape._records == [] and len(tape) == n_ops
+    assert all(out.grad is None for out in intermediates)
+    with pytest.raises(TapeError):
+        tape.backward(loss)
+
+    ref_xs, ref_w = _mixed_leaves()
+    with Tape() as ref:
+        ref_loss = _mixed_loss(ref_xs, ref_w)
+    _keeping_backward(ref, ref_loss)
+    for got, expect in zip(xs + [w], ref_xs + [ref_w]):
+        assert got.grad.tobytes() == expect.grad.tobytes()
+
+
+def _eager_leaky_relu(a, slope=0.01):
+    """`leaky_relu` as it was: the derivative mask built with the value."""
+    out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
+    deriv = np.where(a.data > 0, 1.0, slope)
+    return T._record(out, (a,), lambda g: T._accumulate(a, g * deriv, fresh=True))
+
+
+def _eager_elu(a):
+    """`elu` as it was: the derivative mask built with the value."""
+    ex = np.exp(np.minimum(a.data, 0.0))
+    out = Tensor(np.where(a.data > 0, a.data, ex - 1.0))
+    deriv = np.where(a.data > 0, 1.0, ex)
+    return T._record(out, (a,), lambda g: T._accumulate(a, g * deriv, fresh=True))
+
+
+@pytest.mark.parametrize("lazy, eager", [
+    (T.leaky_relu, _eager_leaky_relu),
+    (lambda a: T.leaky_relu(a, slope=0.2), lambda a: _eager_leaky_relu(a, slope=0.2)),
+    (T.elu, _eager_elu),
+], ids=["leaky_relu", "leaky_relu-0.2", "elu"])
+def test_masks_built_in_the_rule_match_eager_masks(lazy, eager):
+    rng = np.random.default_rng(12)
+    xv = np.concatenate([rng.normal(size=40), [0.0, -0.0, 5e-324, -5e-324,
+                                               1e-300, -1e-300, 40.0, -40.0]])
+    xv = rng.permutation(xv).reshape(6, 8)
+    shift = rng.normal(size=(6, 8))
+
+    def run(op):
+        x = Tensor(xv.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = op(x)
+            tape.backward(T.sum_sq(T.add(y, Tensor(shift))))
+        return y.data, x.grad
+
+    (got_y, got_g), (ref_y, ref_g) = run(lazy), run(eager)
+    assert got_y.tobytes() == ref_y.tobytes()
+    assert got_g.tobytes() == ref_g.tobytes()
 
 
 def test_concat_split_gradients():

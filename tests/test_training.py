@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import index_of, toy_graph
 from hcmgnn.evaluation import rank_metrics
 from hcmgnn.gradcheck import grad_check
+from hcmgnn import tensor as T
 from hcmgnn import training
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
                           SplitPlan, derive_positive_triplets, make_split,
@@ -227,6 +229,45 @@ def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patie
         assert np.array_equal(got.scores, expect.scores)
     # one graph pass per parameter state: the taped pass of each epoch, plus the last
     assert len(calls) == report.epochs_run + 1
+
+
+def test_backward_frees_the_tape_of_a_training_epoch():
+    """After the sweep only leaf grads and the forward's outputs stay live, not the tape."""
+    _, cache, index, labels, _ = train_inputs("full")
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 4)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = forward(cache, params, index)
+            loss = loss_fn(out.scores, labels, 0.7)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        after_backward = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after_backward < after_forward / 2
+    assert out.scores.grad is None
+    assert all(p.grad is not None for p in params.tensors.values())
+
+
+def test_train_stops_at_a_non_finite_loss_without_stepping(monkeypatch):
+    g, cache, index, labels, val_set = train_inputs("full")
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 4)
+    seen = []
+
+    def nan_at_epoch_3(scores, labels, gamma):
+        seen.append(params.state())
+        loss = loss_fn(scores, labels, gamma)
+        return T.smul(loss, np.nan) if len(seen) == 3 else loss
+
+    monkeypatch.setattr(training, "loss_fn", nan_at_epoch_3)
+    with pytest.raises(RuntimeError, match=r"^train: non-finite loss at epoch 3$"):
+        train(g, cache, params, index, labels, val_set,
+              TrainConfig(lr=0.05, max_epochs=5, patience=50))
+    assert len(seen) == 3
+    assert any(not np.array_equal(seen[1][name], arr) for name, arr in seen[2].items())
+    for name, arr in seen[2].items():
+        assert params.tensors[name].data.tobytes() == arr.tobytes()
 
 
 # ---- CV protocol ----
