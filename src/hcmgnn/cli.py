@@ -177,10 +177,10 @@ def _write_run_file(cfg: RunConfig):
 
 
 def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HCMGNN_THREADS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("HCMGNN_THREADS", "1")
+    if not (value.isdigit() and int(value) >= 1):
+        raise ValueError(f"HCMGNN_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def cmd_synth(cfg: RunConfig) -> str:

@@ -45,6 +45,8 @@ def make_case(positive_id, negative_ids, scores, avg_degree=None) -> RankedCase:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != len(ids):
         raise ValueError(f"make_case: {len(ids)} candidates but {scores.shape[0]} scores")
+    if not np.isfinite(scores).all():
+        raise ValueError(f"make_case: non-finite score among the candidates of {positive_id}")
     return RankedCase(positive_id=positive_id, candidate_ids=ids, scores=scores,
                       rank=resolve_rank(scores, ids), avg_degree=avg_degree)
 
@@ -173,14 +175,3 @@ def export_embeddings(path, triplet_ids, labels, vectors):
         for tid, label, row in zip(triplet_ids, labels, vectors.tolist()):
             vals = "\t".join(map(repr, row))
             fh.write(f"{tid}\t{int(label)}\t{vals}\n")
-
-
-def load_embeddings(path):
-    ids, labels, vectors = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            ids.append(parts[0])
-            labels.append(int(parts[1]))
-            vectors.append([float(v) for v in parts[2:]])
-    return ids, np.array(labels), np.array(vectors, dtype=np.float64)

@@ -160,7 +160,12 @@ def _read_feature_file(path, index: dict[str, int]):
             if node is None:
                 ignored += 1
                 continue
-            rows[node] = np.array([float(x) for x in row[1:]], dtype=np.float64)
+            try:
+                rows[node] = np.array([float(x) for x in row[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(rows[node]).all():
+                raise ValueError(f"{path}:{lineno}: non-finite feature value in {row[1:]}")
     if ignored:
         logger.warning("%s: ignored %d feature rows for ids absent from the edge files",
                        path, ignored)

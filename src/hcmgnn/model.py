@@ -4,23 +4,22 @@ The pipeline per variant: project each type's features into a shared
 space, encode every metapath instance into a relation-aware message,
 share that message with the instance's nodes through per-head attention,
 fuse the per-subgraph views with a type-level softmax, then score
-triplets with an MLP head.  Ablation variants reroute messages or swap
-the metapath family but reuse the same machinery.
+triplets with an MLP head.  One set of ops over stacked tables runs every
+path and head; ablation variants reroute messages or swap the family.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
 from .graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                     load_json)
-from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
-                       ablation_metapaths, causal_metapaths,
-                       enumerate_instance_rows)
+from .metapath import (PAIRWISE_2, SYMMETRIC_5, Metapath, ablation_metapaths,
+                       causal_metapaths, enumerate_instance_rows)
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
@@ -93,17 +92,18 @@ def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
 
 
 class ModelCache:
-    """Per-graph immutable tables: instances, global ids, delivery pairs.
+    """Per-graph immutable tables: stacked instances and delivery pairs.
 
     Enumeration is the hot path, so it runs once here and forward passes
-    only gather.  A cache is tied to one variant because the metapath
-    family and delivery positions depend on it.
+    only gather.  Every path's instances (global node ids, and each step's
+    index into `RELATIONS`) and delivery pairs (node, global instance, path)
+    are stacked in path order; `pairs` maps each name to its slice.  A cache
+    is tied to one variant: the family and delivery positions depend on it.
     """
 
     def __init__(self, graph: HetGraph, variant: str = "full"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        self.graph = graph
         self.variant = variant
         self.metapaths = family_paths(variant)
 
@@ -120,27 +120,24 @@ class ModelCache:
             self.features = {t: graph.features[t] for t in EntityType}
         self.feature_dims = {t: self.features[t].shape[1] for t in EntityType}
 
-        self.global_rows: dict[str, np.ndarray] = {}
-        self.pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for p in self.metapaths:
-            off = np.array([self.offsets[t] for t in p.types], dtype=np.int64)
-            grows = enumerate_instance_rows(graph, p) + off[None, :]
-            self.global_rows[p.name] = grows
-            self.pairs[p.name] = self._build_pairs(grows,
-                                                   delivery_positions(variant, len(p.types)))
-
-    @staticmethod
-    def _build_pairs(grows: np.ndarray, positions: tuple[int, ...]):
-        s = grows.shape[0]
-        if s == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        nodes = np.concatenate([grows[:, pos] for pos in positions])
-        insts = np.tile(np.arange(s, dtype=np.int64), len(positions))
-        # a node revisited inside one instance receives its message once;
-        # the key node * s + inst dedupes and sorts by (node, inst)
-        keys = np.unique(nodes * s + insts)
-        return keys // s, keys % s
+        # every path of a family has the same length, so the rows stack
+        rows = [enumerate_instance_rows(graph, p) + [self.offsets[t] for t in p.types]
+                for p in self.metapaths]
+        inst_paths = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        self.instances = np.concatenate(rows)
+        self.instance_relations = np.array([[RELATIONS.index(r) for r in p.relations]
+                                            for p in self.metapaths])[inst_paths]
+        s, v = self.instances.shape[0], self.total_nodes
+        # a node revisited inside one instance receives its message once: keys
+        # (path * V + node) * S + inst, sorted and deduped (np.unique hashes, 20x slower)
+        keys = np.sort(np.concatenate(
+            [(inst_paths * v + self.instances[:, pos]) * s + np.arange(s)
+             for pos in delivery_positions(variant, self.instances.shape[1])]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.pair_nodes, self.pair_insts, self.pair_paths = keys // s % v, keys % s, keys // s // v
+        bounds = np.searchsorted(self.pair_paths, np.arange(len(rows) + 1))
+        self.pairs = {p.name: (self.pair_nodes[lo:hi], self.pair_insts[lo:hi])
+                      for p, lo, hi in zip(self.metapaths, bounds, bounds[1:])}
 
 
 def _type_key(t: EntityType) -> str:
@@ -191,7 +188,7 @@ def param_specs(config: ModelConfig, feature_dims: dict[EntityType, int]):
 def _check_state(specs, state: dict, where: str) -> dict[str, np.ndarray]:
     """Float64 copies of `state`'s arrays, in spec order.
 
-    A missing, unexpected or misshapen tensor is an error naming `where`.
+    A missing, unexpected, misshapen or non-finite tensor is an error naming `where`.
     """
     extra = sorted(set(state).difference(name for name, _, _ in specs))
     if extra:
@@ -204,6 +201,8 @@ def _check_state(specs, state: dict, where: str) -> dict[str, np.ndarray]:
         if arrays[name].shape != shape:
             raise ValueError(f"{where}: tensor {name!r} has shape "
                              f"{list(arrays[name].shape)}, expected {list(shape)}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{where}: tensor {name!r} holds a non-finite value")
     return arrays
 
 
@@ -306,8 +305,7 @@ def encode_instance(h_head: Tensor, h_mid: Tensor, h_tail: Tensor,
     The two Hadamard relations make the message direction-sensitive:
     reversing an instance generally changes it.
     """
-    inner = T.add(T.hadamard(h_head, r_head_mid), h_mid)
-    return T.smul(T.add(T.hadamard(inner, r_mid_tail), h_tail), 1.0 / 3.0)
+    return encode_walk([h_head, h_mid, h_tail], [r_head_mid, r_mid_tail])
 
 
 def encode_walk(node_embeds: list[Tensor], rels: list[Tensor]) -> Tensor:
@@ -319,41 +317,53 @@ def encode_walk(node_embeds: list[Tensor], rels: list[Tensor]) -> Tensor:
 
 
 def encode_pair(h_head: Tensor, h_tail: Tensor, r: Tensor) -> Tensor:
-    return T.smul(T.add(T.hadamard(h_head, r), h_tail), 0.5)
+    return encode_walk([h_head, h_tail], [r])
 
 
-def instance_attention(h_nodes: Tensor, messages: Tensor, attn_vec: Tensor,
-                       segments, num_segments: int, slope: float = 0.01):
-    """One attention head over (node, message) pairs grouped per node.
+def instance_attention(h_nodes: Tensor, messages: Tensor, attn: Tensor, pairs,
+                       n_paths: int, slope: float = 0.01):
+    """Every path's and head's attention over the messages each node receives.
 
-    Rows of h_nodes/messages are aligned pairs; segments holds the node id
-    of each pair.  Returns the aggregated per-node embedding (ELU applied)
-    and the attention weights.
+    h_nodes has a row per node, messages one per instance, and `pairs` holds
+    the (nodes, insts, paths) delivery pairs.  Column p * H + k of the
+    2F x (P * H) `attn` is path p's head k; its logit a . [h || m] splits as
+    a1 . h + a2 . m.  Returns the ELU'd (P * V) x (H * F) views, path p's view
+    of node v at row p * V + v, and the (pairs x H) attention weights.
     """
-    feats = T.concat_cols([h_nodes, messages])
-    logits = T.leaky_relu(T.matmul(feats, attn_vec), slope)
-    alpha = T.segment_softmax(logits, segments, num_segments)
-    agg = T.segment_sum(T.hadamard(messages, alpha), segments, num_segments)
-    return T.elu(agg), alpha
+    nodes, insts, paths = pairs
+    f, heads = h_nodes.shape[1], attn.shape[1] // n_paths
+    segments, num_segments = paths * h_nodes.shape[0] + nodes, n_paths * h_nodes.shape[0]
+
+    def half_logits(x, half, rows):  # x @ a_half, read at each pair's (row, path)
+        prod = T.reshape(T.matmul(x, T.gather_rows(attn, half)), x.shape[0] * n_paths, heads)
+        return T.gather_rows(prod, rows * n_paths + paths)
+
+    logits = T.add(half_logits(h_nodes, np.arange(f), nodes),
+                   half_logits(messages, np.arange(f, 2 * f), insts))
+    alpha = T.segment_softmax(T.leaky_relu(logits, slope), segments, num_segments)
+    m_pair = T.gather_rows(messages, insts)
+    # one head at a time: a pairs x (H * F) array would be H times larger
+    alpha_flat = T.reshape(alpha, alpha.shape[0] * heads, 1)
+    head_outs = [T.segment_sum(T.hadamard(m_pair, T.gather_rows(
+        alpha_flat, np.arange(k, alpha_flat.shape[0], heads))), segments, num_segments)
+        for k in range(heads)]
+    return T.elu(T.concat_cols(head_outs)), alpha
 
 
 def multi_head_aggregate(head_outputs: list[Tensor]) -> Tensor:
     return T.concat_cols(head_outputs)
 
 
-def fuse_subgraphs(views: list[Tensor], q: Tensor, w: Tensor, b: Tensor):
-    """Type-level attentive fusion; returns (z, beta) with beta a 1 x P row."""
-    coeffs = []
-    for view in views:
-        hidden = T.tanh(T.add(T.matmul(view, T.transpose(w)), b))
-        coeffs.append(T.mean_rows(T.matmul(hidden, q)))
-    beta = T.row_softmax(T.concat_cols(coeffs))
-    beta_col = T.transpose(beta)
-    z = None
-    for i, view in enumerate(views):
-        term = T.smul(view, T.gather_rows(beta_col, [i]))
-        z = term if z is None else T.add(z, term)
-    return z, beta
+def fuse_subgraphs(views: Tensor, n_paths: int, q: Tensor, w: Tensor, b: Tensor):
+    """Type-level attentive fusion of (P * n) path-major stacked views of n
+    nodes; returns (z, beta) with beta a 1 x P row."""
+    n = views.shape[0] // n_paths
+    paths = np.repeat(np.arange(n_paths), n)
+    hidden = T.tanh(T.add(T.matmul(views, T.transpose(w)), b))
+    coeffs = T.segment_mean(T.matmul(hidden, q), paths, n_paths)
+    beta = T.row_softmax(T.transpose(coeffs))
+    weighted = T.hadamard(views, T.gather_rows(T.transpose(beta), paths))
+    return T.segment_sum(weighted, np.tile(np.arange(n), n_paths), n), beta
 
 
 def predict(z_gene: Tensor, z_microbe: Tensor, z_disease: Tensor,
@@ -368,24 +378,20 @@ def predict(z_gene: Tensor, z_microbe: Tensor, z_disease: Tensor,
 @dataclass
 class ForwardOutput:
     embeddings: dict[EntityType, Tensor]
-    subgraph_embeddings: dict[str, Tensor]
+    subgraph_embeddings: dict[str, np.ndarray]   # each path's V x D views
     fusion_weights: dict[EntityType, np.ndarray]
     scores: Tensor
-    attention: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=dict)
+    attention: np.ndarray   # pairs x heads, row-aligned with the cache's pairs
 
 
-def _metapath_messages(cache: ModelCache, params: ModelParams,
-                       p: Metapath, h_all: Tensor) -> Tensor:
-    rows = cache.global_rows[p.name]
-    cols = [T.gather_rows(h_all, rows[:, i]) for i in range(rows.shape[1])]
+def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) -> Tensor:
+    """One message per stacked instance; woMP-i passes the tail embedding."""
+    rows = cache.instances
     if cache.variant == "woMP-i":
-        return cols[-1]
-    rels = [params.rel(r) for r in p.relations]
-    if p.kind == CAUSAL_3:
-        return encode_instance(cols[0], cols[1], cols[2], rels[0], rels[1])
-    if p.kind == PAIRWISE_2:
-        return encode_pair(cols[0], cols[1], rels[0])
-    return encode_walk(cols, rels)
+        return T.gather_rows(h_all, rows[:, -1])
+    rel_table = T.concat_rows([params.rel(r) for r in RELATIONS])
+    return encode_walk([T.gather_rows(h_all, col) for col in rows.T],
+                       [T.gather_rows(rel_table, ids) for ids in cache.instance_relations.T])
 
 
 def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
@@ -403,56 +409,40 @@ def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
                              f"graph {cache.feature_dims[t]}, "
                              f"params {params.feature_dims[t]}")
 
-    h_per_type = {t: feature_transform(T.constant(cache.features[t]), params.proj(t))
-                  for t in EntityType}
-    h_all = T.concat_rows([h_per_type[GENE], h_per_type[MICROBE], h_per_type[DISEASE]])
+    h_all = T.concat_rows([feature_transform(T.constant(cache.features[t]), params.proj(t))
+                           for t in EntityType])   # gene, microbe, disease rows
 
-    v_total = cache.total_nodes
-    d_embed = config.embed_dim
-    subgraph_embeds: dict[str, Tensor] = {}
-    attention: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-    for p in cache.metapaths:
-        node_ids, inst_ids = cache.pairs[p.name]
-        if node_ids.size == 0:
-            subgraph_embeds[p.name] = T.constant(np.zeros((v_total, d_embed)))
-            attention[p.name] = []
-            continue
-        messages = _metapath_messages(cache, params, p, h_all)
-        h_pair_nodes = T.gather_rows(h_all, node_ids)
-        m_pair = T.gather_rows(messages, inst_ids)
-        head_outs = []
-        head_attn = []
-        for k in range(config.heads):
-            out, alpha = instance_attention(h_pair_nodes, m_pair,
-                                            params.attn(p, k), node_ids, v_total,
-                                            slope=config.leaky_slope)
-            head_outs.append(out)
-            head_attn.append((node_ids, alpha.data[:, 0].copy()))
-        subgraph_embeds[p.name] = multi_head_aggregate(head_outs)
-        attention[p.name] = head_attn
+    n_paths, v_total = len(cache.metapaths), cache.total_nodes
+    if cache.pair_nodes.size == 0:
+        views = T.constant(np.zeros((n_paths * v_total, config.embed_dim)))
+        attention = np.zeros((0, config.heads))
+    else:
+        attn = T.concat_cols([params.attn(p, k) for p in cache.metapaths
+                              for k in range(config.heads)])
+        views, alpha = instance_attention(
+            h_all, _instance_messages(cache, params, h_all), attn,
+            (cache.pair_nodes, cache.pair_insts, cache.pair_paths), n_paths,
+            slope=config.leaky_slope)
+        attention = alpha.data
 
-    n_paths = len(cache.metapaths)
     embeddings: dict[EntityType, Tensor] = {}
     fusion_weights: dict[EntityType, np.ndarray] = {}
     for t in EntityType:
-        views = [T.gather_rows(subgraph_embeds[p.name], cache.type_slices[t])
-                 for p in cache.metapaths]
+        n = cache.type_slices[t].size
+        stacked = T.gather_rows(views, (np.arange(n_paths)[:, None] * v_total
+                                        + cache.type_slices[t]).ravel())
         if config.variant == "woAF":
-            z = views[0]
-            for view in views[1:]:
-                z = T.add(z, view)
-            z = T.smul(z, 1.0 / n_paths)
-            beta_row = np.full(n_paths, 1.0 / n_paths)
+            embeddings[t] = T.smul(T.segment_sum(stacked, np.tile(np.arange(n), n_paths), n),
+                                   1.0 / n_paths)
+            fusion_weights[t] = np.full(n_paths, 1.0 / n_paths)
         else:
-            z, beta = fuse_subgraphs(views, *params.fuse(t))
-            beta_row = beta.data[0].copy()
-        embeddings[t] = z
-        fusion_weights[t] = beta_row
+            embeddings[t], beta = fuse_subgraphs(stacked, n_paths, *params.fuse(t))
+            fusion_weights[t] = beta.data[0]
 
-    return ForwardOutput(embeddings=embeddings, subgraph_embeddings=subgraph_embeds,
-                         fusion_weights=fusion_weights,
-                         scores=score_triplets(embeddings, params, index),
-                         attention=attention)
+    subgraph_embeds = dict(zip([p.name for p in cache.metapaths],
+                               np.split(views.data, n_paths)))
+    return ForwardOutput(embeddings, subgraph_embeds, fusion_weights,
+                         score_triplets(embeddings, params, index), attention)
 
 
 def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,

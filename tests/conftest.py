@@ -39,6 +39,18 @@ def random_graph(rng, n_g, n_m, n_d, p=0.3, feat_dim=4):
     return HetGraph(node_ids, edges, feats)
 
 
+def load_embeddings(path):
+    """An exported embedding TSV read back as (ids, labels, vectors)."""
+    ids, labels, vectors = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            parts = line.rstrip("\n").split("\t")
+            ids.append(parts[0])
+            labels.append(int(parts[1]))
+            vectors.append([float(v) for v in parts[2:]])
+    return ids, np.array(labels), np.array(vectors, dtype=np.float64)
+
+
 @pytest.fixture
 def tiny_graph():
     return toy_graph()

@@ -121,11 +121,13 @@ def test_criterion_3_normalization_suite():
     for seed in range(100):
         params = init_params(cache, cfg, seed)
         out = forward(cache, params, index_of(samples))
-        for heads in out.attention.values():
-            for seg, alpha in heads:
-                sums = np.zeros(cache.total_nodes)
-                np.add.at(sums, seg, alpha)
-                worst = max(worst, np.abs(sums[np.unique(seg)] - 1.0).max())
+        # every (path, node) segment of every head's column of alpha sums to 1
+        seg = cache.pair_paths * cache.total_nodes + cache.pair_nodes
+        assert out.attention.shape == (seg.size, cfg.heads) and seg.size > 0
+        for alpha in out.attention.T:
+            sums = np.zeros(len(cache.metapaths) * cache.total_nodes)
+            np.add.at(sums, seg, alpha)
+            worst = max(worst, np.abs(sums[np.unique(seg)] - 1.0).max())
         for beta in out.fusion_weights.values():
             worst = max(worst, abs(beta.sum() - 1.0))
     verdict(3, worst <= 1e-9,

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from conftest import load_embeddings
 from hcmgnn.cli import build_graph, build_split, load_config, main
-from hcmgnn.evaluation import load_embeddings
 from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
 
 SMALL_MODEL = {"proj_dim": 4, "heads": 2, "fusion_dim": 5, "mlp_hidden": 6}
@@ -88,6 +88,19 @@ def test_cv_threads_env_does_not_change_results(tmp_path):
         del os.environ["HCMGNN_THREADS"]
     parallel = open(os.path.join(out2, "metrics", "cv.json"), "rb").read()
     assert serial == parallel
+
+
+@pytest.mark.parametrize("command, value", [("cv", "abc"), ("cv", "0"), ("cv", "-2"),
+                                            ("ablate", "1.5")])
+def test_bad_threads_env_rejected_naming_it(tmp_path, monkeypatch, capsys, command, value):
+    cfg, out = write_config(tmp_path)
+    monkeypatch.setenv("HCMGNN_THREADS", value)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"HCMGNN_THREADS must be a positive integer, got {value!r}" in err, err
+    # rejected before training: no metric or checkpoint file is written
+    assert [f for sub in ("metrics", "checkpoints")
+            for _, _, files in os.walk(os.path.join(out, sub)) for f in files] == []
 
 
 def test_test_command_outputs(tmp_path):

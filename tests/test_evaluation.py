@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import load_embeddings
 from hcmgnn.evaluation import (RankedCase, default_thresholds, export_embeddings,
-                               load_embeddings, make_case, rank_metrics,
-                               resolve_rank, silhouette, stratify_by_degree)
+                               make_case, rank_metrics, resolve_rank, silhouette,
+                               stratify_by_degree)
 
 
 def case_with_rank(rank, degree=3.0):
@@ -268,3 +269,13 @@ def test_export_round_trip(tmp_path):
 def test_export_validates_alignment(tmp_path):
     with pytest.raises(ValueError):
         export_embeddings(tmp_path / "x.tsv", ["a"], [1, 0], np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 1])
+def test_make_case_rejects_non_finite_scores_naming_the_positive(bad, where):
+    # a NaN positive used to rank first: every comparison with NaN is False
+    scores = [0.5, 0.9, 0.1]
+    scores[where] = bad
+    with pytest.raises(ValueError, match="non-finite score among the candidates of g1|m2|d3"):
+        make_case("g1|m2|d3", ["a", "b"], scores)

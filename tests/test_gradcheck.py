@@ -62,6 +62,9 @@ def test_three_layer_composite_matches_central_differences():
     ("segment_mean", lambda x: T.sum_sq(T.segment_mean(x, [1, 1], 2))),
     ("mean_rows", lambda x: T.sum_sq(T.mean_rows(x))),
     ("row_softmax", lambda x: T.sum_sq(T.row_softmax(x))),
+    ("reshape", lambda x: T.sum_sq(T.tanh(T.reshape(x, 3, 2)))),
+    ("segment_softmax_cols", lambda x: T.sum_sq(T.hadamard(
+        T.segment_softmax(x, [2, 2], 3), T.constant(np.arange(1.0, 7.0).reshape(2, 3))))),
     ("elu", lambda x: T.sum_sq(T.elu(x))),
     ("tanh", lambda x: T.sum_sq(T.tanh(x))),
     ("sigmoid", lambda x: T.sum_sq(T.sigmoid(x))),

@@ -118,6 +118,21 @@ def test_inconsistent_feature_width_rejected(tmp_path):
         load_edges(gm, gd, md, feature_paths={GENE: feat})
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_non_finite_feature_value_rejected_with_line(tmp_path, value):
+    gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\ng2\tm1\n")
+    feat = write(tmp_path / "genes.csv", f"id,f1,f2\ng1,0.5,1.5\ng2,-1.0,{value}\n")
+    with pytest.raises(ValueError, match=r"genes\.csv:3: non-finite feature value"):
+        load_edges(gm, gd, md, feature_paths={GENE: feat})
+
+
+def test_non_numeric_feature_value_rejected_with_line(tmp_path):
+    gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\n")
+    feat = write(tmp_path / "genes.csv", "id,f1\ng1,abc\n")
+    with pytest.raises(ValueError, match=r"genes\.csv:2: could not convert .*'abc'"):
+        load_edges(gm, gd, md, feature_paths={GENE: feat})
+
+
 def test_single_triangle():
     g = HetGraph({GENE: ["g1"], MICROBE: ["m1"], DISEASE: ["d1"]},
                  {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],

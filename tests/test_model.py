@@ -6,12 +6,14 @@ import pytest
 import hcmgnn.tensor as T
 from conftest import edge_set, index_of, random_graph, toy_graph
 from hcmgnn.gradcheck import grad_check
-from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
+from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, HetGraph, LabeledTriplet,
                           derive_positive_triplets)
+from hcmgnn.metapath import enumerate_instance_rows
 from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
-                          delivery_positions, encode_instance, feature_transform,
-                          forward, fuse_subgraphs, init_params, instance_attention,
-                          multi_head_aggregate, predict)
+                          delivery_positions, encode_instance, encode_walk,
+                          feature_transform, forward, fuse_subgraphs, init_params,
+                          instance_attention, multi_head_aggregate, predict,
+                          score_triplets)
 from hcmgnn.tensor import ShapeError, Tensor
 from hcmgnn.cli import main
 from hcmgnn.training import loss_fn
@@ -91,11 +93,16 @@ def test_encoder_is_direction_sensitive():
 
 # ---- attention ----
 
+def one_path(nodes, insts):
+    """Delivery pairs of a single path."""
+    return np.array(nodes), np.array(insts), np.zeros(len(nodes), dtype=np.int64)
+
+
 def test_attention_singleton_is_activated_message():
     f = 3
     m = np.array([[0.5, -2.0, 1.0]])
     out, alpha = instance_attention(T.constant(np.zeros((1, f))), T.constant(m),
-                                    T.constant(np.zeros((2 * f, 1))), [0], 1)
+                                    T.constant(np.zeros((2 * f, 1))), one_path([0], [0]), 1)
     assert np.allclose(alpha.data, [[1.0]])
     expect = np.where(m > 0, m, np.exp(m) - 1)
     assert np.allclose(out.data, expect)
@@ -104,9 +111,9 @@ def test_attention_singleton_is_activated_message():
 def test_attention_identical_messages_split_evenly():
     f = 2
     m = T.constant(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    h = T.constant(np.zeros((2, f)))
+    h = T.constant(np.zeros((1, f)))
     a = T.constant(np.random.default_rng(0).normal(size=(2 * f, 1)))
-    _, alpha = instance_attention(h, m, a, [0, 0], 1)
+    _, alpha = instance_attention(h, m, a, one_path([0, 0], [0, 1]), 1)
     assert np.allclose(alpha.data[:, 0], [0.5, 0.5])
 
 
@@ -115,10 +122,33 @@ def test_attention_closed_form_logits():
     messages = np.array([[0.0, 0.0], [np.log(3.0), 0.0]])
     a = np.zeros((2 * f, 1))
     a[f, 0] = 1.0  # reads the first message coordinate
-    out, alpha = instance_attention(T.constant(np.zeros((2, f))),
-                                    T.constant(messages), T.constant(a), [0, 0], 1)
+    out, alpha = instance_attention(T.constant(np.zeros((1, f))), T.constant(messages),
+                                    T.constant(a), one_path([0, 0], [0, 1]), 1)
     assert np.allclose(alpha.data[:, 0], [0.25, 0.75])
     assert np.allclose(out.data[0], [0.75 * np.log(3.0), 0.0])
+
+
+def test_attention_keeps_paths_and_heads_apart():
+    # two paths deliver to node 1, two heads per path; each (path, head)
+    # column is its own softmax and lands in its own block of the views
+    rng = np.random.default_rng(5)
+    f, heads = 2, 2
+    h = rng.normal(size=(3, f))
+    m = rng.normal(size=(4, f))
+    a = rng.normal(size=(2 * f, 2 * heads))
+    pairs = (np.array([1, 1, 1, 2]), np.array([0, 1, 2, 3]), np.array([0, 0, 1, 1]))
+    views, alpha = instance_attention(T.constant(h), T.constant(m), T.constant(a), pairs, 2)
+    assert views.shape == (2 * 3, heads * f)
+    for p, rows in ((0, [0, 1]), (1, [2])):
+        for k in range(heads):
+            col = a[:, p * heads + k]
+            logits = h[1] @ col[:f] + m[rows] @ col[f:]
+            logits = np.where(logits > 0, logits, 0.01 * logits)
+            expect = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+            assert np.allclose(alpha.data[rows, k], expect)
+            assert np.allclose(views.data[p * 3 + 1, k * f:(k + 1) * f],
+                               elu_np(expect @ m[rows]))
+    assert np.array_equal(views.data[[0, 2, 3]], np.zeros((3, heads * f)))
 
 
 # ---- multi-head ----
@@ -141,9 +171,9 @@ def test_multi_head_shape_law(k):
 
 def test_fusion_equal_views_give_uniform_beta():
     view = T.constant(np.random.default_rng(2).normal(size=(4, 3)))
-    views = [view] * 6
+    views = T.constant(np.concatenate([view.data] * 6))
     rng = np.random.default_rng(3)
-    z, beta = fuse_subgraphs(views, T.constant(rng.normal(size=(5, 1))),
+    z, beta = fuse_subgraphs(views, 6, T.constant(rng.normal(size=(5, 1))),
                              T.constant(rng.normal(size=(5, 3))),
                              T.constant(rng.normal(size=(1, 5))))
     assert np.allclose(beta.data, np.full((1, 6), 1 / 6))
@@ -153,7 +183,7 @@ def test_fusion_equal_views_give_uniform_beta():
 def test_fusion_closed_form_two_views():
     v1 = T.constant(np.zeros((2, 1)))
     v2 = T.constant(np.full((2, 1), np.arctanh(np.log(3.0) / 2.0)))
-    z, beta = fuse_subgraphs([v1, v2], T.constant([[2.0]]),
+    z, beta = fuse_subgraphs(T.concat_rows([v1, v2]), 2, T.constant([[2.0]]),
                              T.constant([[1.0]]), T.constant([[0.0]]))
     assert np.allclose(beta.data, [[0.25, 0.75]])
     assert np.allclose(z.data, 0.25 * v1.data + 0.75 * v2.data)
@@ -192,17 +222,22 @@ def test_forward_scores_in_unit_interval_and_beta_normalized(tiny_graph):
         assert (beta >= 0).all()
 
 
+def attention_sums(cache, alpha):
+    """Per-segment sums of each head's column of the stacked attention."""
+    seg = cache.pair_paths * cache.total_nodes + cache.pair_nodes
+    sums = np.zeros((len(cache.metapaths) * cache.total_nodes, alpha.shape[1]))
+    np.add.at(sums, seg, alpha)
+    return sums[np.unique(seg)]
+
+
 def test_forward_attention_rows_normalized_over_seeds(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg.variant)
     for seed in range(10):
         params = init_params(cache, cfg, seed)
         out = forward(cache, params, some_samples(tiny_graph))
-        for name, heads in out.attention.items():
-            for seg, alpha in heads:
-                sums = np.zeros(cache.total_nodes)
-                np.add.at(sums, seg, alpha)
-                assert np.allclose(sums[np.unique(seg)], 1.0, atol=1e-9)
+        assert out.attention.shape == (cache.pair_nodes.size, cfg.heads)
+        assert np.allclose(attention_sums(cache, out.attention), 1.0, atol=1e-9)
 
 
 def test_empty_instance_set_yields_zero_view():
@@ -216,7 +251,7 @@ def test_empty_instance_set_yields_zero_view():
     out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed"),
                                            LabeledTriplet(1, 0, 0, 0, "sampled-negative")]))
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
-    h = out.subgraph_embeddings["G-M-D"].data
+    h = out.subgraph_embeddings["G-M-D"]
     assert np.array_equal(h[1], np.zeros(cfg.embed_dim))
     assert not np.array_equal(h[0], np.zeros(cfg.embed_dim))
 
@@ -253,8 +288,8 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     out_ii = forward(ModelCache(g, "woMP-ii"),
                      init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3), samples)
     # head is row 0 (gene), tail is row 2 (disease) for G-M-D
-    h_full = out_full.subgraph_embeddings["G-M-D"].data
-    h_ii = out_ii.subgraph_embeddings["G-M-D"].data
+    h_full = out_full.subgraph_embeddings["G-M-D"]
+    h_ii = out_ii.subgraph_embeddings["G-M-D"]
     assert np.allclose(h_full[0], h_ii[0], atol=1e-12)
     assert np.allclose(h_full[2], h_ii[2], atol=1e-12)
     assert not np.allclose(h_full[1], h_ii[1])  # intermediate differs
@@ -265,8 +300,8 @@ def test_mirror_metapaths_differ_for_some_node(tiny_graph):
     cache = ModelCache(tiny_graph, cfg.variant)
     params = init_params(cache, cfg, 5)
     out = forward(cache, params, some_samples(tiny_graph))
-    fwd = out.subgraph_embeddings["G-M-D"].data
-    rev = out.subgraph_embeddings["D-M-G"].data
+    fwd = out.subgraph_embeddings["G-M-D"]
+    rev = out.subgraph_embeddings["D-M-G"]
     assert not np.allclose(fwd, rev)
 
 
@@ -362,7 +397,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
     cache = ModelCache(g, "woMP-i")
     params = init_params(cache, cfg, 6)
     out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
-    h = out.subgraph_embeddings["G-M-D"].data
+    h = out.subgraph_embeddings["G-M-D"]
     h_disease = params.proj(DISEASE).data @ g.features[DISEASE][0]
     assert np.allclose(h[0], elu_np(h_disease))  # head view = ELU(tail projection)
     assert np.array_equal(h[1], np.zeros(3))     # intermediate gets nothing
@@ -376,7 +411,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
     cache = ModelCache(g, "woTM")
     params = init_params(cache, cfg, 8)
     out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
-    h = out.subgraph_embeddings["G-M"].data
+    h = out.subgraph_embeddings["G-M"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
     r = params.rel((GENE, MICROBE)).data[0]
@@ -393,7 +428,7 @@ def test_womp3_five_node_fold_formula():
     cache = ModelCache(g, "woMP-iii")
     params = init_params(cache, cfg, 9)
     out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
-    h = out.subgraph_embeddings["G-M-D-M-G"].data
+    h = out.subgraph_embeddings["G-M-D-M-G"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
     h_d = params.proj(DISEASE).data @ g.features[DISEASE][0]
@@ -413,14 +448,27 @@ def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
     revisits = 0
     for variant in VARIANTS:
         cache = ModelCache(g, variant)
-        for p in cache.metapaths:
-            grows = cache.global_rows[p.name]
+        start = 0
+        for i, p in enumerate(cache.metapaths):
+            off = np.array([cache.offsets[t] for t in p.types])
+            grows = enumerate_instance_rows(g, p) + off
+            stop = start + len(grows)
+            assert np.array_equal(cache.instances[start:stop], grows), (variant, p)
+            assert [RELATIONS[r] for r in cache.instance_relations[start:stop].reshape(-1)] \
+                == list(p.relations) * len(grows)
             cols = delivery_positions(variant, len(p.types))
-            expect = sorted({(int(grows[i, c]), i) for i in range(len(grows)) for c in cols})
+            expect = sorted({(int(grows[j, c]), start + j)
+                             for j in range(len(grows)) for c in cols})
             revisits += len(grows) * len(cols) - len(expect)
             nodes, insts = cache.pairs[p.name]
             assert nodes.dtype == insts.dtype == np.int64
             assert list(zip(nodes.tolist(), insts.tolist())) == expect, (variant, p)
+            # the name's pairs are the path's slice of the stacked table
+            assert np.shares_memory(nodes, cache.pair_nodes)
+            assert (cache.pair_paths[np.isin(cache.pair_insts, insts)] == i).all()
+            start = stop
+        assert start == len(cache.instances)
+        assert sum(n.size for n, _ in cache.pairs.values()) == cache.pair_nodes.size
     assert revisits > 0  # symmetric-5 walks that return to their first node
 
 
@@ -497,8 +545,12 @@ def transpose_entry(entry):
     (lambda doc: doc["tensors"].update(extra={"shape": [1, 1], "data": [0.0]}), "'extra'"),
     (lambda doc: doc["tensors"].update(mlp_W1=transpose_entry(doc["tensors"]["mlp_W1"])),
      "'mlp_W1'"),
+    (lambda doc: doc["tensors"]["mlp_b2"].update(data=[float("nan")]),
+     "tensor 'mlp_b2' holds a non-finite value"),
+    (lambda doc: doc["tensors"]["proj_gene"]["data"].__setitem__(3, float("-inf")),
+     "tensor 'proj_gene' holds a non-finite value"),
 ], ids=["missing-tensor", "wrong-length", "heads-3-of-2", "config-value",
-        "missing-feature-dims", "extra-tensor", "transposed"])
+        "missing-feature-dims", "extra-tensor", "transposed", "nan-value", "inf-value"])
 def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tamper, key):
     path = tmp_path / "ckpt.json"
     init_params(ModelCache(tiny_graph, "full"), small_config(), 0).save(path)
@@ -509,3 +561,125 @@ def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tam
     assert main(["stratify", "--config", cfg, "--checkpoint", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"error: {path}: " in err and key in err, err
+
+
+# ---- the per-path, per-head forward, kept as the stacked pass's oracle ----
+
+def reference_forward(g, cache, params, index):
+    """The forward as it ran before the stacked pass: one set of ops per
+    metapath and per head, relation rows broadcast per path, a [h || m]
+    logit per head, and fusion over a list of per-path views.
+
+    Returns (scores, embeddings, betas, views, alphas), the last two keyed
+    by path name, alphas as one (pairs x H) array per path.
+    """
+    config = params.config
+    h_all = T.concat_rows([feature_transform(T.constant(cache.features[t]), params.proj(t))
+                           for t in (GENE, MICROBE, DISEASE)])
+    v_total = cache.total_nodes
+    views, alphas = {}, {}
+    for p in cache.metapaths:
+        off = np.array([cache.offsets[t] for t in p.types], dtype=np.int64)
+        grows = enumerate_instance_rows(g, p) + off
+        s = grows.shape[0]
+        positions = delivery_positions(cache.variant, len(p.types))
+        keys = np.unique(np.concatenate([grows[:, c] * s + np.arange(s) for c in positions]))
+        node_ids, inst_ids = keys // max(s, 1), keys % max(s, 1)
+        if node_ids.size == 0:
+            views[p.name] = T.constant(np.zeros((v_total, config.embed_dim)))
+            alphas[p.name] = np.zeros((0, config.heads))
+            continue
+        cols = [T.gather_rows(h_all, grows[:, i]) for i in range(grows.shape[1])]
+        if cache.variant == "woMP-i":
+            messages = cols[-1]
+        else:
+            messages = encode_walk(cols, [params.rel(r) for r in p.relations])
+        h_pair = T.gather_rows(h_all, node_ids)
+        m_pair = T.gather_rows(messages, inst_ids)
+        head_outs, head_alphas = [], []
+        for k in range(config.heads):
+            logits = T.leaky_relu(T.matmul(T.concat_cols([h_pair, m_pair]), params.attn(p, k)),
+                                  config.leaky_slope)
+            alpha = T.segment_softmax(logits, node_ids, v_total)
+            agg = T.segment_sum(T.hadamard(m_pair, alpha), node_ids, v_total)
+            head_outs.append(T.elu(agg))
+            head_alphas.append(alpha.data[:, 0])
+        views[p.name] = T.concat_cols(head_outs)
+        alphas[p.name] = np.stack(head_alphas, axis=1)
+
+    n_paths = len(cache.metapaths)
+    embeddings, betas = {}, {}
+    for t in (GENE, MICROBE, DISEASE):
+        per_path = [T.gather_rows(views[p.name], cache.type_slices[t]) for p in cache.metapaths]
+        if cache.variant == "woAF":
+            z = per_path[0]
+            for view in per_path[1:]:
+                z = T.add(z, view)
+            embeddings[t] = T.smul(z, 1.0 / n_paths)
+            betas[t] = np.full(n_paths, 1.0 / n_paths)
+            continue
+        q, w, b = params.fuse(t)
+        coeffs = [T.mean_rows(T.matmul(T.tanh(T.add(T.matmul(view, T.transpose(w)), b)), q))
+                  for view in per_path]
+        beta = T.row_softmax(T.concat_cols(coeffs))
+        beta_col = T.transpose(beta)
+        z = T.smul(per_path[0], T.gather_rows(beta_col, [0]))
+        for i, view in enumerate(per_path[1:], start=1):
+            z = T.add(z, T.smul(view, T.gather_rows(beta_col, [i])))
+        embeddings[t] = z
+        betas[t] = beta.data[0]
+    return (score_triplets(embeddings, params, index), embeddings, betas,
+            {name: v.data for name, v in views.items()}, alphas)
+
+
+def assert_close(got, expect, what):
+    """Within 1e-10 of each entry, relative to the entry or to the array's scale."""
+    scale = max(np.abs(expect).max(initial=0.0), np.finfo(float).tiny)
+    np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-10 * scale, err_msg=what)
+
+
+def taped_grads(run, params, labels):
+    """Every parameter's grad after one backward of `run`'s scores' loss."""
+    params.zero_grad()
+    with T.Tape() as tape:
+        out = run()
+        tape.backward(loss_fn(out[0], labels, 0.7))
+    grads = {name: np.zeros(p.shape) if p.grad is None else p.grad.copy()
+             for name, p in params.tensors.items()}
+    params.zero_grad()
+    return out, grads
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
+    rng = np.random.default_rng(21)
+    g = random_graph(rng, 6, 5, 5, p=0.45)
+    samples = derive_positive_triplets(g)[:6] + [
+        LabeledTriplet(0, 1, 0, 0, "sampled-negative"),
+        LabeledTriplet(2, 3, 4, 0, "sampled-negative")]
+    labels = np.array([s.label for s in samples], dtype=np.float64)
+    index = index_of(samples)
+    cfg = ModelConfig(proj_dim=3, heads=3, fusion_dim=4, mlp_hidden=5, variant=variant)
+    cache = ModelCache(g, variant)
+    params = init_params(cache, cfg, 11)
+
+    def stacked():
+        out = forward(cache, params, index)
+        return (out.scores, out.embeddings, out.fusion_weights,
+                out.subgraph_embeddings, out.attention)
+
+    (scores, emb, betas, views, alpha), grads = taped_grads(stacked, params, labels)
+    (r_scores, r_emb, r_betas, r_views, r_alphas), r_grads = taped_grads(
+        lambda: reference_forward(g, cache, params, index), params, labels)
+    assert alpha.shape == (cache.pair_nodes.size, cfg.heads) and alpha.size > 0
+    assert_close(scores.data, r_scores.data, "scores")
+    for t in (GENE, MICROBE, DISEASE):
+        assert_close(emb[t].data, r_emb[t].data, f"embeddings {t.name}")
+        assert_close(betas[t], r_betas[t], f"beta {t.name}")
+    for i, p in enumerate(cache.metapaths):
+        assert_close(views[p.name], r_views[p.name], f"view {p.name}")
+        assert_close(alpha[cache.pair_paths == i], r_alphas[p.name], f"alpha {p.name}")
+    assert set(grads) == set(r_grads)
+    for name in grads:
+        assert_close(grads[name], r_grads[name], f"grad {name}")
+    assert any(np.abs(grads[name]).max() > 0 for name in grads if name.startswith("attn_"))

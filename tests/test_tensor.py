@@ -411,3 +411,37 @@ def test_segment_softmax_value_and_gradient_bit_identical_to_add_at(layout):
         tape.backward(upstream(out, w))
     assert_same_bits(out.data, y[:, None])
     assert_same_bits(a.grad, grad[:, None])
+
+
+@pytest.mark.parametrize("layout", [lay for lay in ID_LAYOUTS if lay != "zero-rows"])
+def test_segment_softmax_columns_bit_identical_to_one_call_per_column(layout):
+    ids, x, n = scatter_case(layout, 5)
+    _, w, _ = scatter_case(layout, 5, seed=1)
+    a = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.segment_softmax(a, ids, n)
+        tape.backward(upstream(out, w))
+    for c in range(x.shape[1]):
+        col = Tensor(x[:, [c]], requires_grad=True)
+        with Tape() as tape:
+            one = T.segment_softmax(col, ids, n)
+            tape.backward(upstream(one, w[:, [c]]))
+        assert_same_bits(out.data[:, [c]], one.data)
+        assert_same_bits(a.grad[:, [c]], col.grad)
+    if layout == "empty-segments":
+        assert set(ids.tolist()) == {0, 3, 7}  # seven segments receive no row
+
+
+def test_reshape_value_grad_and_shape_error():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    w = np.arange(1.0, 7.0).reshape(3, 2)
+    with Tape() as tape:
+        out = T.reshape(x, 3, 2)
+        assert np.array_equal(out.data, [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        tape.backward(upstream(out, w))
+    # row-major order both ways: the grad of x[i, j] is w's entry at 3 * i + j
+    assert np.array_equal(x.grad, w.reshape(2, 3))
+    assert T.reshape(x, 6, 1).shape == (6, 1)
+    for rows, cols in ((4, 2), (1, 5), (-2, -3), (0, 6)):
+        with pytest.raises(ShapeError, match="reshape: .*2, 3"):
+            T.reshape(x, rows, cols)
