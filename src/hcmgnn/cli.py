@@ -41,6 +41,8 @@ _BLOCK_KEYS = {
     "train": {f.name for f in fields(TrainConfig)} - {"seed"},
     "split": {"test_fraction", "folds"},
 }
+_REQUIRED_KEYS = {"synthetic": ("n_genes", "n_microbes", "n_diseases"),
+                  "dataset": ("gene_microbe", "gene_disease", "microbe_disease")}
 # the type of each value load_config checks itself; model and train check theirs
 _VALUE_TYPES = {
     "": {"out": "str", "split_file": "str"},
@@ -74,13 +76,16 @@ class RunConfig:
         return doc
 
 
-def _check_keys(path, where: str, block, allowed: set[str]):
-    """Reject a key that `block` does not accept, naming the file and the key."""
+def _check_keys(path, where: str, block, allowed: set[str], required=()):
+    """Reject a key that `block` does not accept or lacks, naming the file and the key."""
     if not isinstance(block, dict):
         raise ValueError(f"{path}: '{where.rstrip('.') or 'config'}' must be a JSON object")
     for key in block:
         if key not in allowed:
             raise ValueError(f"{path}: unknown config key '{where}{key}'")
+    for key in required:
+        if key not in block:
+            raise ValueError(f"{path}: missing config key '{where}{key}'")
 
 
 def load_config(path, seed_override=None, out_override=None,
@@ -89,7 +94,7 @@ def load_config(path, seed_override=None, out_override=None,
     _check_keys(path, "", doc, _TOP_KEYS)
     for name, allowed in _BLOCK_KEYS.items():
         if name in doc:
-            _check_keys(path, f"{name}.", doc[name], allowed)
+            _check_keys(path, f"{name}.", doc[name], allowed, _REQUIRED_KEYS.get(name, ()))
     features = doc.get("dataset", {}).get("features")
     if features is not None:
         _check_keys(path, "dataset.features.", features, set(_FEATURE_KEYS))
@@ -104,6 +109,12 @@ def load_config(path, seed_override=None, out_override=None,
             for key, type_name in types.items():
                 if key in block:
                     check_type(f"{where}{key}", block[key], type_name)
+        split = doc.get("split", {})
+        if split.get("folds", 2) < 2:
+            raise ValueError(f"split.folds must be >= 2, got {split['folds']!r}")
+        if not 0 <= split.get("test_fraction", 0) < 1:
+            raise ValueError(f"split.test_fraction must lie in [0, 1), "
+                             f"got {split['test_fraction']!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     model_doc = dict(doc.get("model", {}))

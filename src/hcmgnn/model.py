@@ -23,7 +23,7 @@ from .metapath import (PAIRWISE_2, SYMMETRIC_5, Metapath, ablation_metapaths,
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
-CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v1"
+CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v2"
 
 
 _FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -144,17 +144,15 @@ def _type_key(t: EntityType) -> str:
     return t.name.lower()
 
 
-def _rel_key(rel: tuple[EntityType, EntityType]) -> str:
-    return f"rel_{rel[0].name[0]}{rel[1].name[0]}"
-
-
-def _attn_key(p: Metapath, head: int) -> str:
-    return f"attn_{p.name}_h{head}"
-
-
 def _glorot(rng, shape: tuple[int, int]) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _glorot_columns(rng, shape: tuple[int, int]) -> np.ndarray:
+    """Each column its own rows x 1 Glorot vector, drawn column after column."""
+    limit = np.sqrt(6.0 / (shape[0] + 1))
+    return rng.uniform(-limit, limit, size=shape[::-1]).T.copy()
 
 
 def _near_one(rng, shape: tuple[int, int]) -> np.ndarray:
@@ -169,13 +167,13 @@ def param_specs(config: ModelConfig, feature_dims: dict[EntityType, int]):
     """Every learnable tensor as a (name, shape, init) row, in init's draw order.
 
     `init(rng, shape)` draws the tensor's start value; the order of the rows
-    fixes the RNG stream, so checkpoints depend on it.
+    fixes the RNG stream, so checkpoints depend on it.  `rel` has a row per
+    relation in `RELATIONS` order; column p * H + k of `attn` is path p's head k.
     """
     f, d, fd, hid = config.proj_dim, config.embed_dim, config.fusion_dim, config.mlp_hidden
+    n_attn = len(family_paths(config.variant)) * config.heads
     specs = [(f"proj_{_type_key(t)}", (f, feature_dims[t]), _glorot) for t in EntityType]
-    specs += [(_rel_key(rel), (1, f), _near_one) for rel in RELATIONS]
-    specs += [(_attn_key(p, k), (2 * f, 1), _glorot)
-              for p in family_paths(config.variant) for k in range(config.heads)]
+    specs += [("rel", (len(RELATIONS), f), _near_one), ("attn", (2 * f, n_attn), _glorot_columns)]
     for t in EntityType:
         key = _type_key(t)
         specs += [(f"fuse_W_{key}", (fd, d), _glorot), (f"fuse_b_{key}", (1, fd), _zeros),
@@ -216,12 +214,6 @@ class ModelParams:
     def proj(self, t: EntityType) -> Tensor:
         return self.tensors[f"proj_{_type_key(t)}"]
 
-    def rel(self, rel) -> Tensor:
-        return self.tensors[_rel_key(rel)]
-
-    def attn(self, p: Metapath, head: int) -> Tensor:
-        return self.tensors[_attn_key(p, head)]
-
     def fuse(self, t: EntityType) -> tuple[Tensor, Tensor, Tensor]:
         """The type-level fusion's (q, W, b) for entity type t."""
         return tuple(self.tensors[f"fuse_{part}_{_type_key(t)}"] for part in "qWb")
@@ -257,8 +249,11 @@ class ModelParams:
         Every error names the file and the key or tensor at fault.
         """
         doc = load_json(path)
-        if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        if not isinstance(doc, dict) or "format" not in doc:
             raise ValueError(f"{path}: not a model checkpoint")
+        if doc["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"{path}: checkpoint format {doc['format']!r}, "
+                             f"expected {CHECKPOINT_FORMAT!r}")
         for key in ("config", "feature_dims", "tensors"):
             if not isinstance(doc.get(key), dict):
                 raise ValueError(f"{path}: the checkpoint has no {key!r} object")
@@ -389,9 +384,9 @@ def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) ->
     rows = cache.instances
     if cache.variant == "woMP-i":
         return T.gather_rows(h_all, rows[:, -1])
-    rel_table = T.concat_rows([params.rel(r) for r in RELATIONS])
     return encode_walk([T.gather_rows(h_all, col) for col in rows.T],
-                       [T.gather_rows(rel_table, ids) for ids in cache.instance_relations.T])
+                       [T.gather_rows(params.tensors["rel"], ids)
+                        for ids in cache.instance_relations.T])
 
 
 def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
@@ -417,10 +412,8 @@ def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
         views = T.constant(np.zeros((n_paths * v_total, config.embed_dim)))
         attention = np.zeros((0, config.heads))
     else:
-        attn = T.concat_cols([params.attn(p, k) for p in cache.metapaths
-                              for k in range(config.heads)])
         views, alpha = instance_attention(
-            h_all, _instance_messages(cache, params, h_all), attn,
+            h_all, _instance_messages(cache, params, h_all), params.tensors["attn"],
             (cache.pair_nodes, cache.pair_insts, cache.pair_paths), n_paths,
             slope=config.leaky_slope)
         attention = alpha.data

@@ -10,6 +10,7 @@ from hcmgnn.cli import build_graph, build_split, load_config, main
 from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
 
 SMALL_MODEL = {"proj_dim": 4, "heads": 2, "fusion_dim": 5, "mlp_hidden": 6}
+DROP = object()   # an override that leaves the key out of the config
 
 
 def write_config(tmp_path, out_name="run", **overrides):
@@ -22,6 +23,7 @@ def write_config(tmp_path, out_name="run", **overrides):
         "train": {"max_epochs": 3, "patience": 50},
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not DROP}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path), doc["out"]
@@ -269,12 +271,23 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
      "synthetic.edge_density must be float, got '0.2'"),
     ({"split": {"test_fraction": "0.1"}}, "split.test_fraction must be float, got '0.1'"),
     ({"split": {"folds": "5"}}, "split.folds must be int, got '5'"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16}},
+     "missing config key 'synthetic.n_diseases'"),
+    ({"synthetic": DROP, "dataset": {"gene_microbe": "gm.tsv", "microbe_disease": "md.tsv"}},
+     "missing config key 'dataset.gene_disease'"),
+    ({"split": {"folds": 0}}, "split.folds must be >= 2, got 0"),
+    ({"split": {"folds": -2}}, "split.folds must be >= 2, got -2"),
+    ({"split": {"folds": 1}}, "split.folds must be >= 2, got 1"),
+    ({"split": {"test_fraction": -0.5}}, r"split.test_fraction must lie in \[0, 1\), got -0.5"),
+    ({"split": {"test_fraction": 1}}, r"split.test_fraction must lie in \[0, 1\), got 1"),
 ], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
         "patience-str", "epochs-bool", "gamma-2", "metric-unknown", "epochs-0",
         "epochs-negative", "lr-negative", "lr-nan", "seed-float", "seed-str", "seed-bool",
         "model-null", "train-null", "synthetic-and-dataset", "out-int", "split-file-list",
         "n-genes-str", "n-microbes-float", "n-diseases-bool", "latent-dim-str",
-        "rng-seed-float", "density-str", "test-fraction-str", "folds-str"])
+        "rng-seed-float", "density-str", "test-fraction-str", "folds-str",
+        "n-diseases-missing", "gene-disease-missing", "folds-0", "folds-negative", "folds-1",
+        "test-fraction-negative", "test-fraction-1"])
 def test_bad_config_value_names_the_file(tmp_path, capsys, override, message):
     cfg_path, _ = write_config(tmp_path, **override)
     with pytest.raises(ValueError, match=message) as err:

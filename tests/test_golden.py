@@ -20,19 +20,23 @@ GOLDEN = {
     # the checkpoints and the exported embeddings hold model floats, so their
     # last bits follow the summation order of the stacked pass (the logit
     # a1 . h + a2 . m, relation grads scattered by relation id, the fusion's
-    # segment means); the metric files here do not move with those bits
+    # segment means); the metric files here do not move with those bits.
+    # The checkpoints are in the v2 format: one 6 x F `rel` table and one
+    # 2F x (P * H) `attn` table in place of the per-relation and per-(path,
+    # head) tensors.  Their values are the old tensors stacked, bit for bit;
+    # only the names and layout in the file changed, and with them the hashes
     "checkpoints/fold0.json":
-        "dc73ce28d9c5bf810c0d97d81cfa0edcb73f4659f9b04acd708e4eace46f4fbb",
+        "a75fb752e0904456c4968142e3f2f2d1f511038719e7ac756e14543df9fe8792",
     "checkpoints/fold1.json":
-        "41f1cad1b27f09ce1c149091be01baeb100114c6995508f3dbca64766e35bb0e",
+        "7935d8eeec327022d23ee7137264c2578efc8869b9c7857d51d4abeda4387a7e",
     "checkpoints/fold2.json":
-        "f9d8bb3392c81942325a217b443e091a3b3e956681edb65147ff36f58781dd46",
+        "9d480eea9cc0396a6ffbe3db53c743d75ae8bc9d97698393c762b4011fa54cf8",
     "checkpoints/fold3.json":
-        "564c5069fb0da4c8852a80b41ec06b4f5ada7979f56d2f586b2362882e3dd8c0",
+        "4ec7adc7647ccdbe3944cf378707cac7ee81da1e51c0517f2fa99adcfaa50ed6",
     "checkpoints/fold4.json":
-        "d633e3e64faac1c368d984c42ad72851ad832174ee9e120f4c27267a511829fd",
+        "4b685fdee8042ff7ea490d9475f16cae36fd5dccf1dfcce49fd58587df179130",
     "checkpoints/test.json":
-        "bf389a0c7867e0ed68514b8fe27b91c274bb6e2cc2538eb595a95226c788183b",
+        "7ec4737fe5cd46a741e1001d09df3b73e7482b4be0e15ef3b5f2e1c885f36869",
     "data/edges_gene_disease.tsv":
         "f2890fc1c474d40975bd0849e4feb551883fba224d03ecbdbacea5d3084c2e52",
     "data/edges_gene_microbe.tsv":

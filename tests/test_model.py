@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hcmgnn.metapath import enumerate_instance_rows
 from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
                           delivery_positions, encode_instance, encode_walk,
                           feature_transform, forward, fuse_subgraphs, init_params,
-                          instance_attention, multi_head_aggregate, predict,
-                          score_triplets)
+                          instance_attention, multi_head_aggregate, param_specs,
+                          predict, score_triplets)
 from hcmgnn.tensor import ShapeError, Tensor
 from hcmgnn.cli import main
 from hcmgnn.training import loss_fn
@@ -370,6 +371,17 @@ def elu_np(x):
     return np.where(x > 0, x, np.exp(np.minimum(x, 0)) - 1.0)
 
 
+def rel_vector(params, rel) -> Tensor:
+    """Relation `rel`'s 1 x F row of the shared `rel` table, as a taped slice."""
+    return T.gather_rows(params.tensors["rel"], [RELATIONS.index(rel)])
+
+
+def attn_vector(params, path: int, head: int) -> Tensor:
+    """Path `path`'s head `head`: column path * H + head of `attn`, as a taped slice."""
+    col = path * params.config.heads + head
+    return T.transpose(T.gather_rows(T.transpose(params.tensors["attn"]), [col]))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_full_loss_gradients_match_finite_differences(variant):
     g = toy_graph(seed=0)
@@ -414,7 +426,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
     h = out.subgraph_embeddings["G-M"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
-    r = params.rel((GENE, MICROBE)).data[0]
+    r = rel_vector(params, (GENE, MICROBE)).data[0]
     message = 0.5 * (h_g * r + h_m)
     assert np.allclose(h[0], elu_np(message))
     assert np.allclose(h[1], elu_np(message))
@@ -432,10 +444,8 @@ def test_womp3_five_node_fold_formula():
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
     h_d = params.proj(DISEASE).data @ g.features[DISEASE][0]
-    r_gm = params.rel((GENE, MICROBE)).data[0]
-    r_md = params.rel((MICROBE, DISEASE)).data[0]
-    r_dm = params.rel((DISEASE, MICROBE)).data[0]
-    r_mg = params.rel((MICROBE, GENE)).data[0]
+    r_gm, r_md, r_dm, r_mg = (rel_vector(params, r).data[0] for r in (
+        (GENE, MICROBE), (MICROBE, DISEASE), (DISEASE, MICROBE), (MICROBE, GENE)))
     msg = ((((h_g * r_gm + h_m) * r_md + h_d) * r_dm + h_m) * r_mg + h_g) / 5.0
     # head == tail here, so the single delivery target is the gene
     assert np.allclose(h[0], elu_np(msg))
@@ -476,10 +486,20 @@ def test_relation_embeddings_shared_across_paths_and_heads(tiny_graph):
     for variant in VARIANTS:
         cfg = small_config(variant)
         params = init_params(ModelCache(tiny_graph, variant), cfg, 0)
-        rel_names = [n for n in params.tensors if n.startswith("rel_")]
-        assert len(rel_names) == 6
-        attn_names = [n for n in params.tensors if n.startswith("attn_")]
-        assert len(attn_names) == 6 * cfg.heads
+        assert params.tensors["rel"].shape == (len(RELATIONS), cfg.proj_dim)
+        assert params.tensors["attn"].shape == (2 * cfg.proj_dim, 6 * cfg.heads)
+        for heads in (1, 4):
+            assert len(param_specs(replace(cfg, heads=heads), params.feature_dims)) == 18
+        # the stacked table keeps the RNG stream of one 2F x 1 draw per (path, head)
+        rng = np.random.default_rng(0)
+        for name, shape, init in param_specs(cfg, params.feature_dims):
+            if name == "attn":
+                break
+            init(rng, shape)
+        limit = np.sqrt(6.0 / (2 * cfg.proj_dim + 1))
+        cols = [rng.uniform(-limit, limit, size=(2 * cfg.proj_dim, 1))
+                for _ in range(6 * cfg.heads)]
+        assert np.array_equal(params.tensors["attn"].data, np.hstack(cols)), variant
 
 
 def test_wobf_uses_one_hot_inputs(tiny_graph):
@@ -524,7 +544,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_graph):
 
 def test_checkpoint_that_is_not_json_names_the_file(tmp_path):
     path = tmp_path / "ckpt.json"
-    path.write_text('{"format": "hcmgnn-checkpoint-v1", ', encoding="utf-8")
+    path.write_text('{"format": "hcmgnn-checkpoint-v2", ', encoding="utf-8")
     with pytest.raises(ValueError, match="not valid JSON") as err:
         ModelParams.load(path)
     assert str(path) in str(err.value)
@@ -539,7 +559,7 @@ def transpose_entry(entry):
 @pytest.mark.parametrize("tamper, key", [
     (lambda doc: doc["tensors"].pop("mlp_W2"), "'mlp_W2'"),
     (lambda doc: doc["tensors"]["mlp_b2"].update(shape=[3, 3]), "'mlp_b2'"),
-    (lambda doc: doc["config"].update(heads=3), "'attn_G-M-D_h2'"),
+    (lambda doc: doc["config"].update(heads=3), "'attn'"),
     (lambda doc: doc["config"].update(heads="2"), "heads"),
     (lambda doc: doc.pop("feature_dims"), "'feature_dims'"),
     (lambda doc: doc["tensors"].update(extra={"shape": [1, 1], "data": [0.0]}), "'extra'"),
@@ -549,8 +569,11 @@ def transpose_entry(entry):
      "tensor 'mlp_b2' holds a non-finite value"),
     (lambda doc: doc["tensors"]["proj_gene"]["data"].__setitem__(3, float("-inf")),
      "tensor 'proj_gene' holds a non-finite value"),
+    (lambda doc: doc.update(format="hcmgnn-checkpoint-v1"),
+     "checkpoint format 'hcmgnn-checkpoint-v1', expected 'hcmgnn-checkpoint-v2'"),
 ], ids=["missing-tensor", "wrong-length", "heads-3-of-2", "config-value",
-        "missing-feature-dims", "extra-tensor", "transposed", "nan-value", "inf-value"])
+        "missing-feature-dims", "extra-tensor", "transposed", "nan-value", "inf-value",
+        "format-v1"])
 def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tamper, key):
     path = tmp_path / "ckpt.json"
     init_params(ModelCache(tiny_graph, "full"), small_config(), 0).save(path)
@@ -568,7 +591,9 @@ def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tam
 def reference_forward(g, cache, params, index):
     """The forward as it ran before the stacked pass: one set of ops per
     metapath and per head, relation rows broadcast per path, a [h || m]
-    logit per head, and fusion over a list of per-path views.
+    logit per head, and fusion over a list of per-path views.  Each relation
+    row and attention column is a taped slice of the stacked tables, so the
+    grads reach `rel` and `attn` as they do from `forward`.
 
     Returns (scores, embeddings, betas, views, alphas), the last two keyed
     by path name, alphas as one (pairs x H) array per path.
@@ -578,7 +603,7 @@ def reference_forward(g, cache, params, index):
                            for t in (GENE, MICROBE, DISEASE)])
     v_total = cache.total_nodes
     views, alphas = {}, {}
-    for p in cache.metapaths:
+    for i, p in enumerate(cache.metapaths):
         off = np.array([cache.offsets[t] for t in p.types], dtype=np.int64)
         grows = enumerate_instance_rows(g, p) + off
         s = grows.shape[0]
@@ -593,13 +618,13 @@ def reference_forward(g, cache, params, index):
         if cache.variant == "woMP-i":
             messages = cols[-1]
         else:
-            messages = encode_walk(cols, [params.rel(r) for r in p.relations])
+            messages = encode_walk(cols, [rel_vector(params, r) for r in p.relations])
         h_pair = T.gather_rows(h_all, node_ids)
         m_pair = T.gather_rows(messages, inst_ids)
         head_outs, head_alphas = [], []
         for k in range(config.heads):
-            logits = T.leaky_relu(T.matmul(T.concat_cols([h_pair, m_pair]), params.attn(p, k)),
-                                  config.leaky_slope)
+            logits = T.leaky_relu(T.matmul(T.concat_cols([h_pair, m_pair]),
+                                           attn_vector(params, i, k)), config.leaky_slope)
             alpha = T.segment_softmax(logits, node_ids, v_total)
             agg = T.segment_sum(T.hadamard(m_pair, alpha), node_ids, v_total)
             head_outs.append(T.elu(agg))
@@ -682,4 +707,4 @@ def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     assert set(grads) == set(r_grads)
     for name in grads:
         assert_close(grads[name], r_grads[name], f"grad {name}")
-    assert any(np.abs(grads[name]).max() > 0 for name in grads if name.startswith("attn_"))
+    assert np.abs(grads["attn"]).max() > 0
