@@ -11,7 +11,8 @@ from .model import (ModelCache, ModelConfig, ModelParams, ForwardOutput,
 from .optim import Adam
 from .synthetic import generate_synthetic
 from .tensor import Tape, Tensor
-from .training import TrainConfig, TrainReport, loss_fn, run_cv, run_test, train
+from .training import (Split, TrainConfig, TrainReport, loss_fn, resolve_split, run_cv,
+                       run_test, train)
 from .evaluation import rank_metrics, silhouette, stratify_by_degree
 
 __version__ = "0.1.0"

@@ -18,15 +18,15 @@ import numpy as np
 
 from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
                          silhouette, stratify_by_degree)
-from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, check_split,
+from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan,
                     derive_positive_triplets, load_edges, load_json, make_split)
 from .metapath import causal_metapaths, dump_instances
 from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, check_type,
                     config_block)
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
-from .training import (TrainConfig, build_test_set, run_cv, run_test,
-                       score_ranking_set, thread_map, train_for_test)
+from .training import (Split, TrainConfig, build_test_set, resolve_split, run_cv,
+                       run_test, score_ranking_set, thread_map, train_for_test)
 
 _FEATURE_KEYS = {"gene": GENE, "microbe": MICROBE, "disease": DISEASE}
 
@@ -49,6 +49,11 @@ _VALUE_TYPES = {
     "synthetic.": {"n_genes": "int", "n_microbes": "int", "n_diseases": "int",
                    "latent_dim": "int", "edge_density": "float", "rng_seed": "int"},
     "split.": {"test_fraction": "float", "folds": "int"},
+}
+# the least value of each count load_config checks itself
+_MINIMA = {
+    "synthetic.": {"n_genes": 2, "n_microbes": 2, "n_diseases": 2, "latent_dim": 1},
+    "split.": {"folds": 2},
 }
 
 
@@ -109,12 +114,19 @@ def load_config(path, seed_override=None, out_override=None,
             for key, type_name in types.items():
                 if key in block:
                     check_type(f"{where}{key}", block[key], type_name)
+        for where, minima in _MINIMA.items():
+            block = doc.get(where.rstrip("."), {})
+            for key, least in minima.items():
+                if block.get(key, least) < least:
+                    raise ValueError(f"{where}{key} must be >= {least}, got {block[key]!r}")
         split = doc.get("split", {})
-        if split.get("folds", 2) < 2:
-            raise ValueError(f"split.folds must be >= 2, got {split['folds']!r}")
         if not 0 <= split.get("test_fraction", 0) < 1:
             raise ValueError(f"split.test_fraction must lie in [0, 1), "
                              f"got {split['test_fraction']!r}")
+        synthetic = doc.get("synthetic", {})
+        if not 0 < synthetic.get("edge_density", 0.5) < 1:
+            raise ValueError(f"synthetic.edge_density must lie in (0, 1), "
+                             f"got {synthetic['edge_density']!r}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     model_doc = dict(doc.get("model", {}))
@@ -153,22 +165,24 @@ def build_graph(cfg: RunConfig) -> HetGraph:
                       feature_paths=features or None)
 
 
-def build_split(cfg: RunConfig, g: HetGraph) -> SplitPlan:
-    if cfg.split_file:
-        plan = SplitPlan.load(cfg.split_file)
-        check_split(plan, {g.triplet_id(p) for p in derive_positive_triplets(g)},
-                    cfg.split_file)
-        return plan
-    opts = cfg.split or {}
+def build_split(cfg: RunConfig, g: HetGraph) -> Split:
+    """The config's split file or generated split, checked against `g` and resolved.
+
+    Every command that needs a split calls this once and hands the result on.
+    """
     positives = derive_positive_triplets(g)
-    return make_split(g, positives,
+    if cfg.split_file:
+        return resolve_split(g, SplitPlan.load(cfg.split_file), cfg.split_file, positives)
+    opts = cfg.split or {}
+    plan = make_split(g, positives,
                       test_fraction=opts.get("test_fraction", 0.1),
                       folds=opts.get("folds", 5),
                       rng_seed=derive_seed(cfg.seed, "split"))
+    return resolve_split(g, plan, "generated split", positives)
 
 
-def split_hash(plan: SplitPlan) -> str:
-    return hashlib.sha256(plan.to_json().encode("utf-8")).hexdigest()[:16]
+def split_hash(split: Split) -> str:
+    return hashlib.sha256(split.plan.to_json().encode("utf-8")).hexdigest()[:16]
 
 
 def _ensure_dirs(out):
@@ -222,9 +236,9 @@ def cmd_cv(cfg: RunConfig) -> str:
     _write_run_file(cfg)
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
-    plan = build_split(cfg, g)
-    result = run_cv(g, plan, cfg.model, cfg.train, max_workers=_threads())
-    doc = {"split_hash": split_hash(plan), "seed": cfg.seed,
+    split = build_split(cfg, g)
+    result = run_cv(g, split, cfg.model, cfg.train, max_workers=_threads())
+    doc = {"split_hash": split_hash(split), "seed": cfg.seed,
            "variant": cfg.model.variant,
            "folds": result.records, "mean": result.mean}
     path = os.path.join(cfg.out, "metrics", "cv.json")
@@ -238,13 +252,13 @@ def cmd_cv(cfg: RunConfig) -> str:
 
 
 def _test_run(model_cfg: ModelConfig, train_cfg: TrainConfig, g: HetGraph,
-              plan: SplitPlan):
+              split: Split):
     """Fit the test model, then rank the test set with it.
 
     Also returns the embeddings the test set was scored from.
     """
-    params, report, cache = train_for_test(g, plan, model_cfg, train_cfg)
-    test_set = build_test_set(g, plan, train_cfg.seed, 30)
+    params, report, cache = train_for_test(g, split, model_cfg, train_cfg)
+    test_set = build_test_set(g, split, train_cfg.seed, 30)
     cases, embeddings = score_ranking_set(g, cache, params, test_set)
     return params, report, test_set, cases, embeddings
 
@@ -253,8 +267,8 @@ def cmd_test(cfg: RunConfig) -> str:
     _write_run_file(cfg)
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
-    plan = build_split(cfg, g)
-    params, report, test_set, cases, embeddings = _test_run(cfg.model, cfg.train, g, plan)
+    split = build_split(cfg, g)
+    params, report, test_set, cases, embeddings = _test_run(cfg.model, cfg.train, g, split)
     metrics = rank_metrics(cases)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
 
@@ -267,7 +281,7 @@ def cmd_test(cfg: RunConfig) -> str:
     export_path = os.path.join(cfg.out, "exports", "test_embeddings.tsv")
     export_embeddings(export_path, ids, labels, vecs)
 
-    doc = {"split_hash": split_hash(plan), "seed": cfg.seed,
+    doc = {"split_hash": split_hash(split), "seed": cfg.seed,
            "variant": cfg.model.variant, "metrics": metrics,
            "silhouette": silhouette(vecs, np.array(labels)),
            "best_epoch": report.best_epoch, "epochs": report.epochs_run,
@@ -283,14 +297,14 @@ def cmd_ablate(cfg: RunConfig) -> str:
     _write_run_file(cfg)
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
-    plan = build_split(cfg, g)
-    shash = split_hash(plan)
+    split = build_split(cfg, g)
+    shash = split_hash(split)
 
     def run_variant(variant: str) -> dict:
         row = {"variant": variant, "split_hash": shash, "error": None}
         try:
             _, report, _, cases, _ = _test_run(replace(cfg.model, variant=variant),
-                                               cfg.train, g, plan)
+                                               cfg.train, g, split)
             row.update(rank_metrics(cases))
             row["best_epoch"] = report.best_epoch
             row["epochs"] = report.epochs_run
@@ -318,9 +332,9 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
     params = ModelParams.load(checkpoint_path)
     g = build_graph(cfg)
-    plan = build_split(cfg, g)
+    split = build_split(cfg, g)
     cache = ModelCache(g, params.config.variant)
-    _, cases = run_test(g, plan, cache, params, cfg.seed)
+    _, cases = run_test(g, split, cache, params, cfg.seed)
     reports = stratify_by_degree(cases, default_thresholds(cases, k=12))
     path = os.path.join(cfg.out, "metrics", "strata.tsv")
     with open(path, "w", encoding="utf-8") as fh:

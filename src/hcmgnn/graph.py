@@ -350,27 +350,6 @@ class SplitPlan:
         return cls(test=doc["test"], folds=doc["folds"], seed=doc["seed"])
 
 
-def check_split(plan: SplitPlan, positive_ids, where: str):
-    """Reject a split with an id not in `positive_ids` or seen twice, or an empty fold.
-
-    Errors name `where`, the split file.
-    """
-    if not plan.folds:
-        raise ValueError(f"{where}: the split has no folds")
-    seen = set()
-    for name, ids in [("test", plan.test)] + [
-            (f"fold {k}", fold) for k, fold in enumerate(plan.folds)]:
-        if not ids and name != "test":
-            raise ValueError(f"{where}: {name} is empty")
-        for tid in ids:
-            if tid not in positive_ids:
-                raise ValueError(f"{where}: {name} id {tid!r} is not a known positive")
-            if tid in seen:
-                raise ValueError(f"{where}: id {tid!r} appears more than once "
-                                 "across test and folds")
-            seen.add(tid)
-
-
 def make_split(g: HetGraph, positives: list[LabeledTriplet],
                test_fraction: float = 0.1, folds: int = 5,
                rng_seed: int = 0) -> SplitPlan:

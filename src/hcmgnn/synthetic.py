@@ -16,6 +16,12 @@ import numpy as np
 from .graph import DISEASE, GENE, MICROBE, PAIR_KINDS, EntityType, HetGraph
 
 FEATURE_NOISE_STD = 0.1
+# The mixture is spread-dominant, so the edge process tracks the continuous
+# latent inner product rather than bare component identity, and corrupted
+# triplets stay separable from node features; the slope sharpens that.
+MIXTURE_SCALE = 0.5
+MIXTURE_SPREAD = 2.0
+EDGE_SLOPE = 4.0
 _PREFIX = {GENE: "g", MICROBE: "m", DISEASE: "d"}
 
 
@@ -48,40 +54,34 @@ def _density(scores: dict, uniforms: dict, bias: float) -> float:
 def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
                        latent_dim: int, edge_density_target: float,
                        rng_seed: int, out_dir: str | None = None,
-                       bias: float | None = None,
-                       mixture_scale: float = 0.5,
-                       mixture_spread: float = 2.0,
-                       edge_slope: float = 4.0) -> SyntheticDataset:
+                       bias: float | None = None) -> SyntheticDataset:
     """Sample a planted graph and optionally write its edge/feature files.
 
     Output files are a pure function of the arguments, byte for byte.
     Passing `bias` skips density calibration.
-
-    The spread-dominant mixture defaults make the edge process track the
-    continuous latent inner product rather than bare component identity,
-    so corrupted triplets stay separable from node features; the slope
-    sharpens that dependence.
     """
     sizes = {GENE: n_genes, MICROBE: n_microbes, DISEASE: n_diseases}
     for t, n in sizes.items():
         if n < 2:
             raise ValueError(f"generate_synthetic: need at least 2 {t.name.lower()}s")
+    if latent_dim < 1:
+        raise ValueError("generate_synthetic: latent_dim must be >= 1")
     if not (0.0 < edge_density_target < 1.0) and bias is None:
         raise ValueError("generate_synthetic: density must lie in (0, 1)")
 
     rng = np.random.default_rng(rng_seed)
-    center = (mixture_scale / np.sqrt(latent_dim)) * np.ones(latent_dim)
+    center = (MIXTURE_SCALE / np.sqrt(latent_dim)) * np.ones(latent_dim)
     latents = {}
     for t in EntityType:
         comp = rng.integers(0, 2, size=sizes[t])
-        noise = rng.normal(0.0, mixture_spread / np.sqrt(latent_dim),
+        noise = rng.normal(0.0, MIXTURE_SPREAD / np.sqrt(latent_dim),
                            size=(sizes[t], latent_dim))
         latents[t] = np.where(comp[:, None] == 0, center, -center) + noise
 
     scores = {}
     uniforms = {}
     for a, b_t in PAIR_KINDS:
-        scores[(a, b_t)] = edge_slope * (latents[a] @ latents[b_t].T)
+        scores[(a, b_t)] = EDGE_SLOPE * (latents[a] @ latents[b_t].T)
         uniforms[(a, b_t)] = rng.uniform(size=scores[(a, b_t)].shape)
 
     if bias is None:

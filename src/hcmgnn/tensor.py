@@ -173,12 +173,7 @@ def ones(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones((rows, cols)), requires_grad=requires_grad)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
@@ -191,7 +186,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(a.data.T.copy())
 
     def rule(g):
@@ -202,7 +196,6 @@ def transpose(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, rows: int, cols: int) -> Tensor:
     """The same entries, row-major, as a rows x cols matrix."""
-    a = _as_tensor(a)
     if rows < 0 or cols < 0 or rows * cols != a.data.size:
         raise ShapeError(f"reshape: {a.shape} to ({rows}, {cols})")
     out = Tensor(a.data.reshape(rows, cols))
@@ -225,7 +218,6 @@ def _broadcast_kind(a: Tensor, b: Tensor, opname: str) -> str:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b; b may be a 1 x cols row or rows x 1 column."""
-    a, b = _as_tensor(a), _as_tensor(b)
     kind = _broadcast_kind(a, b, "add")
     out = Tensor(a.data + b.data)
 
@@ -243,7 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a * b; b may be a 1 x cols row or rows x 1 column."""
-    a, b = _as_tensor(a), _as_tensor(b)
     kind = _broadcast_kind(a, b, "hadamard")
     out = Tensor(a.data * b.data)
 
@@ -261,7 +252,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
 
 def smul(a: Tensor, s) -> Tensor:
     """Scale by a python float or a differentiable 1x1 tensor."""
-    a = _as_tensor(a)
     if isinstance(s, Tensor):
         if s.shape != (1, 1):
             raise ShapeError(f"smul: scalar operand must be 1x1, got {s.shape}")
@@ -284,7 +274,6 @@ def smul(a: Tensor, s) -> Tensor:
 
 def _concat(parts: list[Tensor], axis: int, opname: str) -> Tensor:
     """Join `parts` along `axis`; every other extent must agree."""
-    parts = [_as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError(f"{opname}: empty input list")
     other = 1 - axis
@@ -312,7 +301,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows a[idx]; repeated indices accumulate gradient."""
-    a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: index must be 1-D, got ndim={idx.ndim}")
@@ -331,11 +319,9 @@ def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     `np.bincount` adds its weights in input order, so each output sums its
     rows in row order, bit for bit as an unbuffered `ufunc.at` addition
-    into zeros does; `np.add.reduceat` does not keep that order.  A 2-D
-    `values` goes through the flat index idx * cols + column.
+    into zeros does; `np.add.reduceat` does not keep that order.  The
+    rows x cols `values` go through the flat index idx * cols + column.
     """
-    if values.ndim == 1:
-        return np.bincount(idx, weights=values, minlength=n)
     cols = values.shape[1]
     flat = (idx[:, None] * cols + np.arange(cols)).ravel()
     return np.bincount(flat, weights=values.ravel(),
@@ -351,7 +337,6 @@ def _check_segments(seg: np.ndarray, nrows: int, num_segments: int, opname: str)
 
 def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
     """out[j] = sum of rows i with segments[i] == j; empty segments give 0."""
-    a = _as_tensor(a)
     seg = np.asarray(segments, dtype=np.int64)
     _check_segments(seg, a.shape[0], num_segments, "segment_sum")
     out = Tensor(_scatter_add(seg, a.data, num_segments))
@@ -364,7 +349,6 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
 
 def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     """out[j] = mean of rows i with segments[i] == j; empty segments give 0."""
-    a = _as_tensor(a)
     seg = np.asarray(segments, dtype=np.int64)
     _check_segments(seg, a.shape[0], num_segments, "segment_mean")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
@@ -379,7 +363,6 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
 
 def mean_rows(a: Tensor) -> Tensor:
     """Column means as a 1 x cols row."""
-    a = _as_tensor(a)
     if a.shape[0] == 0:
         raise ShapeError("mean_rows: empty tensor")
     n = a.shape[0]
@@ -393,7 +376,6 @@ def mean_rows(a: Tensor) -> Tensor:
 
 def row_softmax(a: Tensor) -> Tensor:
     """Softmax along each row; rows sum to 1."""
-    a = _as_tensor(a)
     if a.data.size == 0:
         raise ShapeError("row_softmax: softmax over an empty set")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
@@ -415,7 +397,6 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
     in every column, which comes out bit for bit as it would on its own.
     An input with no rows is rejected.
     """
-    a = _as_tensor(a)
     if a.shape[0] == 0:
         raise ShapeError("segment_softmax: softmax over an empty set")
     seg = np.asarray(segments, dtype=np.int64)
@@ -438,7 +419,6 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
-    a = _as_tensor(a)
     out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
 
     def rule(g):  # the mask is built only when a backward runs
@@ -448,7 +428,6 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     ex = np.exp(np.minimum(a.data, 0.0))
     out = Tensor(np.where(a.data > 0, a.data, ex - 1.0))
 
@@ -459,7 +438,6 @@ def elu(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     y = np.tanh(a.data)
     out = Tensor(y)
 
@@ -470,7 +448,6 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     # stable in both tails
     y = np.where(a.data >= 0,
                  1.0 / (1.0 + np.exp(-np.maximum(a.data, 0))),
@@ -485,7 +462,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def sum_sq(a: Tensor) -> Tensor:
     """Squared L2 norm of all entries, as a 1x1 tensor."""
-    a = _as_tensor(a)
     out = Tensor(np.array([[float((a.data * a.data).sum())]]))
 
     def rule(g):

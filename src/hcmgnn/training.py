@@ -219,42 +219,64 @@ def thread_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _resolve_ids(ids, by_id, where: str) -> list[LabeledTriplet]:
-    out = []
-    for tid in ids:
-        trip = by_id.get(tid)
-        if trip is None:
-            raise KeyError(f"{where}: triplet id {tid!r} is not a known positive")
-        out.append(trip)
-    return out
+@dataclass(frozen=True)
+class Split:
+    """A split plan checked against a graph, each of its ids resolved to a positive.
 
-
-@dataclass
-class _ResolvedPlan:
-    """A split plan's ids turned into positives, plus the known-positive keys."""
+    `known` holds the key of every positive of the graph, which no sampled
+    negative may be.
+    """
+    plan: SplitPlan
     known: set[tuple[int, int, int]]
-    test: list[LabeledTriplet]
-    folds: list[list[LabeledTriplet]]
+    test_positives: list[LabeledTriplet]
+    fold_positives: list[list[LabeledTriplet]]
+
+    @property
+    def test(self) -> list[str]:
+        """The test ids, as the plan lists them; `perfbench/child.py` reads these."""
+        return self.plan.test
 
 
-def _resolve_plan(g: HetGraph, plan: SplitPlan) -> _ResolvedPlan:
-    """Audit the plan and resolve every id in it, before any training."""
-    audit_no_leakage(plan)
-    positives = derive_positive_triplets(g)
+def resolve_split(g: HetGraph, plan: SplitPlan, where: str,
+                  positives: list[LabeledTriplet] | None = None) -> Split:
+    """Check `plan` against `g` and resolve every id in it, before any training.
+
+    Rejects fewer than 2 folds, a test id inside a fold (the leakage
+    audit), an empty fold, an id that is not a positive of `g` and an id
+    listed twice; each error names `where`.  `positives` are `g`'s
+    positive triplets, when the caller has derived them already.
+    """
+    if len(plan.folds) < 2:
+        raise ValueError(f"{where}: a split needs at least 2 folds, got {len(plan.folds)}")
+    audit_no_leakage(plan, where)
+    if positives is None:
+        positives = derive_positive_triplets(g)
     by_id = {g.triplet_id(p): p for p in positives}
-    return _ResolvedPlan(known={p.key() for p in positives},
-                         test=_resolve_ids(plan.test, by_id, "test"),
-                         folds=[_resolve_ids(fold, by_id, f"fold {k}")
-                                for k, fold in enumerate(plan.folds)])
+    seen = set()
+    resolved = []
+    for name, ids in [("test", plan.test)] + [
+            (f"fold {k}", fold) for k, fold in enumerate(plan.folds)]:
+        if not ids and name != "test":
+            raise ValueError(f"{where}: {name} is empty")
+        for tid in ids:
+            if tid not in by_id:
+                raise ValueError(f"{where}: {name} id {tid!r} is not a known positive")
+            if tid in seen:
+                raise ValueError(f"{where}: id {tid!r} appears more than once "
+                                 "across test and folds")
+            seen.add(tid)
+        resolved.append([by_id[tid] for tid in ids])
+    return Split(plan=plan, known={p.key() for p in positives},
+                 test_positives=resolved[0], fold_positives=resolved[1:])
 
 
-def audit_no_leakage(plan: SplitPlan):
-    """Every invocation re-checks that no test id is in a fold, which trains the others."""
+def audit_no_leakage(plan: SplitPlan, where: str = "split"):
+    """Reject a plan with a test id in a fold, which trains the others."""
     test = set(plan.test)
     for k, fold in enumerate(plan.folds):
         leaked = test.intersection(fold)
         if leaked:
-            raise RuntimeError(f"leakage: test ids {sorted(leaked)[:3]}... "
+            raise RuntimeError(f"{where}: leakage: test ids {sorted(leaked)[:3]}... "
                                f"appear in fold {k}")
 
 
@@ -286,18 +308,18 @@ def _mean_record(records: list[dict]) -> dict:
     return mean
 
 
-def _fit(g: HetGraph, cache: ModelCache, split: _ResolvedPlan, k: int, label: str,
+def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
          model_cfg: ModelConfig, train_cfg: TrainConfig, n_rank_negatives: int):
     """Train on every fold but k plus equal negatives, early-stopping on fold k.
 
     `label` ("fold{k}" or "test-model") names the run in its seed labels.
     """
     seed = train_cfg.seed
-    train_pos = [p for i, fold in enumerate(split.folds) if i != k for p in fold]
+    train_pos = [p for i, fold in enumerate(split.fold_positives) if i != k for p in fold]
     train_neg = sample_training_negatives(
         train_pos, derive_seed(seed, f"train-neg/{label}"), g.sizes,
         known_positives=split.known)
-    val_set = build_ranking_set(g, split.folds[k], n_rank_negatives,
+    val_set = build_ranking_set(g, split.fold_positives[k], n_rank_negatives,
                                 derive_seed(seed, f"val-neg/{label}"), split.known)
     params = init_params(cache, model_cfg, derive_seed(seed, f"params/{label}"))
     samples = train_pos + train_neg
@@ -306,11 +328,10 @@ def _fit(g: HetGraph, cache: ModelCache, split: _ResolvedPlan, k: int, label: st
     return params, report, len(train_pos), len(train_neg)
 
 
-def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
+def run_cv(g: HetGraph, split: Split, model_cfg: ModelConfig,
            train_cfg: TrainConfig, n_rank_negatives: int = 30,
            max_workers: int = 1) -> CVResult:
     """5-fold CV: train on 4 folds plus equal negatives, rank the held-out fold."""
-    split = _resolve_plan(g, plan)
     cache = ModelCache(g, model_cfg.variant)
 
     def run_fold(k: int) -> FoldResult:
@@ -320,7 +341,7 @@ def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
                           report=report, params=params,
                           n_train_pos=n_pos, n_train_neg=n_neg)
 
-    results = thread_map(run_fold, range(len(plan.folds)), max_workers)
+    results = thread_map(run_fold, range(len(split.fold_positives)), max_workers)
 
     records = []
     for r in results:
@@ -330,7 +351,7 @@ def run_cv(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     return CVResult(folds=results, records=records, mean=_mean_record(records))
 
 
-def train_for_test(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
+def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
                    train_cfg: TrainConfig) -> tuple[ModelParams, TrainReport, ModelCache]:
     """Fit the model used against the independent test set.
 
@@ -338,8 +359,7 @@ def train_for_test(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     folds plus equal sampled negatives form the training set.  Test
     positives are never visible here (audited).
     """
-    split = _resolve_plan(g, plan)
-    if not split.test:
+    if not split.test_positives:
         raise ValueError("train_for_test: the split holds no test positives")
     cache = ModelCache(g, model_cfg.variant)
     params, report, _, _ = _fit(g, cache, split, 0, "test-model",
@@ -347,17 +367,16 @@ def train_for_test(g: HetGraph, plan: SplitPlan, model_cfg: ModelConfig,
     return params, report, cache
 
 
-def build_test_set(g: HetGraph, plan: SplitPlan, seed: int,
+def build_test_set(g: HetGraph, split: Split, seed: int,
                    n_rank_negatives: int) -> RankingSet:
     """Each test positive with its freshly sampled pool of negatives."""
-    split = _resolve_plan(g, plan)
-    return build_ranking_set(g, split.test, n_rank_negatives,
+    return build_ranking_set(g, split.test_positives, n_rank_negatives,
                              derive_seed(seed, "test-neg"), split.known)
 
 
-def run_test(g: HetGraph, plan: SplitPlan, cache: ModelCache, params: ModelParams,
+def run_test(g: HetGraph, split: Split, cache: ModelCache, params: ModelParams,
              seed: int, n_rank_negatives: int = 30):
     """Rank each test positive against freshly sampled negatives."""
     cases, _ = score_ranking_set(g, cache, params,
-                                 build_test_set(g, plan, seed, n_rank_negatives))
+                                 build_test_set(g, split, seed, n_rank_negatives))
     return rank_metrics(cases), cases

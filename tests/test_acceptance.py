@@ -16,7 +16,8 @@ from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
 from hcmgnn.metapath import causal_metapaths, enumerate_instance_rows
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
 from hcmgnn.synthetic import generate_synthetic
-from hcmgnn.training import TrainConfig, loss_fn, run_cv, run_test, train_for_test
+from hcmgnn.training import (TrainConfig, loss_fn, resolve_split, run_cv, run_test,
+                             train_for_test)
 
 PLANTED = dict(n_genes=40, n_microbes=30, n_diseases=30,
                latent_dim=8, edge_density_target=0.15, rng_seed=7)
@@ -162,13 +163,14 @@ def test_criterion_4_metric_identities():
 
 def test_criterion_5_learnability(planted):
     g, plan = planted
+    split = resolve_split(g, plan, "split")
     start = time.perf_counter()
     results = {}
     for variant in ("full", "woTM"):
         cfg = ModelConfig(variant=variant, **ACCEPT_MODEL)
         tcfg = TrainConfig(seed=TRAIN_SEED, max_epochs=800)
-        params, report, cache = train_for_test(g, plan, cfg, tcfg)
-        metrics, _ = run_test(g, plan, cache, params, tcfg.seed)
+        params, report, cache = train_for_test(g, split, cfg, tcfg)
+        metrics, _ = run_test(g, split, cache, params, tcfg.seed)
         results[variant] = metrics["mrr"]
     elapsed = time.perf_counter() - start
     ok = results["full"] >= 0.39 and results["full"] > results["woTM"] \
@@ -186,7 +188,8 @@ def test_criterion_6_protocol_fidelity():
     plan = make_split(g, positives, rng_seed=13)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     tcfg = TrainConfig(seed=21, max_epochs=3, patience=50)
-    result = run_cv(g, plan, cfg, tcfg)  # leakage audit runs inside
+    split = resolve_split(g, plan, "split")  # the leakage audit runs inside
+    result = run_cv(g, split, cfg, tcfg)
 
     assert len(result.folds) == 5
     for fold in result.folds:
@@ -194,8 +197,8 @@ def test_criterion_6_protocol_fidelity():
         for case in fold.report.best_cases:
             assert len(case.candidate_ids) == 1 + 30
 
-    params, _, cache = train_for_test(g, plan, cfg, tcfg)
-    _, cases = run_test(g, plan, cache, params, tcfg.seed)
+    params, _, cache = train_for_test(g, split, cfg, tcfg)
+    _, cases = run_test(g, split, cache, params, tcfg.seed)
     assert all(len(c.candidate_ids) == 31 for c in cases)
 
     test_ids = set(plan.test)

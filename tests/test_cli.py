@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import load_embeddings
+from hcmgnn import cli, training
 from hcmgnn.cli import build_graph, build_split, load_config, main
 from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
 
@@ -189,7 +190,7 @@ def tampered_split_config(tmp_path, tamper):
     cfg_path, _ = write_config(tmp_path)
     cfg = load_config(cfg_path)
     g = build_graph(cfg)
-    plan = build_split(cfg, g)
+    plan = build_split(cfg, g).plan
     tamper(plan)
     split_path = str(tmp_path / "split.json")
     plan.save(split_path)
@@ -199,20 +200,46 @@ def tampered_split_config(tmp_path, tamper):
 
 def test_valid_split_file_loads_unchanged(tmp_path):
     cfg, g, plan, _ = tampered_split_config(tmp_path, lambda plan: None)
-    assert build_split(cfg, g) == plan
+    assert build_split(cfg, g).plan == plan
 
 
-@pytest.mark.parametrize("tamper, message", [
-    (lambda plan: plan.folds[0].append("g0|m0|d999"), "fold 0 id .* not a known positive"),
-    (lambda plan: plan.folds[1].append(plan.test[0]), "appears more than once"),
-    (lambda plan: plan.folds[2].append(plan.folds[3][0]), "appears more than once"),
-    (lambda plan: plan.folds[4].clear(), "fold 4 is empty"),
-], ids=["unknown-id", "test-in-fold", "fold-overlap", "empty-fold"])
-def test_bad_split_file_rejected_at_load(tmp_path, tamper, message):
+def merge_folds(plan):
+    plan.folds[:] = [[tid for fold in plan.folds for tid in fold]]
+
+
+@pytest.mark.parametrize("tamper, error, message", [
+    (lambda plan: plan.folds[0].append("g0|m0|d999"), ValueError,
+     "fold 0 id .* not a known positive"),
+    (lambda plan: plan.folds[1].append(plan.test[0]), RuntimeError,
+     "leakage: test ids .* appear in fold 1"),
+    (lambda plan: plan.folds[2].append(plan.folds[3][0]), ValueError,
+     "appears more than once"),
+    (lambda plan: plan.folds[4].clear(), ValueError, "fold 4 is empty"),
+    (merge_folds, ValueError, "a split needs at least 2 folds, got 1"),
+], ids=["unknown-id", "test-in-fold", "fold-overlap", "empty-fold", "one-fold"])
+def test_bad_split_file_rejected_at_load(tmp_path, tamper, error, message):
     cfg, g, _, split_path = tampered_split_config(tmp_path, tamper)
-    with pytest.raises(ValueError, match=message) as err:
+    with pytest.raises(error, match=message) as err:
         build_split(cfg, g)
-    assert split_path in str(err.value)
+    assert str(err.value).startswith(f"{split_path}: ")
+
+
+@pytest.mark.parametrize("command", ["cv", "test", "stratify", "ablate"])
+def test_each_command_resolves_the_split_once(tmp_path, monkeypatch, command):
+    cfg, _ = write_config(tmp_path, train={"max_epochs": 1, "patience": 50})
+    if command == "stratify":
+        assert main(["test", "--config", cfg]) == 0
+    calls = []
+    resolve = training.resolve_split
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(training, "resolve_split", counted)
+    monkeypatch.setattr(cli, "resolve_split", counted)
+    assert main([command, "--config", cfg]) == 0
+    assert calls == ["generated split"]
 
 
 @pytest.mark.parametrize("override, key", [
@@ -280,6 +307,22 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
     ({"split": {"folds": 1}}, "split.folds must be >= 2, got 1"),
     ({"split": {"test_fraction": -0.5}}, r"split.test_fraction must lie in \[0, 1\), got -0.5"),
     ({"split": {"test_fraction": 1}}, r"split.test_fraction must lie in \[0, 1\), got 1"),
+    ({"synthetic": {"n_genes": 1, "n_microbes": 16, "n_diseases": 16}},
+     "synthetic.n_genes must be >= 2, got 1"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 0, "n_diseases": 16}},
+     "synthetic.n_microbes must be >= 2, got 0"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": -3}},
+     "synthetic.n_diseases must be >= 2, got -3"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16, "latent_dim": 0}},
+     "synthetic.latent_dim must be >= 1, got 0"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16, "latent_dim": -2}},
+     "synthetic.latent_dim must be >= 1, got -2"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "edge_density": 1.5}},
+     r"synthetic.edge_density must lie in \(0, 1\), got 1.5"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "edge_density": 0}},
+     r"synthetic.edge_density must lie in \(0, 1\), got 0"),
 ], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
         "patience-str", "epochs-bool", "gamma-2", "metric-unknown", "epochs-0",
         "epochs-negative", "lr-negative", "lr-nan", "seed-float", "seed-str", "seed-bool",
@@ -287,7 +330,9 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
         "n-genes-str", "n-microbes-float", "n-diseases-bool", "latent-dim-str",
         "rng-seed-float", "density-str", "test-fraction-str", "folds-str",
         "n-diseases-missing", "gene-disease-missing", "folds-0", "folds-negative", "folds-1",
-        "test-fraction-negative", "test-fraction-1"])
+        "test-fraction-negative", "test-fraction-1", "n-genes-1", "n-microbes-0",
+        "n-diseases-negative", "latent-dim-0", "latent-dim-negative", "density-1.5",
+        "density-0"])
 def test_bad_config_value_names_the_file(tmp_path, capsys, override, message):
     cfg_path, _ = write_config(tmp_path, **override)
     with pytest.raises(ValueError, match=message) as err:

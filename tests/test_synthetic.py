@@ -78,3 +78,5 @@ def test_size_and_density_validation():
         generate_synthetic(1, 5, 5, 4, 0.2, rng_seed=0)
     with pytest.raises(ValueError):
         generate_synthetic(5, 5, 5, 4, 1.5, rng_seed=0)
+    with pytest.raises(ValueError, match="latent_dim must be >= 1"):
+        generate_synthetic(5, 5, 5, 0, 0.2, rng_seed=0)

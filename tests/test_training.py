@@ -17,8 +17,8 @@ from hcmgnn.optim import Adam
 from hcmgnn.synthetic import generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
 from hcmgnn.training import (EarlyStopper, TrainConfig, audit_no_leakage,
-                             build_ranking_set, loss_fn, run_cv, run_test,
-                             score_ranking_set, train, train_for_test)
+                             build_ranking_set, loss_fn, resolve_split, run_cv,
+                             run_test, score_ranking_set, train, train_for_test)
 
 SMALL_MODEL = dict(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
 
@@ -100,10 +100,10 @@ def fold_fixture(g, seed=0):
 
 def test_train_is_deterministic():
     g = small_planted()
-    plan = make_split(g, derive_positive_triplets(g), rng_seed=1)
+    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=5, max_epochs=8, patience=50)
-    reports = [train_for_test(g, plan, mc, tc)[1] for _ in range(2)]
+    reports = [train_for_test(g, split, mc, tc)[1] for _ in range(2)]
     assert reports[0].train_losses == reports[1].train_losses
     assert reports[0].val_trace == reports[1].val_trace
     assert reports[0].best_epoch == reports[1].best_epoch
@@ -122,10 +122,10 @@ def test_train_rejects_empty_training_set():
 
 def test_train_returns_best_checkpoint():
     g = small_planted()
-    plan = make_split(g, derive_positive_triplets(g), rng_seed=1)
+    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=5, max_epochs=10, patience=50)
-    params, report, cache = train_for_test(g, plan, mc, tc)
+    params, report, cache = train_for_test(g, split, mc, tc)
     assert report.best_metric == max(report.val_trace)
     assert report.val_trace[report.best_epoch - 1] == report.best_metric
     for name, arr in report.best_state.items():
@@ -136,10 +136,11 @@ def test_train_returns_best_checkpoint():
 def test_loss_trace_on_planted_dataset_decreases():
     ds = generate_synthetic(40, 30, 30, 8, 0.15, rng_seed=7)
     g = ds.graph
-    plan = make_split(g, derive_positive_triplets(g), rng_seed=101)
+    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=101),
+                          "split")
     mc = ModelConfig(proj_dim=8, heads=2, fusion_dim=16, mlp_hidden=32)
     tc = TrainConfig(seed=11, max_epochs=10, patience=50)
-    _, report, _ = train_for_test(g, plan, mc, tc)
+    _, report, _ = train_for_test(g, split, mc, tc)
     losses = report.train_losses
     assert len(losses) == 10
     assert all(np.isfinite(losses))
@@ -277,7 +278,7 @@ def test_run_cv_protocol_counts():
     pos, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=9, max_epochs=4, patience=50)
-    result = run_cv(g, plan, mc, tc)
+    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc)
     assert len(result.records) == 5
     assert result.mean["fold"] == "mean"
     for k, fold in enumerate(result.folds):
@@ -296,7 +297,7 @@ def test_run_cv_scores_each_fold_from_its_training_passes(monkeypatch):
     calls = []
     counted = training.forward
     monkeypatch.setattr(training, "forward", lambda *a: calls.append(1) or counted(*a))
-    result = run_cv(g, plan, ModelConfig(**SMALL_MODEL),
+    result = run_cv(g, resolve_split(g, plan, "split"), ModelConfig(**SMALL_MODEL),
                     TrainConfig(seed=9, max_epochs=3, patience=50))
     assert len(calls) == sum(fold.report.epochs_run + 1 for fold in result.folds)
     for fold in result.folds:
@@ -308,7 +309,7 @@ def test_run_cv_mean_is_fold_order_invariant():
     _, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=9, max_epochs=3, patience=50)
-    result = run_cv(g, plan, mc, tc)
+    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc)
     shuffled = list(reversed(result.records))
     for key in ("hit1", "mrr"):
         assert np.mean([r[key] for r in shuffled]) == pytest.approx(result.mean[key])
@@ -319,9 +320,20 @@ def test_run_cv_is_deterministic():
     _, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=9, max_epochs=3, patience=50)
-    r1 = run_cv(g, plan, mc, tc)
-    r2 = run_cv(g, plan, mc, tc)
+    split = resolve_split(g, plan, "split")
+    r1 = run_cv(g, split, mc, tc)
+    r2 = run_cv(g, split, mc, tc)
     assert r1.records == r2.records
+
+
+def test_resolve_split_resolves_each_id_to_its_positive():
+    g = small_planted()
+    pos, plan = fold_fixture(g, seed=2)
+    split = resolve_split(g, plan, "split", pos)
+    assert split == resolve_split(g, plan, "split")
+    assert split.known == {p.key() for p in pos}
+    assert [g.triplet_id(p) for p in split.test_positives] == plan.test == split.test
+    assert [[g.triplet_id(p) for p in fold] for fold in split.fold_positives] == plan.folds
 
 
 def test_leakage_audit_fires_on_tampered_plan():
@@ -334,7 +346,7 @@ def test_leakage_audit_fires_on_tampered_plan():
         audit_no_leakage(bad)
     mc = ModelConfig(**SMALL_MODEL)
     with pytest.raises(RuntimeError, match="leakage"):
-        run_cv(g, bad, mc, TrainConfig(seed=0, max_epochs=2))
+        run_cv(g, resolve_split(g, bad, "split"), mc, TrainConfig(seed=0, max_epochs=2))
 
 
 def test_unknown_test_id_fails_before_any_training(monkeypatch):
@@ -343,8 +355,10 @@ def test_unknown_test_id_fails_before_any_training(monkeypatch):
     bad = SplitPlan(test=plan.test + ["g0|m0|nowhere"], folds=plan.folds,
                     seed=plan.seed)
     monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained"))
-    with pytest.raises(KeyError, match=re.escape("test: triplet id 'g0|m0|nowhere'")):
-        train_for_test(g, bad, ModelConfig(**SMALL_MODEL), TrainConfig(seed=0))
+    with pytest.raises(ValueError,
+                       match=re.escape("split: test id 'g0|m0|nowhere' is not a known")):
+        train_for_test(g, resolve_split(g, bad, "split"), ModelConfig(**SMALL_MODEL),
+                       TrainConfig(seed=0))
 
 
 def test_empty_test_set_fails_before_any_training(monkeypatch):
@@ -352,7 +366,8 @@ def test_empty_test_set_fails_before_any_training(monkeypatch):
     _, plan = fold_fixture(g, seed=2)
     monkeypatch.setattr(training, "train", lambda *a, **k: pytest.fail("trained"))
     with pytest.raises(ValueError, match="no test positives"):
-        train_for_test(g, SplitPlan(test=[], folds=plan.folds, seed=plan.seed),
+        train_for_test(g, resolve_split(g, SplitPlan(test=[], folds=plan.folds,
+                                                     seed=plan.seed), "split"),
                        ModelConfig(**SMALL_MODEL), TrainConfig(seed=0))
 
 
@@ -388,7 +403,7 @@ def test_run_test_with_uniform_scores_follows_tie_rule():
     params = init_params(cache, mc, 0)
     for name in ("mlp_W1", "mlp_b1", "mlp_W2", "mlp_b2"):
         params.tensors[name].data[:] = 0.0
-    metrics, cases = run_test(g, plan, cache, params, seed=77)
+    metrics, cases = run_test(g, resolve_split(g, plan, "split"), cache, params, seed=77)
     assert len(cases) == len(plan.test)
     for case in cases:
         assert np.allclose(case.scores, 0.5)
@@ -404,7 +419,8 @@ def test_run_test_rank_list_matches_test_size():
     _, plan = fold_fixture(g, seed=4)
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=1, max_epochs=3, patience=50)
-    params, _, cache = train_for_test(g, plan, mc, tc)
-    metrics, cases = run_test(g, plan, cache, params, seed=tc.seed)
+    split = resolve_split(g, plan, "split")
+    params, _, cache = train_for_test(g, split, mc, tc)
+    metrics, cases = run_test(g, split, cache, params, seed=tc.seed)
     assert len(cases) == len(plan.test)
     assert all(1 <= c.rank <= 31 for c in cases)
