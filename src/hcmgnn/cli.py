@@ -19,7 +19,8 @@ import numpy as np
 from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
                          silhouette, stratify_by_degree)
 from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan,
-                    derive_positive_triplets, load_edges, load_json, make_split)
+                    derive_positive_triplets, load_edges, load_json, make_split,
+                    positives_by_id)
 from .metapath import causal_metapaths, dump_instances
 from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, check_type,
                     config_block)
@@ -170,15 +171,15 @@ def build_split(cfg: RunConfig, g: HetGraph) -> Split:
 
     Every command that needs a split calls this once and hands the result on.
     """
-    positives = derive_positive_triplets(g)
+    by_id = positives_by_id(g)
     if cfg.split_file:
-        return resolve_split(g, SplitPlan.load(cfg.split_file), cfg.split_file, positives)
+        return resolve_split(g, SplitPlan.load(cfg.split_file), cfg.split_file, by_id)
     opts = cfg.split or {}
-    plan = make_split(g, positives,
+    plan = make_split(list(by_id),
                       test_fraction=opts.get("test_fraction", 0.1),
                       folds=opts.get("folds", 5),
                       rng_seed=derive_seed(cfg.seed, "split"))
-    return resolve_split(g, plan, "generated split", positives)
+    return resolve_split(g, plan, "generated split", by_id)
 
 
 def split_hash(split: Split) -> str:
@@ -275,11 +276,10 @@ def cmd_test(cfg: RunConfig) -> str:
     # embed every ranked candidate, each pool's positive first, for projection tools
     ids = [cid for pool in test_set.candidate_ids for cid in pool]
     labels = [int(j == 0) for pool in test_set.candidate_ids for j in range(len(pool))]
-    vecs = np.concatenate([embeddings[t].data[rows]
-                           for t, rows in zip((GENE, MICROBE, DISEASE), test_set.index)],
-                          axis=1)
-    export_path = os.path.join(cfg.out, "exports", "test_embeddings.tsv")
-    export_embeddings(export_path, ids, labels, vecs)
+    tables = [embeddings[t].data for t in (GENE, MICROBE, DISEASE)]
+    export_embeddings(os.path.join(cfg.out, "exports", "test_embeddings.tsv"),
+                      ids, labels, tables, test_set.index)
+    vecs = np.concatenate([tab[rows] for tab, rows in zip(tables, test_set.index)], axis=1)
 
     doc = {"split_hash": split_hash(split), "seed": cfg.seed,
            "variant": cfg.model.variant, "metrics": metrics,

@@ -166,12 +166,24 @@ def silhouette(embeddings, labels) -> float:
     return float(scores.mean())
 
 
-def export_embeddings(path, triplet_ids, labels, vectors):
-    """TSV rows `id<TAB>label<TAB>v1..vd`; floats round-trip exactly."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if len(triplet_ids) != vectors.shape[0] or len(labels) != vectors.shape[0]:
-        raise ValueError("export_embeddings: ids, labels and vectors must align")
+def export_embeddings(path, triplet_ids, labels, tables, index):
+    """TSV rows `id<TAB>label<TAB>v1..vd`; floats round-trip exactly.
+
+    Row i's vector is the concatenation of `tables[k][index[k][i]]` over
+    the per-type node tables (gene, microbe, disease).  Each node's row is
+    formatted once, and each TSV row is joined from the cached strings.
+    """
+    tables = [np.asarray(t, dtype=np.float64) for t in tables]
+    index = [np.asarray(idx, dtype=np.int64) for idx in index]
+    n = len(triplet_ids)
+    if len(labels) != n or len(index) != len(tables) or any(i.shape != (n,) for i in index):
+        raise ValueError(f"export_embeddings: {n} ids, {len(labels)} labels and index "
+                         f"arrays of shapes {[i.shape for i in index]} for {len(tables)} "
+                         "tables must align")
+    if n and any(i.min() < 0 or i.max() >= len(t) for t, i in zip(tables, index)):
+        raise ValueError("export_embeddings: an index is out of range for its table")
+    cached = [["\t".join(map(repr, row)) for row in t.tolist()] for t in tables]
     with open(path, "w", encoding="utf-8") as fh:
-        for tid, label, row in zip(triplet_ids, labels, vectors.tolist()):
-            vals = "\t".join(map(repr, row))
+        for tid, label, *rows in zip(triplet_ids, labels, *(idx.tolist() for idx in index)):
+            vals = "\t".join(c[r] for c, r in zip(cached, rows))
             fh.write(f"{tid}\t{int(label)}\t{vals}\n")

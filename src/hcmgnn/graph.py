@@ -240,6 +240,11 @@ def derive_positive_triplets(g: HetGraph) -> list[LabeledTriplet]:
     return [LabeledTriplet(gi, mi, di, 1, "observed") for gi, mi, di in gmd[closed].tolist()]
 
 
+def positives_by_id(g: HetGraph) -> dict[str, LabeledTriplet]:
+    """Each positive triplet of `g` keyed by its triplet id, in derivation order."""
+    return {g.triplet_id(p): p for p in derive_positive_triplets(g)}
+
+
 def _known_keys(positives: list[LabeledTriplet], sizes: tuple[int, int, int],
                 known_positives, name: str) -> set[tuple[int, int, int]]:
     """The triplets no negative may be; rejects an empty positive set or a full universe."""
@@ -350,18 +355,17 @@ class SplitPlan:
         return cls(test=doc["test"], folds=doc["folds"], seed=doc["seed"])
 
 
-def make_split(g: HetGraph, positives: list[LabeledTriplet],
-               test_fraction: float = 0.1, folds: int = 5,
+def make_split(ids: list[str], test_fraction: float = 0.1, folds: int = 5,
                rng_seed: int = 0) -> SplitPlan:
-    """Shuffle positives, reserve the test slice, split the rest into folds."""
-    n = len(positives)
+    """Shuffle the positives' triplet ids, reserve the test slice, split the rest into folds."""
+    n = len(ids)
     n_test = round(test_fraction * n)
     if n - n_test < folds:
         raise ValueError(f"make_split: {n - n_test} positives left after the test "
                          f"slice of {n_test} cannot fill {folds} folds")
     rng = np.random.default_rng(rng_seed)
     order = rng.permutation(n)
-    ids = [g.triplet_id(positives[i]) for i in order]
+    ids = [ids[i] for i in order]
 
     test = ids[:n_test]
     rest = ids[n_test:]

@@ -361,11 +361,25 @@ def fuse_subgraphs(views: Tensor, n_paths: int, q: Tensor, w: Tensor, b: Tensor)
     return T.segment_sum(weighted, np.tile(np.arange(n), n_paths), n), beta
 
 
-def predict(z_gene: Tensor, z_microbe: Tensor, z_disease: Tensor,
-            w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """MLP + sigmoid over the concatenated triplet embedding."""
-    x = T.concat_cols([z_gene, z_microbe, z_disease])
-    hidden = T.elu(T.add(T.matmul(x, T.transpose(w1)), b1))
+def predict(tables: list[Tensor], index, w1: Tensor, b1: Tensor, w2: Tensor,
+            b2: Tensor) -> Tensor:
+    """MLP + sigmoid over each triplet's z_g || z_m || z_d.
+
+    `tables` are the gene, microbe and disease node tables and `index` the
+    triple (genes, microbes, diseases) of row indices.  The first layer is
+    linear, so W1 [z_g; z_m; z_d] + b1 is the sum of each node's row times
+    its table's column block of W1, with b1 added to the gene rows: the
+    products and the bias run once per node, and only the gathered sum
+    runs once per triplet.
+    """
+    w1t = T.transpose(w1)
+    bounds = np.cumsum([0] + [t.shape[1] for t in tables])
+    if bounds[-1] != w1t.shape[0]:
+        raise ShapeError(f"predict: tables of {bounds[-1]} columns vs weight {w1.shape}")
+    prods = [T.matmul(t, T.gather_rows(w1t, np.arange(lo, hi)))
+             for t, lo, hi in zip(tables, bounds, bounds[1:])]
+    prods[0] = T.add(prods[0], b1)
+    hidden = T.elu(T.gather_sum(prods, index))
     logit = T.add(T.matmul(hidden, T.transpose(w2)), b2)
     return T.sigmoid(logit)
 
@@ -445,9 +459,5 @@ def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
     `embeddings` are `forward`'s per-type outputs; `index` is the triple
     (genes, microbes, diseases) of int64 node-index arrays.
     """
-    genes, microbes, diseases = index
-    return predict(T.gather_rows(embeddings[GENE], genes),
-                   T.gather_rows(embeddings[MICROBE], microbes),
-                   T.gather_rows(embeddings[DISEASE], diseases),
-                   params.tensors["mlp_W1"], params.tensors["mlp_b1"],
-                   params.tensors["mlp_W2"], params.tensors["mlp_b2"])
+    return predict([embeddings[t] for t in EntityType], index,
+                   *(params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2")))

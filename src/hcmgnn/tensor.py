@@ -23,7 +23,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "TapeError",
     "tensor", "constant", "zeros", "ones",
     "matmul", "transpose", "reshape", "add", "hadamard", "smul",
-    "concat_cols", "concat_rows", "gather_rows",
+    "concat_cols", "concat_rows", "gather_rows", "gather_sum",
     "segment_sum", "segment_mean", "mean_rows",
     "row_softmax", "segment_softmax",
     "leaky_relu", "elu", "tanh", "sigmoid", "sum_sq",
@@ -299,19 +299,50 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     return _concat(parts, 0, "concat_rows")
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Select rows a[idx]; repeated indices accumulate gradient."""
+def _row_index(idx, rows: int, opname: str) -> np.ndarray:
+    """`idx` as a 1-D int64 array of rows in [0, rows)."""
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: index must be 1-D, got ndim={idx.ndim}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+        raise ShapeError(f"{opname}: index must be 1-D, got ndim={idx.ndim}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise ShapeError(f"{opname}: index out of range for {rows} rows")
+    return idx
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Select rows a[idx]; repeated indices accumulate gradient."""
+    idx = _row_index(idx, a.shape[0], "gather_rows")
     out = Tensor(a.data[idx])
 
     def rule(g):
         _accumulate(a, _scatter_add(idx, g, a.shape[0]), fresh=True)
 
     return _record(out, (a,), rule)
+
+
+def gather_sum(tables: list[Tensor], indices) -> Tensor:
+    """Row i is tables[0][indices[0][i]] + tables[1][indices[1][i]] + ...
+
+    The gathered rows are summed left to right, bit for bit as a chain of
+    `gather_rows` and `add`; each table's grad is one scatter of the
+    output's grad.
+    """
+    if not tables or len(indices) != len(tables):
+        raise ShapeError(f"gather_sum: {len(tables)} tables but {len(indices)} index arrays")
+    idxs = [_row_index(idx, t.shape[0], "gather_sum") for t, idx in zip(tables, indices)]
+    if any(i.size != idxs[0].size for i in idxs):
+        raise ShapeError(f"gather_sum: index lengths {[i.size for i in idxs]} differ")
+    if any(t.shape[1] != tables[0].shape[1] for t in tables):
+        raise ShapeError(f"gather_sum: col mismatch {[t.shape for t in tables]}")
+    out = tables[0].data[idxs[0]]
+    for t, idx in zip(tables[1:], idxs[1:]):
+        out += t.data[idx]
+
+    def rule(g):
+        for t, idx in zip(tables, idxs):
+            _accumulate(t, _scatter_add(idx, g, t.shape[0]), fresh=True)
+
+    return _record(Tensor(out), tuple(tables), rule)
 
 
 def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -428,11 +459,16 @@ def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    ex = np.exp(np.minimum(a.data, 0.0))
-    out = Tensor(np.where(a.data > 0, a.data, ex - 1.0))
+    # branch-free: ex is exactly 1.0 wherever x > 0, so there (ex - 1) + x is
+    # x and the derivative is ex; the sum must stay in this order to keep bits
+    ex = np.minimum(a.data, 0.0)
+    np.exp(ex, out=ex)
+    y = ex - 1.0
+    y += np.maximum(a.data, 0.0)
+    out = Tensor(y)
 
-    def rule(g):  # the mask is built only when a backward runs
-        _accumulate(a, g * np.where(a.data > 0, 1.0, ex), fresh=True)
+    def rule(g):
+        _accumulate(a, g * ex, fresh=True)
 
     return _record(out, (a,), rule)
 

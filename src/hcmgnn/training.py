@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import METRIC_KEYS, RankedCase, make_case, rank_metrics
 from .graph import (EntityType, HetGraph, LabeledTriplet, SplitPlan,
-                    avg_node_degree, derive_positive_triplets, sample_negatives,
+                    avg_node_degree, positives_by_id, sample_negatives,
                     sample_training_negatives)
 from .model import (ModelCache, ModelConfig, ModelParams, check_field_types,
                     forward, init_params, score_triplets)
@@ -238,20 +238,19 @@ class Split:
 
 
 def resolve_split(g: HetGraph, plan: SplitPlan, where: str,
-                  positives: list[LabeledTriplet] | None = None) -> Split:
+                  by_id: dict[str, LabeledTriplet] | None = None) -> Split:
     """Check `plan` against `g` and resolve every id in it, before any training.
 
     Rejects fewer than 2 folds, a test id inside a fold (the leakage
     audit), an empty fold, an id that is not a positive of `g` and an id
-    listed twice; each error names `where`.  `positives` are `g`'s
-    positive triplets, when the caller has derived them already.
+    listed twice; each error names `where`.  `by_id` is `positives_by_id(g)`,
+    when the caller has built it already.
     """
     if len(plan.folds) < 2:
         raise ValueError(f"{where}: a split needs at least 2 folds, got {len(plan.folds)}")
     audit_no_leakage(plan, where)
-    if positives is None:
-        positives = derive_positive_triplets(g)
-    by_id = {g.triplet_id(p): p for p in positives}
+    if by_id is None:
+        by_id = positives_by_id(g)
     seen = set()
     resolved = []
     for name, ids in [("test", plan.test)] + [
@@ -266,7 +265,7 @@ def resolve_split(g: HetGraph, plan: SplitPlan, where: str,
                                  "across test and folds")
             seen.add(tid)
         resolved.append([by_id[tid] for tid in ids])
-    return Split(plan=plan, known={p.key() for p in positives},
+    return Split(plan=plan, known={p.key() for p in by_id.values()},
                  test_positives=resolved[0], fold_positives=resolved[1:])
 
 

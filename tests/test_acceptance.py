@@ -12,7 +12,8 @@ from hcmgnn.cli import main as cli_main
 from hcmgnn.evaluation import make_case, rank_metrics
 from hcmgnn.gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
-                          derive_positive_triplets, load_edges, make_split)
+                          derive_positive_triplets, load_edges, make_split,
+                          positives_by_id)
 from hcmgnn.metapath import causal_metapaths, enumerate_instance_rows
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
 from hcmgnn.synthetic import generate_synthetic
@@ -34,8 +35,7 @@ def verdict(n, ok, detail):
 @pytest.fixture(scope="module")
 def planted():
     ds = generate_synthetic(**PLANTED)
-    plan = make_split(ds.graph, derive_positive_triplets(ds.graph),
-                      rng_seed=SPLIT_SEED)
+    plan = make_split(list(positives_by_id(ds.graph)), rng_seed=SPLIT_SEED)
     return ds.graph, plan
 
 
@@ -184,8 +184,7 @@ def test_criterion_5_learnability(planted):
 def test_criterion_6_protocol_fidelity():
     ds = generate_synthetic(20, 16, 16, 4, 0.2, rng_seed=3)
     g = ds.graph
-    positives = derive_positive_triplets(g)
-    plan = make_split(g, positives, rng_seed=13)
+    plan = make_split(list(positives_by_id(g)), rng_seed=13)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     tcfg = TrainConfig(seed=21, max_epochs=3, patience=50)
     split = resolve_split(g, plan, "split")  # the leakage audit runs inside

@@ -8,7 +8,8 @@ import pytest
 from conftest import load_embeddings
 from hcmgnn import cli, training
 from hcmgnn.cli import build_graph, build_split, load_config, main
-from hcmgnn.graph import GENE, MICROBE, DISEASE, derive_positive_triplets, load_edges
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, derive_positive_triplets,
+                          load_edges)
 
 SMALL_MODEL = {"proj_dim": 4, "heads": 2, "fusion_dim": 5, "mlp_hidden": 6}
 DROP = object()   # an override that leaves the key out of the config
@@ -222,6 +223,23 @@ def test_bad_split_file_rejected_at_load(tmp_path, tamper, error, message):
     with pytest.raises(error, match=message) as err:
         build_split(cfg, g)
     assert str(err.value).startswith(f"{split_path}: ")
+
+
+@pytest.mark.parametrize("from_file", [False, True], ids=["generated", "split-file"])
+def test_build_split_derives_each_positive_id_once(tmp_path, monkeypatch, from_file):
+    cfg, g, _, _ = tampered_split_config(tmp_path, lambda plan: None)
+    if not from_file:
+        cfg = load_config(write_config(tmp_path)[0])
+    calls = []
+    triplet_id = HetGraph.triplet_id
+
+    def counted(self, t):
+        calls.append(t.key())
+        return triplet_id(self, t)
+
+    monkeypatch.setattr(HetGraph, "triplet_id", counted)
+    build_split(cfg, g)
+    assert sorted(calls) == sorted(p.key() for p in derive_positive_triplets(g))
 
 
 @pytest.mark.parametrize("command", ["cv", "test", "stratify", "ablate"])

@@ -250,15 +250,43 @@ def test_silhouette_requires_two_classes():
 
 # ---- export ----
 
+def export_case(rng, n=20):
+    """Gene, microbe and disease tables of 4, 3 and 5 columns, and n triplets
+    over them with every node used more than once."""
+    tables = [rng.normal(size=(rows, cols)) for rows, cols in ((6, 4), (5, 3), (4, 5))]
+    index = tuple(rng.integers(0, t.shape[0], size=n) for t in tables)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = [0, 1]
+    return [f"g{i}|m{i}|d{i}" for i in range(n)], labels, tables, index
+
+
+def rowwise_export(path, ids, labels, tables, index):
+    """The export as it ran before node rows were cached: one `repr` per
+    float of each triplet's concatenated vector."""
+    vecs = np.concatenate([t[i] for t, i in zip(tables, index)], axis=1)
+    with open(path, "w", encoding="utf-8") as fh:
+        for tid, label, row in zip(ids, labels, vecs.tolist()):
+            fh.write(f"{tid}\t{int(label)}\t" + "\t".join(map(repr, row)) + "\n")
+
+
+def test_export_matches_the_rowwise_reference_byte_for_byte(tmp_path):
+    ids, labels, tables, index = export_case(np.random.default_rng(5), n=40)
+    tables[0][0, :] = [-0.0, 0.0, 5e-324, -5e-324]
+    tables[1][1, :] = [1e308, -1e308, 2.2250738585072014e-308]
+    tables[2][2, :] = [-1e308, 1e-310, -0.0, 1.0 / 3.0, -2.5e-320]
+    for t, i in zip(tables, index):
+        i[:3] = [0, 1, 2]   # the special rows above are exported, twice over
+        i[3:6] = [0, 1, 2]
+    export_embeddings(tmp_path / "cached.tsv", ids, labels, tables, index)
+    rowwise_export(tmp_path / "rowwise.tsv", ids, labels, tables, index)
+    assert (tmp_path / "cached.tsv").read_bytes() == (tmp_path / "rowwise.tsv").read_bytes()
+
+
 def test_export_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    vecs = rng.normal(size=(20, 24))
-    labels = rng.integers(0, 2, size=20)
-    if len(np.unique(labels)) < 2:
-        labels[0] = 1 - labels[0]
-    ids = [f"g{i}|m{i}|d{i}" for i in range(20)]
+    ids, labels, tables, index = export_case(np.random.default_rng(2))
+    vecs = np.concatenate([t[i] for t, i in zip(tables, index)], axis=1)
     path = tmp_path / "emb.tsv"
-    export_embeddings(path, ids, labels, vecs)
+    export_embeddings(path, ids, labels, tables, index)
     rid, rlab, rvec = load_embeddings(path)
     assert rid == ids
     assert np.array_equal(rlab, labels)
@@ -267,8 +295,17 @@ def test_export_round_trip(tmp_path):
 
 
 def test_export_validates_alignment(tmp_path):
-    with pytest.raises(ValueError):
-        export_embeddings(tmp_path / "x.tsv", ["a"], [1, 0], np.ones((2, 3)))
+    ids, labels, tables, index = export_case(np.random.default_rng(3))
+    g, m, d = index
+    bad = {"ids": (ids[:-1], labels, index), "labels": (ids, labels[1:], index),
+           "short-index": (ids, labels, (g, m[:-1], d)), "two-indices": (ids, labels, (g, m)),
+           "index-past-end": (ids, labels, (g, m + 5, d)),
+           "negative-index": (ids, labels, (g, m, d - 4))}
+    for case, (bad_ids, bad_labels, bad_index) in bad.items():
+        path = tmp_path / f"{case}.tsv"
+        with pytest.raises(ValueError, match="export_embeddings"):
+            export_embeddings(path, bad_ids, bad_labels, tables, bad_index)
+        assert not path.exists(), case
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,7 +10,7 @@ from conftest import edge_set, random_graph, toy_graph
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, PAIR_KINDS, RELATIONS, HetGraph,
                           LabeledTriplet, SplitPlan, avg_node_degree,
                           derive_positive_triplets, load_edges, make_split,
-                          sample_negatives, sample_training_negatives)
+                          positives_by_id, sample_negatives, sample_training_negatives)
 
 
 def write(path, text):
@@ -254,19 +254,23 @@ def test_training_negatives_balance_slots_globally():
     assert max(slots) - min(slots) <= 1
 
 
-def make_positives(n):
-    return [LabeledTriplet(i, i, i, 1, "observed") for i in range(n)]
+def test_positives_by_id_keys_each_positive_by_its_id_in_order(tiny_graph):
+    by_id = positives_by_id(tiny_graph)
+    pos = derive_positive_triplets(tiny_graph)
+    assert list(by_id.values()) == pos
+    assert list(by_id) == [tiny_graph.triplet_id(p) for p in pos]
 
 
 def test_split_arithmetic_and_determinism():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 120, 110, 115, p=0.0)
     pos = [LabeledTriplet(i, i, i, 1, "observed") for i in range(100)]
-    plan = make_split(g, pos, rng_seed=9)
+    ids = [g.triplet_id(p) for p in pos]
+    plan = make_split(ids, rng_seed=9)
     assert len(plan.test) == 10
     assert [len(f) for f in plan.folds] == [18, 18, 18, 18, 18]
-    assert plan == make_split(g, pos, rng_seed=9)
-    assert plan != make_split(g, pos, rng_seed=10)
+    assert plan == make_split(ids, rng_seed=9)
+    assert plan != make_split(ids, rng_seed=10)
 
 
 def test_split_is_partition():
@@ -274,7 +278,7 @@ def test_split_is_partition():
     g = random_graph(rng, 40, 40, 40, p=0.0)
     pos = [LabeledTriplet(i, (i * 7) % 40, (i * 3) % 40, 1, "observed")
            for i in range(37)]
-    plan = make_split(g, pos, rng_seed=4)
+    plan = make_split([g.triplet_id(p) for p in pos], rng_seed=4)
     buckets = [plan.test] + plan.folds
     flat = [tid for b in buckets for tid in b]
     assert len(flat) == len(set(flat)) == 37
@@ -282,18 +286,17 @@ def test_split_is_partition():
 
 
 def test_split_requires_enough_positives(tiny_graph):
-    pos = derive_positive_triplets(tiny_graph)
+    ids = list(positives_by_id(tiny_graph))
     with pytest.raises(ValueError):
-        make_split(tiny_graph, pos[:3], folds=5, rng_seed=0)
+        make_split(ids[:3], folds=5, rng_seed=0)
 
 
 def test_split_checks_fold_sizes_after_the_test_slice():
-    rng = np.random.default_rng(1)
-    g = random_graph(rng, 10, 10, 10, p=0.0)
+    ids = [f"g{i}|m{i}|d{i}" for i in range(10)]
     # 5 positives hold 5 folds, but not once half of them go to the test slice
     with pytest.raises(ValueError, match="cannot fill 5 folds"):
-        make_split(g, make_positives(5), test_fraction=0.5, folds=5, rng_seed=0)
-    plan = make_split(g, make_positives(10), test_fraction=0.5, folds=5, rng_seed=0)
+        make_split(ids[:5], test_fraction=0.5, folds=5, rng_seed=0)
+    plan = make_split(ids, test_fraction=0.5, folds=5, rng_seed=0)
     assert [len(f) for f in plan.folds] == [1, 1, 1, 1, 1]
 
 

@@ -194,19 +194,67 @@ def test_fusion_closed_form_two_views():
 
 def test_predict_zero_weights_give_half():
     rng = np.random.default_rng(4)
-    z = [T.constant(rng.normal(size=(5, 4))) for _ in range(3)]
-    out = predict(*z, T.constant(np.zeros((6, 12))), T.constant(np.zeros((1, 6))),
+    tables = [T.constant(rng.normal(size=(5, 4))) for _ in range(3)]
+    index = tuple(rng.integers(0, 5, size=7) for _ in range(3))
+    out = predict(tables, index, T.constant(np.zeros((6, 12))), T.constant(np.zeros((1, 6))),
                   T.constant(np.zeros((1, 6))), T.constant(np.zeros((1, 1))))
+    assert out.shape == (7, 1)
     assert np.allclose(out.data, 0.5)
 
 
 def test_predict_saturates_toward_one():
-    z = [T.constant(np.ones((1, 2))) for _ in range(3)]
+    tables = [T.constant(np.ones((1, 2))) for _ in range(3)]
     w1 = T.constant(np.ones((2, 6)))
-    out = predict(*z, w1, T.constant(np.zeros((1, 2))),
+    out = predict(tables, ([0], [0], [0]), w1, T.constant(np.zeros((1, 2))),
                   T.constant(np.full((1, 2), 50.0)), T.constant([[0.0]]))
     assert out.data[0, 0] > 1 - 1e-12
     assert out.data[0, 0] < 1.0 or out.data[0, 0] == pytest.approx(1.0)
+
+
+def test_predict_rejects_tables_that_do_not_fit_the_first_layer():
+    tables = [T.constant(np.ones((2, 4))) for _ in range(3)]
+    with pytest.raises(ShapeError, match="predict"):
+        predict(tables, ([0], [1], [0]), T.constant(np.ones((6, 11))),
+                T.constant(np.zeros((1, 6))), T.constant(np.zeros((1, 6))),
+                T.constant([[0.0]]))
+
+
+def concat_predict(tables, index, w1, b1, w2, b2):
+    """The head as it ran before the per-node first layer: each triplet's
+    z_g || z_m || z_d gathered and concatenated, then W1 applied per triplet."""
+    x = T.concat_cols([T.gather_rows(t, idx) for t, idx in zip(tables, index)])
+    hidden = T.elu(T.add(T.matmul(x, T.transpose(w1)), b1))
+    return T.sigmoid(T.add(T.matmul(hidden, T.transpose(w2)), b2))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_per_node_head_matches_the_concat_head(variant):
+    rng = np.random.default_rng(23)
+    g = random_graph(rng, 6, 5, 5, p=0.45)
+    # repeated nodes and repeated triplets, so the scatters sum several rows
+    samples = derive_positive_triplets(g) + [
+        LabeledTriplet(int(a), int(b), int(c), 0, "sampled-negative")
+        for a, b, c in zip(rng.integers(0, 6, 30), rng.integers(0, 5, 30),
+                           rng.integers(0, 5, 30))]
+    labels = np.array([s.label for s in samples], dtype=np.float64)
+    index = index_of(samples)
+    cfg = ModelConfig(proj_dim=3, heads=2, fusion_dim=4, mlp_hidden=7, variant=variant)
+    cache = ModelCache(g, variant)
+    params = init_params(cache, cfg, 13)
+    mlp = [params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2")]
+
+    def head(fn):
+        def run():
+            emb = forward(cache, params, index).embeddings
+            return (fn([emb[t] for t in (GENE, MICROBE, DISEASE)], index, *mlp),)
+        return taped_grads(run, params, labels)
+
+    ((scores,), grads), ((ref,), ref_grads) = head(predict), head(concat_predict)
+    assert_close(scores.data, ref.data, "scores", rtol=1e-12)
+    assert set(grads) == set(ref_grads)
+    for name in grads:
+        assert_close(grads[name], ref_grads[name], f"grad {name}", rtol=1e-12)
+    assert np.abs(grads["mlp_W1"]).max() > 0
 
 
 # ---- forward pass ----
@@ -657,10 +705,10 @@ def reference_forward(g, cache, params, index):
             {name: v.data for name, v in views.items()}, alphas)
 
 
-def assert_close(got, expect, what):
-    """Within 1e-10 of each entry, relative to the entry or to the array's scale."""
+def assert_close(got, expect, what, rtol=1e-10):
+    """Within rtol of each entry, relative to the entry or to the array's scale."""
     scale = max(np.abs(expect).max(initial=0.0), np.finfo(float).tiny)
-    np.testing.assert_allclose(got, expect, rtol=1e-10, atol=1e-10 * scale, err_msg=what)
+    np.testing.assert_allclose(got, expect, rtol=rtol, atol=rtol * scale, err_msg=what)
 
 
 def taped_grads(run, params, labels):

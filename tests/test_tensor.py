@@ -266,9 +266,10 @@ def _eager_elu(a):
 def test_masks_built_in_the_rule_match_eager_masks(lazy, eager):
     rng = np.random.default_rng(12)
     xv = np.concatenate([rng.normal(size=40), [0.0, -0.0, 5e-324, -5e-324,
-                                               1e-300, -1e-300, 40.0, -40.0]])
-    xv = rng.permutation(xv).reshape(6, 8)
-    shift = rng.normal(size=(6, 8))
+                                               1e-300, -1e-300, 40.0, -40.0,
+                                               np.inf, -np.inf, np.nan, -np.nan]])
+    xv = rng.permutation(xv).reshape(4, 13)
+    shift = rng.normal(size=(4, 13))
 
     def run(op):
         x = Tensor(xv.copy(), requires_grad=True)
@@ -391,6 +392,57 @@ def test_gather_rows_gradient_bit_identical_to_add_at(layout, cols):
     with Tape() as tape:
         tape.backward(upstream(T.gather_rows(a, ids), w))
     assert_same_bits(a.grad, add_at(ids, w, n))
+
+
+def gather_sum_case(layout: str, seed: int = 2):
+    """Three tables of 10, 13 and 10 rows (with -0.0 entries) and an index each."""
+    ids, w, n = scatter_case(layout, 16)
+    rng = np.random.default_rng(seed)
+    values = []
+    for rows in (n, n + 3, n):
+        v = rng.normal(size=(rows, 16)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 16))
+        v[rng.integers(0, rows, size=4), rng.integers(0, 16, size=4)] = -0.0
+        values.append(v)
+    return values, [ids, rng.permutation(ids), ids[::-1].copy()], w
+
+
+@pytest.mark.parametrize("layout", ID_LAYOUTS)
+def test_gather_sum_bit_identical_to_gather_rows_and_add(layout):
+    values, idx, w = gather_sum_case(layout)
+
+    def chain(tables, indices):
+        out = T.gather_rows(tables[0], indices[0])
+        for t, i in zip(tables[1:], indices[1:]):
+            out = T.add(out, T.gather_rows(t, i))
+        return out
+
+    def run(combine):
+        tables = [Tensor(v.copy(), requires_grad=True) for v in values]
+        with Tape() as tape:
+            out = combine(tables, idx)
+            tape.backward(upstream(out, w))
+        return out.data, [t.grad for t in tables]
+
+    (got, got_grads), (ref, ref_grads) = run(T.gather_sum), run(chain)
+    assert_same_bits(got, ref)
+    for g, r in zip(got_grads, ref_grads):
+        assert_same_bits(g, r)
+
+
+@pytest.mark.parametrize("indices", [
+    [[0, 3], [0, 1]], [[0, -1], [0, 1]], [[0, 1], [0, 4]],
+    [[0, 1], [0]], [[0, 1]], [[[0, 1]], [[0, 1]]],
+], ids=["past-end", "negative", "past-end-second", "misaligned", "one-index",
+        "two-dim"])
+def test_gather_sum_rejects_bad_indices(indices):
+    tables = [Tensor(np.ones((3, 2))), Tensor(np.ones((4, 2)))]
+    with pytest.raises(ShapeError, match="gather_sum"):
+        T.gather_sum(tables, indices)
+
+
+def test_gather_sum_rejects_mismatched_columns():
+    with pytest.raises(ShapeError, match="gather_sum: col mismatch"):
+        T.gather_sum([Tensor(np.ones((3, 2))), Tensor(np.ones((3, 4)))], [[0], [0]])
 
 
 @pytest.mark.parametrize("layout", [lay for lay in ID_LAYOUTS if lay != "zero-rows"])

@@ -11,7 +11,7 @@ from hcmgnn import tensor as T
 from hcmgnn import training
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
                           SplitPlan, derive_positive_triplets, make_split,
-                          sample_training_negatives)
+                          positives_by_id, sample_training_negatives)
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
 from hcmgnn.optim import Adam
 from hcmgnn.synthetic import generate_synthetic
@@ -94,13 +94,13 @@ def test_improvement_resets_patience():
 
 def fold_fixture(g, seed=0):
     pos = derive_positive_triplets(g)
-    plan = make_split(g, pos, rng_seed=seed)
+    plan = make_split([g.triplet_id(p) for p in pos], rng_seed=seed)
     return pos, plan
 
 
 def test_train_is_deterministic():
     g = small_planted()
-    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=1), "split")
+    split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=5, max_epochs=8, patience=50)
     reports = [train_for_test(g, split, mc, tc)[1] for _ in range(2)]
@@ -122,7 +122,7 @@ def test_train_rejects_empty_training_set():
 
 def test_train_returns_best_checkpoint():
     g = small_planted()
-    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=1), "split")
+    split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
     tc = TrainConfig(seed=5, max_epochs=10, patience=50)
     params, report, cache = train_for_test(g, split, mc, tc)
@@ -136,8 +136,7 @@ def test_train_returns_best_checkpoint():
 def test_loss_trace_on_planted_dataset_decreases():
     ds = generate_synthetic(40, 30, 30, 8, 0.15, rng_seed=7)
     g = ds.graph
-    split = resolve_split(g, make_split(g, derive_positive_triplets(g), rng_seed=101),
-                          "split")
+    split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=101), "split")
     mc = ModelConfig(proj_dim=8, heads=2, fusion_dim=16, mlp_hidden=32)
     tc = TrainConfig(seed=11, max_epochs=10, patience=50)
     _, report, _ = train_for_test(g, split, mc, tc)
@@ -329,7 +328,7 @@ def test_run_cv_is_deterministic():
 def test_resolve_split_resolves_each_id_to_its_positive():
     g = small_planted()
     pos, plan = fold_fixture(g, seed=2)
-    split = resolve_split(g, plan, "split", pos)
+    split = resolve_split(g, plan, "split", positives_by_id(g))
     assert split == resolve_split(g, plan, "split")
     assert split.known == {p.key() for p in pos}
     assert [g.triplet_id(p) for p in split.test_positives] == plan.test == split.test
