@@ -3,7 +3,6 @@
 from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, LabeledTriplet,
                     SplitPlan, avg_node_degree, derive_positive_triplets,
                     load_edges, make_split, positives_by_id, sample_negatives)
-from .gradcheck import grad_check
 from .metapath import (Metapath, ablation_metapaths, causal_metapaths,
                        enumerate_instance_rows)
 from .model import (ModelCache, ModelConfig, ModelParams, ForwardOutput,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
                          silhouette, stratify_by_degree)
-from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan,
+from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, avg_node_degree,
                     derive_positive_triplets, load_edges, load_json, make_split,
                     positives_by_id)
 from .metapath import causal_metapaths, dump_instances
@@ -26,8 +26,8 @@ from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, check_type,
                     config_block)
 from .seeding import derive_seed
 from .synthetic import generate_synthetic
-from .training import (Split, TrainConfig, build_test_set, resolve_split, run_cv,
-                       run_test, score_ranking_set, thread_map, train_for_test)
+from .training import (Split, TrainConfig, resolve_split, run_cv, run_test, thread_map,
+                       train_for_test)
 
 _FEATURE_KEYS = {"gene": GENE, "microbe": MICROBE, "disease": DISEASE}
 
@@ -252,25 +252,14 @@ def cmd_cv(cfg: RunConfig) -> str:
     return path
 
 
-def _test_run(model_cfg: ModelConfig, train_cfg: TrainConfig, g: HetGraph,
-              split: Split):
-    """Fit the test model, then rank the test set with it.
-
-    Also returns the embeddings the test set was scored from.
-    """
-    params, report, cache = train_for_test(g, split, model_cfg, train_cfg)
-    test_set = build_test_set(g, split, train_cfg.seed, 30)
-    cases, embeddings = score_ranking_set(g, cache, params, test_set)
-    return params, report, test_set, cases, embeddings
-
-
 def cmd_test(cfg: RunConfig) -> str:
     _write_run_file(cfg)
     _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     split = build_split(cfg, g)
-    params, report, test_set, cases, embeddings = _test_run(cfg.model, cfg.train, g, split)
-    metrics = rank_metrics(cases)
+    params, report, cache = train_for_test(g, split, cfg.model, cfg.train)
+    ranks, test_set, embeddings = run_test(g, split, cache, params, cfg.seed)
+    metrics = rank_metrics(ranks)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
 
     # embed every ranked candidate, each pool's positive first, for projection tools
@@ -285,8 +274,9 @@ def cmd_test(cfg: RunConfig) -> str:
            "variant": cfg.model.variant, "metrics": metrics,
            "silhouette": silhouette(vecs, np.array(labels)),
            "best_epoch": report.best_epoch, "epochs": report.epochs_run,
-           "ranks": [{"id": c.positive_id, "rank": c.rank,
-                      "avg_degree": c.avg_degree} for c in cases]}
+           "ranks": [{"id": ids[0], "rank": rank, "avg_degree": avg_node_degree(g, pos)}
+                     for ids, rank, pos in zip(test_set.candidate_ids, ranks.tolist(),
+                                               split.test_positives)]}
     path = os.path.join(cfg.out, "metrics", "test.json")
     _write_json(path, doc)
     print("test: " + " ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
@@ -303,9 +293,9 @@ def cmd_ablate(cfg: RunConfig) -> str:
     def run_variant(variant: str) -> dict:
         row = {"variant": variant, "split_hash": shash, "error": None}
         try:
-            _, report, _, cases, _ = _test_run(replace(cfg.model, variant=variant),
-                                               cfg.train, g, split)
-            row.update(rank_metrics(cases))
+            params, report, cache = train_for_test(
+                g, split, replace(cfg.model, variant=variant), cfg.train)
+            row.update(rank_metrics(run_test(g, split, cache, params, cfg.seed)[0]))
             row["best_epoch"] = report.best_epoch
             row["epochs"] = report.epochs_run
         except Exception as exc:  # a broken variant must not sink the others
@@ -334,8 +324,9 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
     g = build_graph(cfg)
     split = build_split(cfg, g)
     cache = ModelCache(g, params.config.variant)
-    _, cases = run_test(g, split, cache, params, cfg.seed)
-    reports = stratify_by_degree(cases, default_thresholds(cases, k=12))
+    ranks = run_test(g, split, cache, params, cfg.seed)[0]
+    degrees = [avg_node_degree(g, pos) for pos in split.test_positives]
+    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
     path = os.path.join(cfg.out, "metrics", "strata.tsv")
     with open(path, "w", encoding="utf-8") as fh:
         for r in reports:

@@ -17,45 +17,39 @@ logger = logging.getLogger(__name__)
 METRIC_KEYS = ("hit1", "hit3", "hit5", "ndcg1", "ndcg3", "ndcg5", "mrr")
 
 
-@dataclass
-class RankedCase:
-    positive_id: str
-    candidate_ids: list[str]   # positive first, then its negatives
-    scores: np.ndarray         # aligned with candidate_ids
-    rank: int                  # 1-based rank of the positive
-    avg_degree: float | None = None
+def rank_pools(scores, before) -> np.ndarray:
+    """1-based rank of each pool's positive (column 0) under the tie rule.
+
+    `scores` and `before` are pools x candidates; `before[i, j]` is true
+    where candidate j's id sorts before pool i's positive id.  A candidate
+    outranks its positive on a higher score, or on an equal score and an
+    earlier id.
+    """
+    s = np.asarray(scores, dtype=np.float64)
+    s0 = s[:, :1]
+    return 1 + (s > s0).sum(axis=1) + ((s == s0) & before).sum(axis=1)
 
 
-def resolve_rank(scores, candidate_ids, positive_index: int = 0) -> int:
-    """1-based rank under the (score desc, candidate id asc) ordering."""
-    scores = np.asarray(scores, dtype=np.float64)
-    pos_score = scores[positive_index]
-    pos_id = candidate_ids[positive_index]
-    rank = 1
-    for j, (s, cid) in enumerate(zip(scores, candidate_ids)):
-        if j == positive_index:
-            continue
-        if s > pos_score or (s == pos_score and cid < pos_id):
-            rank += 1
-    return rank
+def make_case(positive_id, negative_ids, scores) -> int:
+    """The rank of one pool's positive, its scores listed positive first.
 
-
-def make_case(positive_id, negative_ids, scores, avg_degree=None) -> RankedCase:
+    One pool through `rank_pools`; `perfbench/probes.py` traces this name.
+    """
     ids = [positive_id] + list(negative_ids)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[0] != len(ids):
         raise ValueError(f"make_case: {len(ids)} candidates but {scores.shape[0]} scores")
     if not np.isfinite(scores).all():
         raise ValueError(f"make_case: non-finite score among the candidates of {positive_id}")
-    return RankedCase(positive_id=positive_id, candidate_ids=ids, scores=scores,
-                      rank=resolve_rank(scores, ids), avg_degree=avg_degree)
+    before = np.array([cid < positive_id for cid in ids])
+    return int(rank_pools(scores[None], before[None])[0])
 
 
-def rank_metrics(cases: list[RankedCase]) -> dict[str, float]:
-    """Hit@{1,3,5}, NDCG@{1,3,5} (single relevant item) and MRR."""
-    if not cases:
-        raise ValueError("rank_metrics: empty case list")
-    ranks = np.array([c.rank for c in cases], dtype=np.float64)
+def rank_metrics(ranks) -> dict[str, float]:
+    """Hit@{1,3,5}, NDCG@{1,3,5} (single relevant item) and MRR of 1-based ranks."""
+    ranks = np.asarray(ranks, dtype=np.float64)
+    if ranks.size == 0:
+        raise ValueError("rank_metrics: no ranks")
     out = {}
     for n in (1, 3, 5):
         hit = ranks <= n
@@ -72,37 +66,37 @@ class StratumReport:
     hit1: float | None
 
 
-def default_thresholds(cases: list[RankedCase], k: int = 12) -> list[float]:
+def default_thresholds(degrees, k: int = 12) -> list[float]:
     """k cumulative thresholds at the empirical avg-degree quantiles.
 
     Coincident quantiles are nudged so the list is strictly increasing and
     always has k entries.
     """
-    degrees = np.array([c.avg_degree for c in cases], dtype=np.float64)
     qs = np.arange(1, k + 1) / k
-    out = [float(x) for x in np.quantile(degrees, qs)]
+    out = [float(x) for x in np.quantile(np.asarray(degrees, dtype=np.float64), qs)]
     for i in range(1, k):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1e-9
     return out
 
 
-def stratify_by_degree(cases: list[RankedCase], thresholds) -> list[StratumReport]:
-    """Hit@1 inside each cumulative interval (0, N] of average node degree."""
+def stratify_by_degree(degrees, ranks, thresholds) -> list[StratumReport]:
+    """Hit@1 inside each cumulative interval (0, N] of average node degree.
+
+    `degrees[i]` is the average node degree of the positive ranked `ranks[i]`.
+    """
+    degrees = np.asarray(degrees, dtype=np.float64)
+    ranks = np.asarray(ranks)
+    if degrees.shape != ranks.shape:
+        raise ValueError(f"stratify_by_degree: {degrees.size} degrees for {ranks.size} ranks")
     thresholds = list(thresholds)
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("stratify_by_degree: thresholds must be strictly increasing")
-    for c in cases:
-        if c.avg_degree is None:
-            raise ValueError(f"case {c.positive_id} lacks avg_degree")
     reports = []
     for n in thresholds:
-        sub = [c for c in cases if 0.0 < c.avg_degree <= n]
-        if sub:
-            hit1 = float(np.mean([1.0 if c.rank <= 1 else 0.0 for c in sub]))
-        else:
-            hit1 = None
-        reports.append(StratumReport(threshold=float(n), count=len(sub), hit1=hit1))
+        hit = ranks[(degrees > 0.0) & (degrees <= n)] == 1
+        reports.append(StratumReport(threshold=float(n), count=int(hit.size),
+                                     hit1=float(hit.mean()) if hit.size else None))
     return reports
 
 

@@ -149,6 +149,7 @@ def _read_feature_file(path, index: dict[str, int]):
             raise ValueError(f"{path}: feature file needs a header 'id,f1,...,fk'")
         width = len(header) - 1
         rows: dict[int, np.ndarray] = {}
+        first_line: dict[str, int] = {}
         ignored = 0
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -156,6 +157,10 @@ def _read_feature_file(path, index: dict[str, int]):
             if len(row) - 1 != width:
                 raise ValueError(f"{path}:{lineno}: expected {width} feature values, "
                                  f"got {len(row) - 1}")
+            if row[0] in first_line:
+                raise ValueError(f"{path}:{lineno}: id {row[0]!r} repeats the row of "
+                                 f"line {first_line[row[0]]}")
+            first_line[row[0]] = lineno
             node = index.get(row[0])
             if node is None:
                 ignored += 1

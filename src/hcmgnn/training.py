@@ -9,10 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .evaluation import METRIC_KEYS, RankedCase, make_case, rank_metrics
+from .evaluation import METRIC_KEYS, rank_metrics, rank_pools
 from .graph import (EntityType, HetGraph, LabeledTriplet, SplitPlan,
-                    avg_node_degree, positives_by_id, sample_negatives,
-                    sample_training_negatives)
+                    positives_by_id, sample_negatives, sample_training_negatives)
 from .model import (ModelCache, ModelConfig, ModelParams, check_field_types,
                     forward, init_params, score_triplets)
 from .optim import Adam
@@ -20,6 +19,9 @@ from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
 
 logger = logging.getLogger(__name__)
+
+# Negatives sampled into each validation and test pool, beside its positive.
+RANK_NEGATIVES = 30
 
 
 @dataclass
@@ -60,13 +62,14 @@ def loss_fn(scores: Tensor, labels, gamma: float) -> Tensor:
 class RankingSet:
     """Each positive paired with its fixed pool of sampled negatives.
 
-    The pools' flat index arrays, candidate ids (positive first) and average
-    degrees are built once, so scoring an epoch does no set-up.
+    The pools' flat index arrays, candidate ids (positive first) and the
+    pools x candidates `before` mask, true where a candidate's id sorts
+    before its positive's, are built once, so scoring an epoch does no set-up.
     """
     negatives: list[list[LabeledTriplet]]
     index: tuple[np.ndarray, np.ndarray, np.ndarray]
     candidate_ids: list[list[str]]
-    avg_degrees: list[float]
+    before: np.ndarray
 
 
 def triplet_index(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,34 +85,35 @@ def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
     grouped = [flat[i * n_negatives:(i + 1) * n_negatives]
                for i in range(len(positives))]
     pools = [[pos] + negs for pos, negs in zip(positives, grouped)]
+    ids = [[g.triplet_id(t) for t in pool] for pool in pools]
+    before = np.array([[cid < pool[0] for cid in pool] for pool in ids], dtype=bool)
     return RankingSet(negatives=grouped,
                       index=triplet_index([t for pool in pools for t in pool]),
-                      candidate_ids=[[g.triplet_id(t) for t in pool] for pool in pools],
-                      avg_degrees=[avg_node_degree(g, pos) for pos in positives])
+                      candidate_ids=ids, before=before.reshape(len(ids), n_negatives + 1))
 
 
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
                       rset: RankingSet, embeddings: dict[EntityType, Tensor] | None = None
-                      ) -> tuple[list[RankedCase], dict[EntityType, Tensor]]:
-    """Score every candidate pool in one batch, then rank.
+                      ) -> tuple[np.ndarray, dict[EntityType, Tensor]]:
+    """Score every candidate pool in one batch, then rank every pool at once.
 
     `embeddings`, when given, are `forward`'s per-type outputs at `params`,
     and only the MLP head runs on them; otherwise one `forward` computes
-    them.  Returns the ranked cases and the embeddings they were scored from.
+    them.  Returns each pool's 1-based rank of its positive, in pool order,
+    and the embeddings they were scored from.
     """
     if embeddings is None:
         out = forward(cache, params, rset.index)
         embeddings, scores = out.embeddings, out.scores
     else:
         scores = score_triplets(embeddings, params, rset.index)
-    scores = scores.data[:, 0]
-    cases = []
-    off = 0
-    for ids, degree in zip(rset.candidate_ids, rset.avg_degrees):
-        cases.append(make_case(ids[0], ids[1:], scores[off:off + len(ids)],
-                               avg_degree=degree))
-        off += len(ids)
-    return cases, embeddings
+    scores = scores.data.reshape(rset.before.shape)
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        pool = int(np.argmin(finite))
+        raise ValueError("score_ranking_set: non-finite score among the candidates of "
+                         f"{rset.candidate_ids[pool][0]}")
+    return rank_pools(scores, rset.before), embeddings
 
 
 class EarlyStopper:
@@ -145,7 +149,7 @@ class TrainReport:
     best_epoch: int
     best_metric: float
     best_state: dict
-    best_cases: list[RankedCase]   # the validation pools ranked at best_state
+    best_ranks: np.ndarray   # the validation pools' ranks at best_state
     epochs_run: int
 
 
@@ -176,16 +180,16 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     val_trace: list[float] = []
     stopper = EarlyStopper(cfg.patience)
     best_state = params.state()
-    best_cases: list[RankedCase] = []
+    best_ranks = np.zeros(0, dtype=np.int64)
 
     def validate(embeddings=None) -> bool:
         """Record the metric of the current state; True iff training should stop."""
-        nonlocal best_state, best_cases
-        cases, _ = score_ranking_set(g, cache, params, val_set, embeddings=embeddings)
-        metric = rank_metrics(cases)[cfg.val_metric]
+        nonlocal best_state, best_ranks
+        ranks, _ = score_ranking_set(g, cache, params, val_set, embeddings=embeddings)
+        metric = rank_metrics(ranks)[cfg.val_metric]
         val_trace.append(metric)
         if stopper.update(metric):
-            best_state, best_cases = params.state(), cases
+            best_state, best_ranks = params.state(), ranks
         return stopper.should_stop
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -207,7 +211,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     params.load_state(best_state)
     return TrainReport(train_losses=losses, val_trace=val_trace,
                        best_epoch=stopper.best_epoch, best_metric=float(stopper.best),
-                       best_state=best_state, best_cases=best_cases,
+                       best_state=best_state, best_ranks=best_ranks,
                        epochs_run=len(losses))
 
 
@@ -308,7 +312,7 @@ def _mean_record(records: list[dict]) -> dict:
 
 
 def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
-         model_cfg: ModelConfig, train_cfg: TrainConfig, n_rank_negatives: int):
+         model_cfg: ModelConfig, train_cfg: TrainConfig):
     """Train on every fold but k plus equal negatives, early-stopping on fold k.
 
     `label` ("fold{k}" or "test-model") names the run in its seed labels.
@@ -318,7 +322,7 @@ def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
     train_neg = sample_training_negatives(
         train_pos, derive_seed(seed, f"train-neg/{label}"), g.sizes,
         known_positives=split.known)
-    val_set = build_ranking_set(g, split.fold_positives[k], n_rank_negatives,
+    val_set = build_ranking_set(g, split.fold_positives[k], RANK_NEGATIVES,
                                 derive_seed(seed, f"val-neg/{label}"), split.known)
     params = init_params(cache, model_cfg, derive_seed(seed, f"params/{label}"))
     samples = train_pos + train_neg
@@ -328,15 +332,14 @@ def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
 
 
 def run_cv(g: HetGraph, split: Split, model_cfg: ModelConfig,
-           train_cfg: TrainConfig, n_rank_negatives: int = 30,
-           max_workers: int = 1) -> CVResult:
+           train_cfg: TrainConfig, max_workers: int = 1) -> CVResult:
     """5-fold CV: train on 4 folds plus equal negatives, rank the held-out fold."""
     cache = ModelCache(g, model_cfg.variant)
 
     def run_fold(k: int) -> FoldResult:
-        params, report, n_pos, n_neg = _fit(
-            g, cache, split, k, f"fold{k}", model_cfg, train_cfg, n_rank_negatives)
-        return FoldResult(fold=k, metrics=rank_metrics(report.best_cases),
+        params, report, n_pos, n_neg = _fit(g, cache, split, k, f"fold{k}",
+                                            model_cfg, train_cfg)
+        return FoldResult(fold=k, metrics=rank_metrics(report.best_ranks),
                           report=report, params=params,
                           n_train_pos=n_pos, n_train_neg=n_neg)
 
@@ -361,21 +364,18 @@ def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
     if not split.test_positives:
         raise ValueError("train_for_test: the split holds no test positives")
     cache = ModelCache(g, model_cfg.variant)
-    params, report, _, _ = _fit(g, cache, split, 0, "test-model",
-                                model_cfg, train_cfg, 30)
+    params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg)
     return params, report, cache
 
 
-def build_test_set(g: HetGraph, split: Split, seed: int,
-                   n_rank_negatives: int) -> RankingSet:
-    """Each test positive with its freshly sampled pool of negatives."""
-    return build_ranking_set(g, split.test_positives, n_rank_negatives,
-                             derive_seed(seed, "test-neg"), split.known)
-
-
 def run_test(g: HetGraph, split: Split, cache: ModelCache, params: ModelParams,
-             seed: int, n_rank_negatives: int = 30):
-    """Rank each test positive against freshly sampled negatives."""
-    cases, _ = score_ranking_set(g, cache, params,
-                                 build_test_set(g, split, seed, n_rank_negatives))
-    return rank_metrics(cases), cases
+             seed: int) -> tuple[np.ndarray, RankingSet, dict[EntityType, Tensor]]:
+    """Rank each test positive against its freshly sampled pool of negatives.
+
+    Returns the ranks in test-positive order, the test set and the
+    embeddings it was scored from.
+    """
+    test_set = build_ranking_set(g, split.test_positives, RANK_NEGATIVES,
+                                 derive_seed(seed, "test-neg"), split.known)
+    ranks, embeddings = score_ranking_set(g, cache, params, test_set)
+    return ranks, test_set, embeddings

@@ -5,6 +5,23 @@ from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph
 from hcmgnn.training import triplet_index as index_of  # noqa: F401  (a test helper)
 
 
+def resolve_rank(scores, candidate_ids, positive_index: int = 0) -> int:
+    """1-based rank under the (score desc, candidate id asc) ordering, one candidate at a time.
+
+    The oracle of the tie rule that `evaluation.rank_pools` computes over whole arrays.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    pos_score = scores[positive_index]
+    pos_id = candidate_ids[positive_index]
+    rank = 1
+    for j, (s, cid) in enumerate(zip(scores, candidate_ids)):
+        if j == positive_index:
+            continue
+        if s > pos_score or (s == pos_score and cid < pos_id):
+            rank += 1
+    return rank
+
+
 def edge_set(g, rel):
     """The (u, v) pairs of relation `rel` as a set of int tuples."""
     return set(map(tuple, g.edge_rows[rel].tolist()))

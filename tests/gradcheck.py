@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tape, Tensor
+from hcmgnn.tensor import Tape, Tensor
 
 
 @dataclass

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import edge_set, index_of, toy_graph
+from gradcheck import grad_check
+from hcmgnn import training
 from hcmgnn.cli import main as cli_main
 from hcmgnn.evaluation import make_case, rank_metrics
-from hcmgnn.gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
                           derive_positive_triplets, load_edges, make_split,
                           positives_by_id)
@@ -140,20 +141,20 @@ def test_criterion_4_metric_identities():
     rng = np.random.default_rng(99)
     # NDCG@1 == Hit@1 on arbitrary case sets
     for trial in range(50):
-        cases = []
+        ranks = []
         for i in range(rng.integers(1, 40)):
             scores = rng.uniform(size=31)
             ids = [f"{trial}|{i}|{j}" for j in range(31)]
-            cases.append(make_case(ids[0], ids[1:], scores))
-        m = rank_metrics(cases)
+            ranks.append(make_case(ids[0], ids[1:], scores))
+        m = rank_metrics(ranks)
         assert m["ndcg1"] == m["hit1"]
     # uniform-random scorer expectations over >= 2000 trials
-    cases = []
+    ranks = []
     for i in range(2500):
         scores = rng.uniform(size=31)
         ids = [f"u|{i}|{j}" for j in range(31)]
-        cases.append(make_case(ids[0], ids[1:], scores))
-    m = rank_metrics(cases)
+        ranks.append(make_case(ids[0], ids[1:], scores))
+    m = rank_metrics(ranks)
     hit1_err = abs(m["hit1"] - 1 / 31)
     mrr_err = abs(m["mrr"] - sum(1 / k for k in range(1, 32)) / 31)
     verdict(4, hit1_err <= 0.01 and mrr_err <= 0.01,
@@ -170,8 +171,8 @@ def test_criterion_5_learnability(planted):
         cfg = ModelConfig(variant=variant, **ACCEPT_MODEL)
         tcfg = TrainConfig(seed=TRAIN_SEED, max_epochs=800)
         params, report, cache = train_for_test(g, split, cfg, tcfg)
-        metrics, _ = run_test(g, split, cache, params, tcfg.seed)
-        results[variant] = metrics["mrr"]
+        ranks, _, _ = run_test(g, split, cache, params, tcfg.seed)
+        results[variant] = rank_metrics(ranks)["mrr"]
     elapsed = time.perf_counter() - start
     ok = results["full"] >= 0.39 and results["full"] > results["woTM"] \
         and elapsed < 600.0
@@ -181,24 +182,34 @@ def test_criterion_5_learnability(planted):
             f"{elapsed:.0f}s (< 600s)")
 
 
-def test_criterion_6_protocol_fidelity():
+def test_criterion_6_protocol_fidelity(monkeypatch):
     ds = generate_synthetic(20, 16, 16, 4, 0.2, rng_seed=3)
     g = ds.graph
     plan = make_split(list(positives_by_id(g)), rng_seed=13)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     tcfg = TrainConfig(seed=21, max_epochs=3, patience=50)
     split = resolve_split(g, plan, "split")  # the leakage audit runs inside
+    pool_shapes = []
+    build = training.build_ranking_set
+
+    def recorded_build(*args):
+        rset = build(*args)
+        pool_shapes.append(rset.before.shape)
+        return rset
+
+    monkeypatch.setattr(training, "build_ranking_set", recorded_build)
     result = run_cv(g, split, cfg, tcfg)
 
     assert len(result.folds) == 5
-    for fold in result.folds:
+    assert sorted(pool_shapes) == sorted((len(f), 1 + 30) for f in split.fold_positives)
+    for fold, positives in zip(result.folds, split.fold_positives):
         assert fold.n_train_neg == fold.n_train_pos
-        for case in fold.report.best_cases:
-            assert len(case.candidate_ids) == 1 + 30
+        assert fold.report.best_ranks.shape == (len(positives),)
 
     params, _, cache = train_for_test(g, split, cfg, tcfg)
-    _, cases = run_test(g, split, cache, params, tcfg.seed)
-    assert all(len(c.candidate_ids) == 31 for c in cases)
+    ranks, test_set, _ = run_test(g, split, cache, params, tcfg.seed)
+    assert test_set.before.shape == (len(split.test_positives), 1 + 30) == (len(ranks), 31)
+    assert all(len(ids) == 31 for ids in test_set.candidate_ids)
 
     test_ids = set(plan.test)
     leaked = sum(len(test_ids.intersection(fold)) for fold in plan.folds)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_embeddings
-from hcmgnn.evaluation import (RankedCase, default_thresholds, export_embeddings,
-                               make_case, rank_metrics, resolve_rank, silhouette,
-                               stratify_by_degree)
+from conftest import load_embeddings, resolve_rank
+from hcmgnn.evaluation import (default_thresholds, export_embeddings, make_case,
+                               rank_metrics, rank_pools, silhouette, stratify_by_degree)
 
 
-def case_with_rank(rank, degree=3.0):
+def case_with_rank(rank):
     """31 candidates; the positive's score places it at `rank` exactly."""
     scores = np.linspace(1.0, 0.0, 31)
     ids = [f"neg{i:02d}" for i in range(31)]
@@ -19,7 +18,11 @@ def case_with_rank(rank, degree=3.0):
     scores = np.concatenate([[scores[rank - 1]],
                              np.delete(scores, rank - 1)])
     ids = [ids[rank - 1]] + [i for j, i in enumerate(ids) if j != rank - 1]
-    return make_case(ids[0], ids[1:], scores, avg_degree=degree)
+    return make_case(ids[0], ids[1:], scores)
+
+
+def test_case_with_rank_ranks_exactly():
+    assert [case_with_rank(r) for r in range(1, 32)] == list(range(1, 32))
 
 
 def test_rank_one_contributions():
@@ -39,13 +42,32 @@ def test_resolve_rank_tie_rule():
     ids = ["b|pos", "neg1", "a|neg", "c|neg"]
     # one higher score, one equal score with smaller id
     assert resolve_rank(scores, ids) == 3
+    before = np.array([[cid < ids[0] for cid in ids]])
+    assert rank_pools(np.array([scores]), before).tolist() == [3]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rank_pools_matches_the_oracle_under_heavy_ties(seed):
+    # three score values, 0.0 and -0.0 among them, so most candidates tie
+    rng = np.random.default_rng(seed)
+    n_pools, width = 400, 31
+    scores = rng.choice(np.array([0.0, -0.0, 0.25]), size=(n_pools, width))
+    scores[:40] = rng.choice(np.array([0.0, -0.0]), size=(40, 1))   # every candidate ties
+    scores[40:60] = 0.25
+    ids = [[f"g{rng.integers(50)}|m{rng.integers(50)}|d{k}" for k in rng.permutation(width)]
+           for _ in range(n_pools)]
+    before = np.array([[cid < pool[0] for cid in pool] for pool in ids])
+    ranks = rank_pools(scores, before)
+    assert ranks.tolist() == [resolve_rank(s, pool) for s, pool in zip(scores, ids)]
+    assert ranks.tolist() == [make_case(pool[0], pool[1:], s) for s, pool in zip(scores, ids)]
+    assert {int(r) for r in ranks[:60]} != {1}   # the all-tied pools rank by id, not all first
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 31), min_size=1, max_size=40))
 def test_ndcg1_equals_hit1(ranks):
-    cases = [case_with_rank(r) for r in ranks]
-    m = rank_metrics(cases)
+    m = rank_metrics([case_with_rank(r) for r in ranks])
+    assert m == rank_metrics(ranks)
     assert m["ndcg1"] == m["hit1"]
 
 
@@ -59,23 +81,23 @@ def test_metric_orderings(ranks):
 
 def test_metrics_invariant_under_monotone_transform():
     rng = np.random.default_rng(0)
-    cases, cases_tx = [], []
+    ranks, ranks_tx = [], []
     for i in range(50):
         scores = rng.uniform(size=31)
         ids = [f"{i}|{j}" for j in range(31)]
-        cases.append(make_case(ids[0], ids[1:], scores))
-        cases_tx.append(make_case(ids[0], ids[1:], np.exp(3 * scores) + 7))
-    assert rank_metrics(cases) == rank_metrics(cases_tx)
+        ranks.append(make_case(ids[0], ids[1:], scores))
+        ranks_tx.append(make_case(ids[0], ids[1:], np.exp(3 * scores) + 7))
+    assert rank_metrics(ranks) == rank_metrics(ranks_tx)
 
 
 def test_uniform_random_scorer_expectations():
     rng = np.random.default_rng(123)
-    cases = []
+    ranks = []
     for i in range(2000):
         scores = rng.uniform(size=31)
         ids = [f"{i}|{j}" for j in range(31)]
-        cases.append(make_case(ids[0], ids[1:], scores))
-    m = rank_metrics(cases)
+        ranks.append(make_case(ids[0], ids[1:], scores))
+    m = rank_metrics(ranks)
     h31 = sum(1.0 / k for k in range(1, 32))
     assert m["hit1"] == pytest.approx(1 / 31, abs=0.01)
     assert m["hit5"] == pytest.approx(5 / 31, abs=0.02)
@@ -87,8 +109,9 @@ def test_all_tied_scores_rank_by_id_order():
     hits = []
     for i in range(3000):
         ids = [f"{rng.integers(10**9):09d}" for _ in range(31)]
-        case = make_case(ids[0], ids[1:], np.full(31, 0.5))
-        hits.append(1.0 if case.rank == 1 else 0.0)
+        rank = make_case(ids[0], ids[1:], np.full(31, 0.5))
+        assert rank == resolve_rank(np.full(31, 0.5), ids)
+        hits.append(1.0 if rank == 1 else 0.0)
     assert np.mean(hits) == pytest.approx(1 / 31, abs=0.01)
 
 
@@ -100,26 +123,24 @@ def test_rank_metrics_rejects_empty():
 # ---- stratification ----
 
 def test_single_wide_stratum_matches_global():
-    cases = [case_with_rank(r, degree=d)
-             for r, d in [(1, 2.0), (2, 5.0), (1, 9.0), (4, 3.5)]]
-    reports = stratify_by_degree(cases, [10.0])
-    global_hit1 = rank_metrics(cases)["hit1"]
+    ranks, degrees = [1, 2, 1, 4], [2.0, 5.0, 9.0, 3.5]
+    reports = stratify_by_degree(degrees, ranks, [10.0])
+    global_hit1 = rank_metrics(ranks)["hit1"]
     assert reports[0].count == 4
     assert reports[0].hit1 == pytest.approx(global_hit1)
 
 
 def test_empty_stratum_reports_null():
-    cases = [case_with_rank(1, degree=3.0), case_with_rank(2, degree=3.0)]
-    reports = stratify_by_degree(cases, [2.0, 4.0])
+    reports = stratify_by_degree([3.0, 3.0], [1, 2], [2.0, 4.0])
     assert reports[0].count == 0 and reports[0].hit1 is None
     assert reports[1].count == 2 and reports[1].hit1 == pytest.approx(0.5)
 
 
 def test_strata_counts_nondecreasing():
     rng = np.random.default_rng(1)
-    cases = [case_with_rank(int(rng.integers(1, 31)), degree=float(d))
-             for d in rng.uniform(1, 20, size=60)]
-    reports = stratify_by_degree(cases, default_thresholds(cases, k=12))
+    degrees = rng.uniform(1, 20, size=60)
+    ranks = rng.integers(1, 31, size=60)
+    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
     assert len(reports) == 12
     counts = [r.count for r in reports]
     assert counts == sorted(counts)
@@ -127,15 +148,19 @@ def test_strata_counts_nondecreasing():
 
 
 def test_default_thresholds_always_twelve_even_with_ties():
-    cases = [case_with_rank(1, degree=3.0) for _ in range(20)]
-    thresholds = default_thresholds(cases, k=12)
+    thresholds = default_thresholds([3.0] * 20, k=12)
     assert len(thresholds) == 12
     assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
 
 
 def test_thresholds_must_increase():
     with pytest.raises(ValueError):
-        stratify_by_degree([case_with_rank(1)], [3.0, 3.0])
+        stratify_by_degree([3.0], [1], [3.0, 3.0])
+
+
+def test_stratify_rejects_misaligned_degrees_and_ranks():
+    with pytest.raises(ValueError, match="2 degrees for 3 ranks"):
+        stratify_by_degree([3.0, 4.0], [1, 2, 1], [5.0])
 
 
 # ---- silhouette ----

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 import hcmgnn.tensor as T
-from hcmgnn.gradcheck import grad_check
 from hcmgnn.tensor import Tensor
 
 

@@ -126,6 +126,16 @@ def test_non_finite_feature_value_rejected_with_line(tmp_path, value):
         load_edges(gm, gd, md, feature_paths={GENE: feat})
 
 
+@pytest.mark.parametrize("absent", [False, True], ids=["in-graph", "absent-from-edges"])
+def test_repeated_feature_id_rejected_with_both_lines(tmp_path, absent):
+    gm, gd, md = write_dataset(tmp_path, gm="g0\tm1\ng2\tm1\n")
+    node = "g9" if absent else "g0"
+    feat = write(tmp_path / "genes.csv", f"id,f1\n{node},1.0\ng2,0.5\n{node},2.0\n")
+    with pytest.raises(ValueError,
+                       match=rf"genes\.csv:4: id '{node}' repeats the row of line 2"):
+        load_edges(gm, gd, md, feature_paths={GENE: feat})
+
+
 def test_non_numeric_feature_value_rejected_with_line(tmp_path):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\n")
     feat = write(tmp_path / "genes.csv", "id,f1\ng1,abc\n")

@@ -6,7 +6,7 @@ import pytest
 
 import hcmgnn.tensor as T
 from conftest import edge_set, index_of, random_graph, toy_graph
-from hcmgnn.gradcheck import grad_check
+from gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, HetGraph, LabeledTriplet,
                           derive_positive_triplets)
 from hcmgnn.metapath import enumerate_instance_rows

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import index_of, toy_graph
+from conftest import index_of, resolve_rank, toy_graph
+from gradcheck import grad_check
 from hcmgnn.evaluation import rank_metrics
-from hcmgnn.gradcheck import grad_check
+from hcmgnn import evaluation, training
 from hcmgnn import tensor as T
-from hcmgnn import training
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
                           SplitPlan, derive_positive_triplets, make_split,
                           positives_by_id, sample_training_negatives)
@@ -151,7 +151,7 @@ def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
 
     Each epoch runs a taped forward and the step, then a second, untaped
     forward at the stepped parameters to validate.  Returns the losses,
-    the trace, the best epoch, the best state and the best state's cases.
+    the trace, the best epoch, the best state and the best state's ranks.
     """
     opt = Adam(params.tensors, lr=cfg.lr)
 
@@ -171,8 +171,8 @@ def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
         opt.step()
         losses.append(value)
 
-        cases, _ = score_ranking_set(g, cache, params, val_set)
-        metric = rank_metrics(cases)[cfg.val_metric]
+        ranks, _ = score_ranking_set(g, cache, params, val_set)
+        metric = rank_metrics(ranks)[cfg.val_metric]
         val_trace.append(metric)
         if stopper.update(metric):
             best_state = params.state()
@@ -180,8 +180,8 @@ def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
             break
 
     params.load_state(best_state)
-    cases, _ = score_ranking_set(g, cache, params, val_set)
-    return losses, val_trace, stopper.best_epoch, best_state, cases
+    ranks, _ = score_ranking_set(g, cache, params, val_set)
+    return losses, val_trace, stopper.best_epoch, best_state, ranks
 
 
 def train_inputs(variant):
@@ -206,7 +206,7 @@ def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patie
     g, cache, index, labels, val_set = train_inputs(variant)
     mc = ModelConfig(**SMALL_MODEL, variant=variant)
     tc = TrainConfig(lr=0.05, max_epochs=max_epochs, patience=patience)
-    losses, val_trace, best_epoch, best_state, cases = two_pass_train(
+    losses, val_trace, best_epoch, best_state, ranks = two_pass_train(
         g, cache, init_params(cache, mc, 4), index, labels, val_set, tc)
 
     calls = []
@@ -224,9 +224,7 @@ def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patie
     for name, arr in best_state.items():
         assert np.array_equal(report.best_state[name], arr)
         assert np.array_equal(params.tensors[name].data, arr)
-    assert [c.rank for c in report.best_cases] == [c.rank for c in cases]
-    for got, expect in zip(report.best_cases, cases):
-        assert np.array_equal(got.scores, expect.scores)
+    assert np.array_equal(report.best_ranks, ranks)
     # one graph pass per parameter state: the taped pass of each epoch, plus the last
     assert len(calls) == report.epochs_run + 1
 
@@ -283,8 +281,7 @@ def test_run_cv_protocol_counts():
     for k, fold in enumerate(result.folds):
         assert fold.n_train_neg == fold.n_train_pos
         assert fold.n_train_pos == sum(len(f) for i, f in enumerate(plan.folds) if i != k)
-        for case in fold.report.best_cases:
-            assert len(case.candidate_ids) == 31
+        assert fold.report.best_ranks.shape == (len(plan.folds[k]),)
     for key in ("hit1", "hit3", "hit5", "ndcg1", "ndcg3", "ndcg5", "mrr"):
         assert result.mean[key] == pytest.approx(
             np.mean([r[key] for r in result.records]))
@@ -300,7 +297,7 @@ def test_run_cv_scores_each_fold_from_its_training_passes(monkeypatch):
                     TrainConfig(seed=9, max_epochs=3, patience=50))
     assert len(calls) == sum(fold.report.epochs_run + 1 for fold in result.folds)
     for fold in result.folds:
-        assert fold.metrics == rank_metrics(fold.report.best_cases)
+        assert fold.metrics == rank_metrics(fold.report.best_ranks)
 
 
 def test_run_cv_mean_is_fold_order_invariant():
@@ -376,6 +373,8 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
     rset = build_ranking_set(g, pos[:4], 5, 3, {p.key() for p in pos})
     pools = [[p] + negs for p, negs in zip(pos[:4], rset.negatives)]
     assert rset.candidate_ids == [[g.triplet_id(t) for t in pool] for pool in pools]
+    assert rset.before.dtype == bool
+    assert rset.before.tolist() == [[cid < ids[0] for cid in ids] for ids in rset.candidate_ids]
     flat = [t for pool in pools for t in pool]
     assert [a.tolist() for a in rset.index] == [[t.gene for t in flat],
                                                 [t.microbe for t in flat],
@@ -386,10 +385,39 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
 
     monkeypatch.setattr(HetGraph, "triplet_id", no_ids)
     cache = ModelCache(g, "full")
-    cases, _ = score_ranking_set(g, cache,
-                                 init_params(cache, ModelConfig(**SMALL_MODEL), 0), rset)
-    assert [c.candidate_ids for c in cases] == rset.candidate_ids
-    assert [c.avg_degree for c in cases] == rset.avg_degrees
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
+    ranks, _ = score_ranking_set(g, cache, params, rset)
+    scores = forward(cache, params, rset.index).scores.data.reshape(4, 6)
+    assert ranks.tolist() == [resolve_rank(s, ids) for s, ids in zip(scores, rset.candidate_ids)]
+
+
+def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
+    g = small_planted()
+    pos = derive_positive_triplets(g)
+    rset = build_ranking_set(g, pos[:6], 30, 2, {p.key() for p in pos})
+
+    def per_pool(*args, **kwargs):
+        raise AssertionError("score_ranking_set ranked one pool at a time")
+
+    for module in (evaluation, training):
+        monkeypatch.setattr(module, "make_case", per_pool, raising=False)
+    cache = ModelCache(g, "full")
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 1)
+    ranks, _ = score_ranking_set(g, cache, params, rset)
+    assert ranks.shape == (6,)
+    assert rset.before.shape == (6, 31)
+
+
+def test_score_ranking_set_names_the_positive_of_a_non_finite_pool():
+    g = small_planted()
+    pos = derive_positive_triplets(g)
+    rset = build_ranking_set(g, pos[:3], 5, 0, {p.key() for p in pos})
+    cache = ModelCache(g, "full")
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
+    params.tensors["mlp_b2"].data[:] = np.nan
+    with pytest.raises(ValueError, match=re.escape(
+            f"non-finite score among the candidates of {rset.candidate_ids[0][0]}")):
+        score_ranking_set(g, cache, params, rset)
 
 
 # ---- independent test ----
@@ -402,15 +430,13 @@ def test_run_test_with_uniform_scores_follows_tie_rule():
     params = init_params(cache, mc, 0)
     for name in ("mlp_W1", "mlp_b1", "mlp_W2", "mlp_b2"):
         params.tensors[name].data[:] = 0.0
-    metrics, cases = run_test(g, resolve_split(g, plan, "split"), cache, params, seed=77)
-    assert len(cases) == len(plan.test)
-    for case in cases:
-        assert np.allclose(case.scores, 0.5)
+    ranks, test_set, _ = run_test(g, resolve_split(g, plan, "split"), cache, params, seed=77)
+    assert len(ranks) == len(plan.test)
+    assert np.allclose(forward(cache, params, test_set.index).scores.data, 0.5)
+    for rank, ids in zip(ranks, test_set.candidate_ids):
         # rank equals the positive's position in ascending id order
-        expect = 1 + sum(1 for cid in case.candidate_ids[1:]
-                         if cid < case.positive_id)
-        assert case.rank == expect
-    assert all(0.0 <= v <= 1.0 for v in metrics.values())
+        assert rank == 1 + sum(1 for cid in ids[1:] if cid < ids[0])
+    assert all(0.0 <= v <= 1.0 for v in rank_metrics(ranks).values())
 
 
 def test_run_test_rank_list_matches_test_size():
@@ -420,6 +446,7 @@ def test_run_test_rank_list_matches_test_size():
     tc = TrainConfig(seed=1, max_epochs=3, patience=50)
     split = resolve_split(g, plan, "split")
     params, _, cache = train_for_test(g, split, mc, tc)
-    metrics, cases = run_test(g, split, cache, params, seed=tc.seed)
-    assert len(cases) == len(plan.test)
-    assert all(1 <= c.rank <= 31 for c in cases)
+    ranks, test_set, _ = run_test(g, split, cache, params, seed=tc.seed)
+    assert [ids[0] for ids in test_set.candidate_ids] == plan.test
+    assert ranks.shape == (len(plan.test),)
+    assert all(1 <= r <= 31 for r in ranks)
