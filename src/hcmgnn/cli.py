@@ -12,157 +12,91 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import block_doc, check_field_types, config_block
 from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
                          silhouette, stratify_by_degree)
-from .graph import (DISEASE, GENE, MICROBE, HetGraph, SplitPlan, avg_node_degree,
-                    derive_positive_triplets, load_edges, load_json, make_split,
-                    positives_by_id)
+from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, SplitConfig, SplitPlan,
+                    avg_node_degree, derive_positive_triplets, load_edges, load_json,
+                    make_split, positives_by_id)
 from .metapath import causal_metapaths, dump_instances
-from .model import (VARIANTS, ModelCache, ModelConfig, ModelParams, check_type,
-                    config_block)
+from .model import VARIANTS, ModelCache, ModelConfig, ModelParams
 from .seeding import derive_seed
-from .synthetic import generate_synthetic
+from .synthetic import SyntheticConfig, generate_synthetic
 from .training import (Split, TrainConfig, resolve_split, run_cv, run_test, thread_map,
                        train_for_test)
 
-_FEATURE_KEYS = {"gene": GENE, "microbe": MICROBE, "disease": DISEASE}
 
-_TOP_KEYS = {"seed", "out", "synthetic", "dataset", "model", "train", "split",
-             "split_file"}
-# the keys each config block accepts; the top-level seed sets the train seed
-_BLOCK_KEYS = {
-    "synthetic": {"n_genes", "n_microbes", "n_diseases", "latent_dim", "edge_density",
-                  "rng_seed"},
-    "dataset": {"gene_microbe", "gene_disease", "microbe_disease", "features"},
-    "model": {f.name for f in fields(ModelConfig)},
-    "train": {f.name for f in fields(TrainConfig)} - {"seed"},
-    "split": {"test_fraction", "folds"},
-}
-_REQUIRED_KEYS = {"synthetic": ("n_genes", "n_microbes", "n_diseases"),
-                  "dataset": ("gene_microbe", "gene_disease", "microbe_disease")}
-# the type of each value load_config checks itself; model and train check theirs
-_VALUE_TYPES = {
-    "": {"out": "str", "split_file": "str"},
-    "synthetic.": {"n_genes": "int", "n_microbes": "int", "n_diseases": "int",
-                   "latent_dim": "int", "edge_density": "float", "rng_seed": "int"},
-    "split.": {"test_fraction": "float", "folds": "int"},
-}
-# the least value of each count load_config checks itself
-_MINIMA = {
-    "synthetic.": {"n_genes": 2, "n_microbes": 2, "n_diseases": 2, "latent_dim": 1},
-    "split.": {"folds": 2},
-}
+@dataclass(frozen=True)
+class FeaturesConfig:
+    """A feature CSV per entity type; a type without one gets one-hot identity features."""
+    gene: str | None = None
+    microbe: str | None = None
+    disease: str | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """A run config's `dataset` block: the three edge files and the feature files."""
+    gene_microbe: str
+    gene_disease: str
+    microbe_disease: str
+    features: FeaturesConfig = field(default_factory=FeaturesConfig)
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass
 class RunConfig:
-    seed: int
-    out: str
-    model: ModelConfig
-    train: TrainConfig
-    synthetic: dict | None = None
-    dataset: dict | None = None
-    split: dict | None = None
+    """A whole run config: the top-level keys, and a checked dataclass per block."""
+    seed: int = 0
+    out: str = "runs/out"
+    synthetic: SyntheticConfig | None = None
+    dataset: DatasetConfig | None = None
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
     split_file: str | None = None
 
-    def resolved(self) -> dict:
-        doc = {"seed": self.seed, "out": self.out,
-               "model": asdict(self.model), "train": asdict(self.train),
-               "split": self.split or {"test_fraction": 0.1, "folds": 5}}
-        if self.synthetic is not None:
-            doc["synthetic"] = self.synthetic
-        if self.dataset is not None:
-            doc["dataset"] = self.dataset
-        if self.split_file:
-            doc["split_file"] = self.split_file
-        return doc
-
-
-def _check_keys(path, where: str, block, allowed: set[str], required=()):
-    """Reject a key that `block` does not accept or lacks, naming the file and the key."""
-    if not isinstance(block, dict):
-        raise ValueError(f"{path}: '{where.rstrip('.') or 'config'}' must be a JSON object")
-    for key in block:
-        if key not in allowed:
-            raise ValueError(f"{path}: unknown config key '{where}{key}'")
-    for key in required:
-        if key not in block:
-            raise ValueError(f"{path}: missing config key '{where}{key}'")
+    def __post_init__(self):
+        check_field_types(self)
+        if not self.out:
+            raise ValueError("out must not be empty")
+        if (self.synthetic is None) == (self.dataset is None):
+            raise ValueError("config must contain exactly one of 'synthetic' or 'dataset'")
+        self.train = replace(self.train, seed=self.seed)  # the top-level seed sets it
 
 
 def load_config(path, seed_override=None, out_override=None,
                 variant_override=None) -> RunConfig:
-    doc = load_json(path)
-    _check_keys(path, "", doc, _TOP_KEYS)
-    for name, allowed in _BLOCK_KEYS.items():
-        if name in doc:
-            _check_keys(path, f"{name}.", doc[name], allowed, _REQUIRED_KEYS.get(name, ()))
-    features = doc.get("dataset", {}).get("features")
-    if features is not None:
-        _check_keys(path, "dataset.features.", features, set(_FEATURE_KEYS))
-    if ("synthetic" in doc) == ("dataset" in doc):
-        raise ValueError(f"{path}: config must contain exactly one of "
-                         f"'synthetic' or 'dataset'")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    try:
-        check_type("seed", seed, "int")
-        for where, types in _VALUE_TYPES.items():
-            block = doc.get(where.rstrip("."), {}) if where else doc
-            for key, type_name in types.items():
-                if key in block:
-                    check_type(f"{where}{key}", block[key], type_name)
-        for where, minima in _MINIMA.items():
-            block = doc.get(where.rstrip("."), {})
-            for key, least in minima.items():
-                if block.get(key, least) < least:
-                    raise ValueError(f"{where}{key} must be >= {least}, got {block[key]!r}")
-        split = doc.get("split", {})
-        if not 0 <= split.get("test_fraction", 0) < 1:
-            raise ValueError(f"split.test_fraction must lie in [0, 1), "
-                             f"got {split['test_fraction']!r}")
-        synthetic = doc.get("synthetic", {})
-        if not 0 < synthetic.get("edge_density", 0.5) < 1:
-            raise ValueError(f"synthetic.edge_density must lie in (0, 1), "
-                             f"got {synthetic['edge_density']!r}")
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    model_doc = dict(doc.get("model", {}))
-    if variant_override is not None:
-        model_doc["variant"] = variant_override
-    train_doc = dict(doc.get("train", {}))
-    train_doc["seed"] = seed
-    out = out_override or doc.get("out") or "runs/out"
-    return RunConfig(seed=seed, out=out,
-                     model=config_block(ModelConfig, model_doc, f"{path}: model"),
-                     train=config_block(TrainConfig, train_doc, f"{path}: train"),
-                     synthetic=doc.get("synthetic"), dataset=doc.get("dataset"),
-                     split=doc.get("split"), split_file=doc.get("split_file"))
+    cfg = config_block(RunConfig, load_json(path), path)
+    model = replace(cfg.model, variant=variant_override or cfg.model.variant)
+    return replace(cfg, model=model, out=out_override or cfg.out,
+                   seed=cfg.seed if seed_override is None else seed_override)
 
 
 def _synthesize(cfg: RunConfig, out_dir):
     """The planted dataset of the config's synthetic block, and its seed."""
-    block = cfg.synthetic
-    gen_seed = block.get("rng_seed", derive_seed(cfg.seed, "synthetic"))
-    return gen_seed, generate_synthetic(
-        block["n_genes"], block["n_microbes"], block["n_diseases"],
-        block.get("latent_dim", 8), block.get("edge_density", 0.15),
-        gen_seed, out_dir=out_dir)
+    s = cfg.synthetic
+    gen_seed = derive_seed(cfg.seed, "synthetic") if s.rng_seed is None else s.rng_seed
+    return gen_seed, generate_synthetic(s.n_genes, s.n_microbes, s.n_diseases,
+                                        s.latent_dim, s.edge_density, gen_seed,
+                                        out_dir=out_dir)
 
 
 def build_graph(cfg: RunConfig) -> HetGraph:
     if cfg.synthetic is not None:
         return _synthesize(cfg, None)[1].graph
     ds = cfg.dataset
-    features = {}
-    for key, t in _FEATURE_KEYS.items():
-        path = (ds.get("features") or {}).get(key)
-        if path:
-            features[t] = path
-    return load_edges(ds["gene_microbe"], ds["gene_disease"], ds["microbe_disease"],
+    features = {t: path for t in EntityType if (path := getattr(ds.features, t.name.lower()))}
+    return load_edges(ds.gene_microbe, ds.gene_disease, ds.microbe_disease,
                       feature_paths=features or None)
 
 
@@ -174,10 +108,7 @@ def build_split(cfg: RunConfig, g: HetGraph) -> Split:
     by_id = positives_by_id(g)
     if cfg.split_file:
         return resolve_split(g, SplitPlan.load(cfg.split_file), cfg.split_file, by_id)
-    opts = cfg.split or {}
-    plan = make_split(list(by_id),
-                      test_fraction=opts.get("test_fraction", 0.1),
-                      folds=opts.get("folds", 5),
+    plan = make_split(list(by_id), cfg.split.test_fraction, cfg.split.folds,
                       rng_seed=derive_seed(cfg.seed, "split"))
     return resolve_split(g, plan, "generated split", by_id)
 
@@ -186,20 +117,17 @@ def split_hash(split: Split) -> str:
     return hashlib.sha256(split.plan.to_json().encode("utf-8")).hexdigest()[:16]
 
 
-def _ensure_dirs(out):
-    for sub in ("metrics", "checkpoints", "exports"):
-        os.makedirs(os.path.join(out, sub), exist_ok=True)
-
-
 def _write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_run_file(cfg: RunConfig):
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_json(os.path.join(cfg.out, "run.json"), cfg.resolved())
+def _start_run(cfg: RunConfig):
+    """Write `run.json`, the config as `load_config` reads it back, and the output dirs."""
+    for sub in ("metrics", "checkpoints", "exports"):
+        os.makedirs(os.path.join(cfg.out, sub), exist_ok=True)
+    _write_json(os.path.join(cfg.out, "run.json"), block_doc(cfg))
 
 
 def _threads() -> int:
@@ -212,7 +140,6 @@ def _threads() -> int:
 def cmd_synth(cfg: RunConfig) -> str:
     if cfg.synthetic is None:
         raise ValueError("synth needs a 'synthetic' block in the config")
-    _write_run_file(cfg)
     data_dir = os.path.join(cfg.out, "data")
     gen_seed, result = _synthesize(cfg, data_dir)
     triangles = len(derive_positive_triplets(result.graph))
@@ -234,8 +161,6 @@ def cmd_synth(cfg: RunConfig) -> str:
 
 
 def cmd_cv(cfg: RunConfig) -> str:
-    _write_run_file(cfg)
-    _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     split = build_split(cfg, g)
     result = run_cv(g, split, cfg.model, cfg.train, max_workers=_threads())
@@ -253,8 +178,6 @@ def cmd_cv(cfg: RunConfig) -> str:
 
 
 def cmd_test(cfg: RunConfig) -> str:
-    _write_run_file(cfg)
-    _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     split = build_split(cfg, g)
     params, report, cache = train_for_test(g, split, cfg.model, cfg.train)
@@ -284,8 +207,6 @@ def cmd_test(cfg: RunConfig) -> str:
 
 
 def cmd_ablate(cfg: RunConfig) -> str:
-    _write_run_file(cfg)
-    _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     split = build_split(cfg, g)
     shash = split_hash(split)
@@ -315,8 +236,6 @@ def cmd_ablate(cfg: RunConfig) -> str:
 
 
 def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
-    _write_run_file(cfg)
-    _ensure_dirs(cfg.out)
     checkpoint_path = checkpoint_path or os.path.join(cfg.out, "checkpoints", "test.json")
     if not os.path.exists(checkpoint_path):
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
@@ -337,8 +256,6 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
 
 
 def cmd_instances(cfg: RunConfig) -> str:
-    _write_run_file(cfg)
-    _ensure_dirs(cfg.out)
     g = build_graph(cfg)
     path = os.path.join(cfg.out, "exports", "instances.tsv")
     dump_instances(path, g, causal_metapaths())
@@ -365,6 +282,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out, variant_override=args.variant)
+        _start_run(cfg)
         commands[args.command](cfg)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

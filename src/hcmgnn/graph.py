@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+from .config import check_at_least, check_field_types
+
 logger = logging.getLogger(__name__)
 
 
@@ -360,8 +362,21 @@ class SplitPlan:
         return cls(test=doc["test"], folds=doc["folds"], seed=doc["seed"])
 
 
-def make_split(ids: list[str], test_fraction: float = 0.1, folds: int = 5,
-               rng_seed: int = 0) -> SplitPlan:
+@dataclass(frozen=True)
+class SplitConfig:
+    """A run config's `split` block: the test slice's share and the CV fold count."""
+    test_fraction: float = 0.1
+    folds: int = 5
+
+    def __post_init__(self):
+        check_field_types(self)
+        check_at_least(self, 2, "folds")  # CV trains on a fold besides the one it scores
+        if not 0 <= self.test_fraction < 1:
+            raise ValueError(f"test_fraction must lie in [0, 1), got {self.test_fraction!r}")
+
+
+def make_split(ids: list[str], test_fraction: float = SplitConfig.test_fraction,
+               folds: int = SplitConfig.folds, rng_seed: int = 0) -> SplitPlan:
     """Shuffle the positives' triplet ids, reserve the test slice, split the rest into folds."""
     n = len(ids)
     n_test = round(test_fraction * n)

@@ -11,11 +11,12 @@ path and head; ablation variants reroute messages or swap the family.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import check_at_least, check_field_types, config_block
 from .graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                     load_json)
 from .metapath import (PAIRWISE_2, SYMMETRIC_5, Metapath, ablation_metapaths,
@@ -24,29 +25,6 @@ from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
 CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v2"
-
-
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def check_type(name: str, value, type_name: str):
-    """Reject a value not of `type_name` ("int", "float" or "str"); a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[type_name]):
-        raise ValueError(f"{name} must be {type_name}, got {value!r}")
-
-
-def check_field_types(config):
-    """Reject a dataclass field not of its declared type."""
-    for f in fields(config):
-        check_type(f.name, getattr(config, f.name), f.type)
-
-
-def config_block(cls, block, where: str):
-    """`cls(**block)`; a bad key or value is an error naming `where`."""
-    try:
-        return cls(**block)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -62,9 +40,9 @@ class ModelConfig:
         check_field_types(self)
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        for name in ("proj_dim", "heads", "fusion_dim", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if not -np.inf < self.leaky_slope < np.inf:
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope!r}")
+        check_at_least(self, 1, "proj_dim", "heads", "fusion_dim", "mlp_hidden")
 
     @property
     def embed_dim(self) -> int:
@@ -102,8 +80,7 @@ class ModelCache:
     """
 
     def __init__(self, graph: HetGraph, variant: str = "full"):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        ModelConfig(variant=variant)  # rejects an unknown variant
         self.variant = variant
         self.metapaths = family_paths(variant)
 
@@ -257,7 +234,7 @@ class ModelParams:
         for key in ("config", "feature_dims", "tensors"):
             if not isinstance(doc.get(key), dict):
                 raise ValueError(f"{path}: the checkpoint has no {key!r} object")
-        config = config_block(ModelConfig, doc["config"], f"{path}: config")
+        config = config_block(ModelConfig, doc["config"], path, "config.")
         fdims = doc["feature_dims"]
         if (sorted(fdims) != sorted(map(_type_key, EntityType))
                 or not all(type(n) is int and n >= 1 for n in fdims.values())):

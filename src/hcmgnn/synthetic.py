@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_at_least, check_field_types
 from .graph import DISEASE, GENE, MICROBE, PAIR_KINDS, EntityType, HetGraph
 
 FEATURE_NOISE_STD = 0.1
@@ -27,6 +28,25 @@ _PREFIX = {GENE: "g", MICROBE: "m", DISEASE: "d"}
 
 class CalibrationError(RuntimeError):
     """Bisection could not land within 10% of the target density."""
+
+
+@dataclass(frozen=True)
+class SyntheticConfig:
+    """A run config's `synthetic` block: the planted graph to generate."""
+    n_genes: int
+    n_microbes: int
+    n_diseases: int
+    latent_dim: int = 8
+    edge_density: float = 0.15
+    rng_seed: int | None = None  # None: derived from the run's top-level seed
+
+    def __post_init__(self):
+        check_field_types(self)
+        check_at_least(self, 2, "n_genes", "n_microbes", "n_diseases")
+        check_at_least(self, 1, "latent_dim")
+        check_at_least(self, 0, "rng_seed")
+        if not 0 < self.edge_density < 1:
+            raise ValueError(f"edge_density must lie in (0, 1), got {self.edge_density!r}")
 
 
 @dataclass
@@ -58,16 +78,10 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
     """Sample a planted graph and optionally write its edge/feature files.
 
     Output files are a pure function of the arguments, byte for byte.
-    Passing `bias` skips density calibration.
+    Passing `bias` skips density calibration.  `SyntheticConfig` checks the arguments.
     """
+    SyntheticConfig(n_genes, n_microbes, n_diseases, latent_dim, edge_density_target, rng_seed)
     sizes = {GENE: n_genes, MICROBE: n_microbes, DISEASE: n_diseases}
-    for t, n in sizes.items():
-        if n < 2:
-            raise ValueError(f"generate_synthetic: need at least 2 {t.name.lower()}s")
-    if latent_dim < 1:
-        raise ValueError("generate_synthetic: latent_dim must be >= 1")
-    if not (0.0 < edge_density_target < 1.0) and bias is None:
-        raise ValueError("generate_synthetic: density must lie in (0, 1)")
 
     rng = np.random.default_rng(rng_seed)
     center = (MIXTURE_SCALE / np.sqrt(latent_dim)) * np.ones(latent_dim)

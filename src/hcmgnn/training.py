@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .config import check_at_least, check_field_types
 from .evaluation import METRIC_KEYS, rank_metrics, rank_pools
 from .graph import (EntityType, HetGraph, LabeledTriplet, SplitPlan,
                     positives_by_id, sample_negatives, sample_training_negatives)
-from .model import (ModelCache, ModelConfig, ModelParams, check_field_types,
-                    forward, init_params, score_triplets)
+from .model import (ModelCache, ModelConfig, ModelParams, forward, init_params,
+                    score_triplets)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -31,7 +32,7 @@ class TrainConfig:
     max_epochs: int = 1000
     patience: int = 50
     val_metric: str = "mrr"
-    seed: int = 0
+    seed: int = field(default=0, metadata={"settable": False})  # the run's top-level seed
 
     def __post_init__(self):
         check_field_types(self)
@@ -39,10 +40,7 @@ class TrainConfig:
             raise ValueError(f"val_metric must be one of {METRIC_KEYS}, got {self.val_metric!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        check_at_least(self, 1, "patience", "max_epochs")
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"lr must be finite and > 0, got {self.lr!r}")
 

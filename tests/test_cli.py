@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from conftest import load_embeddings
 from hcmgnn import cli, training
 from hcmgnn.cli import build_graph, build_split, load_config, main
+from hcmgnn.config import block_doc
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, derive_positive_triplets,
                           load_edges)
 
@@ -283,6 +286,12 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
     ({"model": {**SMALL_MODEL, "heads": True}}, "model: heads must be int, got True"),
     ({"model": {**SMALL_MODEL, "mlp_hidden": 6.0}}, "model: mlp_hidden must be int"),
     ({"model": {**SMALL_MODEL, "leaky_slope": "x"}}, "model: leaky_slope must be float"),
+    ({"model": {**SMALL_MODEL, "leaky_slope": float("nan")}},
+     "model: leaky_slope must be finite, got nan"),
+    ({"model": {**SMALL_MODEL, "leaky_slope": float("inf")}},
+     "model: leaky_slope must be finite, got inf"),
+    ({"model": {**SMALL_MODEL, "leaky_slope": float("-inf")}},
+     "model: leaky_slope must be finite, got -inf"),
     ({"train": {"max_epochs": 3, "patience": "x"}}, "train: patience must be int"),
     ({"train": {"max_epochs": False}}, "train: max_epochs must be int, got False"),
     ({"train": {"max_epochs": 3, "gamma": 2}}, r"train: gamma must lie in \[0, 1\]"),
@@ -300,53 +309,57 @@ def test_unknown_config_key_rejected(tmp_path, override, key):
                   "microbe_disease": "md.tsv"}},
      "config must contain exactly one of 'synthetic' or 'dataset'"),
     ({"out": 5}, "out must be str, got 5"),
+    ({"out": ""}, "out must not be empty"),
     ({"split_file": ["s.json"]}, r"split_file must be str, got \['s.json'\]"),
     ({"synthetic": {"n_genes": "20", "n_microbes": 16, "n_diseases": 16}},
-     "synthetic.n_genes must be int, got '20'"),
+     "synthetic: n_genes must be int, got '20'"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16.0, "n_diseases": 16}},
-     "synthetic.n_microbes must be int, got 16.0"),
+     "synthetic: n_microbes must be int, got 16.0"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": True}},
-     "synthetic.n_diseases must be int, got True"),
+     "synthetic: n_diseases must be int, got True"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
-                    "latent_dim": "4"}}, "synthetic.latent_dim must be int, got '4'"),
+                    "latent_dim": "4"}}, "synthetic: latent_dim must be int, got '4'"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
-                    "rng_seed": 3.5}}, "synthetic.rng_seed must be int, got 3.5"),
+                    "rng_seed": 3.5}}, "synthetic: rng_seed must be int, got 3.5"),
+    ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                    "rng_seed": -1}}, "synthetic: rng_seed must be >= 0, got -1"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
                     "edge_density": "0.2"}},
-     "synthetic.edge_density must be float, got '0.2'"),
-    ({"split": {"test_fraction": "0.1"}}, "split.test_fraction must be float, got '0.1'"),
-    ({"split": {"folds": "5"}}, "split.folds must be int, got '5'"),
+     "synthetic: edge_density must be float, got '0.2'"),
+    ({"split": {"test_fraction": "0.1"}}, "split: test_fraction must be float, got '0.1'"),
+    ({"split": {"folds": "5"}}, "split: folds must be int, got '5'"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16}},
      "missing config key 'synthetic.n_diseases'"),
     ({"synthetic": DROP, "dataset": {"gene_microbe": "gm.tsv", "microbe_disease": "md.tsv"}},
      "missing config key 'dataset.gene_disease'"),
-    ({"split": {"folds": 0}}, "split.folds must be >= 2, got 0"),
-    ({"split": {"folds": -2}}, "split.folds must be >= 2, got -2"),
-    ({"split": {"folds": 1}}, "split.folds must be >= 2, got 1"),
-    ({"split": {"test_fraction": -0.5}}, r"split.test_fraction must lie in \[0, 1\), got -0.5"),
-    ({"split": {"test_fraction": 1}}, r"split.test_fraction must lie in \[0, 1\), got 1"),
+    ({"split": {"folds": 0}}, "split: folds must be >= 2, got 0"),
+    ({"split": {"folds": -2}}, "split: folds must be >= 2, got -2"),
+    ({"split": {"folds": 1}}, "split: folds must be >= 2, got 1"),
+    ({"split": {"test_fraction": -0.5}}, r"split: test_fraction must lie in \[0, 1\), got -0.5"),
+    ({"split": {"test_fraction": 1}}, r"split: test_fraction must lie in \[0, 1\), got 1"),
     ({"synthetic": {"n_genes": 1, "n_microbes": 16, "n_diseases": 16}},
-     "synthetic.n_genes must be >= 2, got 1"),
+     "synthetic: n_genes must be >= 2, got 1"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 0, "n_diseases": 16}},
-     "synthetic.n_microbes must be >= 2, got 0"),
+     "synthetic: n_microbes must be >= 2, got 0"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": -3}},
-     "synthetic.n_diseases must be >= 2, got -3"),
+     "synthetic: n_diseases must be >= 2, got -3"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16, "latent_dim": 0}},
-     "synthetic.latent_dim must be >= 1, got 0"),
+     "synthetic: latent_dim must be >= 1, got 0"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16, "latent_dim": -2}},
-     "synthetic.latent_dim must be >= 1, got -2"),
+     "synthetic: latent_dim must be >= 1, got -2"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
                     "edge_density": 1.5}},
-     r"synthetic.edge_density must lie in \(0, 1\), got 1.5"),
+     r"synthetic: edge_density must lie in \(0, 1\), got 1.5"),
     ({"synthetic": {"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
                     "edge_density": 0}},
-     r"synthetic.edge_density must lie in \(0, 1\), got 0"),
+     r"synthetic: edge_density must lie in \(0, 1\), got 0"),
 ], ids=["heads-0", "fusion-0", "heads-str", "heads-bool", "hidden-float", "slope-str",
-        "patience-str", "epochs-bool", "gamma-2", "metric-unknown", "epochs-0",
-        "epochs-negative", "lr-negative", "lr-nan", "seed-float", "seed-str", "seed-bool",
-        "model-null", "train-null", "synthetic-and-dataset", "out-int", "split-file-list",
-        "n-genes-str", "n-microbes-float", "n-diseases-bool", "latent-dim-str",
-        "rng-seed-float", "density-str", "test-fraction-str", "folds-str",
+        "slope-nan", "slope-inf", "slope-minus-inf", "patience-str", "epochs-bool",
+        "gamma-2", "metric-unknown", "epochs-0", "epochs-negative", "lr-negative", "lr-nan",
+        "seed-float", "seed-str", "seed-bool", "model-null", "train-null",
+        "synthetic-and-dataset", "out-int", "out-empty", "split-file-list", "n-genes-str",
+        "n-microbes-float", "n-diseases-bool", "latent-dim-str", "rng-seed-float",
+        "rng-seed-negative", "density-str", "test-fraction-str", "folds-str",
         "n-diseases-missing", "gene-disease-missing", "folds-0", "folds-negative", "folds-1",
         "test-fraction-negative", "test-fraction-1", "n-genes-1", "n-microbes-0",
         "n-diseases-negative", "latent-dim-0", "latent-dim-negative", "density-1.5",
@@ -372,6 +385,77 @@ def test_unknown_dataset_key_rejected(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="unknown config key 'dataset.feature'"):
         load_config(str(path))
+
+
+DATASET = {"gene_microbe": "gm.tsv", "gene_disease": "gd.tsv", "microbe_disease": "md.tsv"}
+
+
+@pytest.mark.parametrize("value", [99, True, ["gm.tsv"]], ids=["int", "bool", "list"])
+@pytest.mark.parametrize("key", ["gene_microbe", "gene_disease", "microbe_disease",
+                                 "features.gene", "features.microbe", "features.disease"])
+def test_dataset_path_must_be_a_string(tmp_path, key, value):
+    # load_config only: a path that is no string once reached open() as a descriptor
+    block, _, name = key.rpartition(".")
+    dataset = {**DATASET, "features": {name: value}} if block else {**DATASET, name: value}
+    cfg_path, _ = write_config(tmp_path, synthetic=DROP, dataset=dataset)
+    with pytest.raises(ValueError) as err:
+        load_config(cfg_path)
+    where = "dataset.features" if block else "dataset"
+    assert str(err.value) == f"{cfg_path}: {where}: {name} must be str, got {value!r}"
+
+
+COMMANDS = ("synth", "cv", "test", "ablate", "stratify", "instances")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_run_json_loads_back_to_the_same_config(tmp_path, command):
+    cfg, out = write_config(tmp_path, train={"max_epochs": 1, "patience": 50})
+    if command == "stratify":
+        assert main(["test", "--config", cfg]) == 0
+    assert main([command, "--config", cfg, "--seed", "9", "--variant", "woAF"]) == 0
+    assert (load_config(os.path.join(out, "run.json"))
+            == load_config(cfg, seed_override=9, variant_override="woAF"))
+
+
+def test_dataset_run_json_loads_back_to_the_same_config(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["synth", "--config", cfg]) == 0
+    data = os.path.join(out, "data")
+    dataset = {key: os.path.join(data, f"edges_{key}.tsv") for key in DATASET}
+    dataset["features"] = {"gene": os.path.join(data, "features_gene.csv")}
+    cfg, out = write_config(tmp_path, out_name="real", synthetic=DROP, dataset=dataset,
+                            split={"folds": 3}, split_file=str(tmp_path / "split.json"))
+    assert main(["instances", "--config", cfg]) == 0
+    assert load_config(os.path.join(out, "run.json")) == load_config(cfg)
+
+
+def test_cv_from_run_json_writes_the_same_metrics(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["cv", "--config", cfg]) == 0
+    rerun = str(tmp_path / "rerun")
+    assert main(["cv", "--config", os.path.join(out, "run.json"), "--out", rerun]) == 0
+    cv_json = [open(os.path.join(d, "metrics", "cv.json"), "rb").read() for d in (out, rerun)]
+    assert cv_json[0] == cv_json[1]
+
+
+def within(part, whole) -> bool:
+    """Every key of `part` is in `whole` with the same value, in nested objects too."""
+    return all(within(v, whole.get(k, {})) if isinstance(v, dict) else whole.get(k) == v
+               for k, v in part.items())
+
+
+def test_readme_example_configs_load(tmp_path):
+    """README's example config, and that config with its `dataset` block, load as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    example = next(json.loads(b) for b in blocks if '"synthetic"' in b)
+    dataset = next(json.loads("{" + b + "}") for b in blocks
+                   if b.lstrip().startswith('"dataset"'))
+    real = {**{k: v for k, v in example.items() if k != "synthetic"}, **dataset}
+    for name, doc in (("example", example), ("real", real)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert within(doc, block_doc(load_config(str(path))))
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):

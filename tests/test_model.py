@@ -609,6 +609,8 @@ def transpose_entry(entry):
     (lambda doc: doc["tensors"]["mlp_b2"].update(shape=[3, 3]), "'mlp_b2'"),
     (lambda doc: doc["config"].update(heads=3), "'attn'"),
     (lambda doc: doc["config"].update(heads="2"), "heads"),
+    (lambda doc: doc["config"].update(leaky_slope=float("nan")),
+     "config: leaky_slope must be finite, got nan"),
     (lambda doc: doc.pop("feature_dims"), "'feature_dims'"),
     (lambda doc: doc["tensors"].update(extra={"shape": [1, 1], "data": [0.0]}), "'extra'"),
     (lambda doc: doc["tensors"].update(mlp_W1=transpose_entry(doc["tensors"]["mlp_W1"])),
@@ -620,7 +622,7 @@ def transpose_entry(entry):
     (lambda doc: doc.update(format="hcmgnn-checkpoint-v1"),
      "checkpoint format 'hcmgnn-checkpoint-v1', expected 'hcmgnn-checkpoint-v2'"),
 ], ids=["missing-tensor", "wrong-length", "heads-3-of-2", "config-value",
-        "missing-feature-dims", "extra-tensor", "transposed", "nan-value", "inf-value",
+        "slope-nan", "missing-feature-dims", "extra-tensor", "transposed", "nan-value", "inf-value",
         "format-v1"])
 def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tamper, key):
     path = tmp_path / "ckpt.json"
