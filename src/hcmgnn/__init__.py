@@ -1,8 +1,8 @@
 """Heterogeneous causal-metapath network for gene-microbe-disease ranking."""
 
-from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, LabeledTriplet,
-                    SplitPlan, avg_node_degree, derive_positive_triplets,
-                    load_edges, make_split, positives_by_id, sample_negatives)
+from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, SplitPlan,
+                    avg_node_degree, derive_positive_triplets, load_edges, make_split,
+                    positives_by_id, sample_negatives)
 from .metapath import (Metapath, ablation_metapaths, causal_metapaths,
                        enumerate_instance_rows)
 from .model import (ModelCache, ModelConfig, ModelParams, ForwardOutput,

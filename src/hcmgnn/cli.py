@@ -71,6 +71,9 @@ class RunConfig:
             raise ValueError("out must not be empty")
         if (self.synthetic is None) == (self.dataset is None):
             raise ValueError("config must contain exactly one of 'synthetic' or 'dataset'")
+        if self.split_file is not None and self.split != SplitConfig():
+            raise ValueError(f"'split' must be left out beside 'split_file': the split "
+                             f"file {self.split_file} fixes the test slice and the folds")
         self.train = replace(self.train, seed=self.seed)  # the top-level seed sets it
 
 
@@ -192,14 +195,15 @@ def cmd_test(cfg: RunConfig) -> str:
     export_embeddings(os.path.join(cfg.out, "exports", "test_embeddings.tsv"),
                       ids, labels, tables, test_set.index)
     vecs = np.concatenate([tab[rows] for tab, rows in zip(tables, test_set.index)], axis=1)
+    degrees = avg_node_degree(g, split.test_positives).tolist()
 
     doc = {"split_hash": split_hash(split), "seed": cfg.seed,
            "variant": cfg.model.variant, "metrics": metrics,
            "silhouette": silhouette(vecs, np.array(labels)),
            "best_epoch": report.best_epoch, "epochs": report.epochs_run,
-           "ranks": [{"id": ids[0], "rank": rank, "avg_degree": avg_node_degree(g, pos)}
-                     for ids, rank, pos in zip(test_set.candidate_ids, ranks.tolist(),
-                                               split.test_positives)]}
+           "ranks": [{"id": ids[0], "rank": rank, "avg_degree": degree}
+                     for ids, rank, degree in zip(test_set.candidate_ids, ranks.tolist(),
+                                                  degrees)]}
     path = os.path.join(cfg.out, "metrics", "test.json")
     _write_json(path, doc)
     print("test: " + " ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
@@ -244,7 +248,7 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
     split = build_split(cfg, g)
     cache = ModelCache(g, params.config.variant)
     ranks = run_test(g, split, cache, params, cfg.seed)[0]
-    degrees = [avg_node_degree(g, pos) for pos in split.test_positives]
+    degrees = avg_node_degree(g, split.test_positives)
     reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
     path = os.path.join(cfg.out, "metrics", "strata.tsv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -26,9 +26,6 @@ class EntityType(Enum):
     MICROBE = 1
     DISEASE = 2
 
-    def __lt__(self, other):
-        return self.value < other.value
-
 
 GENE, MICROBE, DISEASE = EntityType.GENE, EntityType.MICROBE, EntityType.DISEASE
 
@@ -47,20 +44,12 @@ class InstanceExplosion(RuntimeError):
     """A join would give more rows than its limit."""
 
 
-@dataclass(frozen=True)
-class LabeledTriplet:
-    gene: int
-    microbe: int
-    disease: int
-    label: int
-    provenance: str  # "observed" | "sampled-negative"
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.gene, self.microbe, self.disease)
-
-
 class HetGraph:
-    """Immutable after construction; safe for shared reads."""
+    """Immutable after construction; safe for shared reads.
+
+    A triplet is a (gene, microbe, disease) row of node indices; a set of
+    them is an int64 (N, 3) array.
+    """
 
     def __init__(self, node_ids: dict[EntityType, list[str]],
                  undirected_edges: dict[tuple[EntityType, EntityType], np.ndarray | list],
@@ -82,6 +71,11 @@ class HetGraph:
             rows = np.unique(np.concatenate([fwd, rev[:, ::-1]]), axis=0)
             rows.flags.writeable = False
             self.edge_rows[(a, b)] = rows
+        # each node's distinct cross-type neighbours: the heads of its outgoing relations
+        self.degrees = {t: sum(np.bincount(self.edge_rows[rel][:, 0],
+                                           minlength=self.num_nodes(t))
+                               for rel in RELATIONS if rel[0] is t)
+                        for t in EntityType}
 
     def num_nodes(self, t: EntityType) -> int:
         return len(self.node_ids[t])
@@ -90,23 +84,10 @@ class HetGraph:
     def sizes(self) -> tuple[int, int, int]:
         return (self.num_nodes(GENE), self.num_nodes(MICROBE), self.num_nodes(DISEASE))
 
-    def neighbors(self, rel: tuple[EntityType, EntityType], u: int) -> np.ndarray:
-        rows = self.edge_rows[rel]
-        heads = rows[:, 0]
-        return rows[heads.searchsorted(u):heads.searchsorted(u + 1), 1]
-
-    def degree(self, t: EntityType, v: int) -> int:
-        """Distinct cross-type neighbors; each bidirectional pair counts once."""
-        total = 0
-        for rel in RELATIONS:
-            if rel[0] is t:
-                total += self.neighbors(rel, v).size
-        return total
-
-    def triplet_id(self, t: LabeledTriplet) -> str:
-        return "|".join((self.node_ids[GENE][t.gene],
-                         self.node_ids[MICROBE][t.microbe],
-                         self.node_ids[DISEASE][t.disease]))
+    def triplet_id(self, rows: np.ndarray) -> list[str]:
+        """The 'gene|microbe|disease' id of each (N, 3) triplet row."""
+        genes, microbes, diseases = (self.node_ids[t] for t in EntityType)
+        return ["|".join((genes[g], microbes[m], diseases[d])) for g, m, d in rows.tolist()]
 
 
 def load_json(path):
@@ -150,6 +131,8 @@ def _read_feature_file(path, index: dict[str, int]):
         if not header or header[0] != "id":
             raise ValueError(f"{path}: feature file needs a header 'id,f1,...,fk'")
         width = len(header) - 1
+        if not width:
+            raise ValueError(f"{path}:1: the header names no feature column after 'id'")
         rows: dict[int, np.ndarray] = {}
         first_line: dict[str, int] = {}
         ignored = 0
@@ -235,8 +218,8 @@ def join_rows(left: np.ndarray, right: np.ndarray, limit: int | None = None) -> 
                            right[ri, 1:]], axis=1)
 
 
-def derive_positive_triplets(g: HetGraph) -> list[LabeledTriplet]:
-    """Enumerate all gene/microbe/disease triangles, lexicographically sorted.
+def derive_positive_triplets(g: HetGraph) -> np.ndarray:
+    """Every gene/microbe/disease triangle as (N, 3) rows, lexicographically sorted.
 
     A triangle is a G-M-D walk whose gene-disease edge exists too.
     """
@@ -244,35 +227,36 @@ def derive_positive_triplets(g: HetGraph) -> list[LabeledTriplet]:
     gd = g.edge_rows[(GENE, DISEASE)]
     n_d = g.num_nodes(DISEASE)
     closed = np.isin(gmd[:, 0] * n_d + gmd[:, 2], gd[:, 0] * n_d + gd[:, 1])
-    return [LabeledTriplet(gi, mi, di, 1, "observed") for gi, mi, di in gmd[closed].tolist()]
+    return gmd[closed]
 
 
-def positives_by_id(g: HetGraph) -> dict[str, LabeledTriplet]:
-    """Each positive triplet of `g` keyed by its triplet id, in derivation order."""
-    return {g.triplet_id(p): p for p in derive_positive_triplets(g)}
+def positives_by_id(g: HetGraph) -> dict[str, tuple[int, int, int]]:
+    """Each positive triplet of `g` as a (g, m, d) tuple keyed by its id, in derivation order."""
+    rows = derive_positive_triplets(g)
+    return dict(zip(g.triplet_id(rows), map(tuple, rows.tolist())))
 
 
-def _known_keys(positives: list[LabeledTriplet], sizes: tuple[int, int, int],
+def _known_keys(positives: np.ndarray, sizes: tuple[int, int, int],
                 known_positives, name: str) -> set[tuple[int, int, int]]:
     """The triplets no negative may be; rejects an empty positive set or a full universe."""
-    if not positives:
+    if not len(positives):
         raise ValueError(f"{name}: positive set is empty")
     if known_positives is None:
-        known_positives = {p.key() for p in positives}
+        known_positives = set(map(tuple, positives.tolist()))
     n_g, n_m, n_d = sizes
     if n_g * n_m * n_d <= len(known_positives):
         raise ValueError(f"{name}: universe not larger than the positive set")
     return known_positives
 
 
-def _corrupt(rng, p: LabeledTriplet, slot: int, sizes: tuple[int, int, int],
-             known, chosen: set, budget: int, name: str) -> tuple[LabeledTriplet, int]:
+def _corrupt(rng, p: list[int], slot: int, sizes: tuple[int, int, int],
+             known, chosen: set, budget: int, name: str) -> tuple[tuple[int, int, int], int]:
     """Redraw `slot` of p until the triplet is neither known nor already chosen.
 
     Spends one of `budget` draws per try and returns the negative with the
     draws left; raises naming p once the budget is spent.
     """
-    g, m, d = p.gene, p.microbe, p.disease
+    g, m, d = p
     n = sizes[slot]
     while budget > 0:
         budget -= 1
@@ -280,38 +264,38 @@ def _corrupt(rng, p: LabeledTriplet, slot: int, sizes: tuple[int, int, int],
         cand = (x, m, d) if slot == 0 else (g, x, d) if slot == 1 else (g, m, x)
         if cand not in known and cand not in chosen:
             chosen.add(cand)
-            return LabeledTriplet(*cand, 0, "sampled-negative"), budget
+            return cand, budget
     raise RuntimeError(f"{name}: ran out of draws for a new negative of positive "
-                       f"({p.gene},{p.microbe},{p.disease})")
+                       f"({g},{m},{d})")
 
 
-def sample_negatives(positives: list[LabeledTriplet], count_per_positive: int,
+def sample_negatives(positives: np.ndarray, count_per_positive: int,
                      rng_seed: int, sizes: tuple[int, int, int],
-                     known_positives=None) -> list[LabeledTriplet]:
+                     known_positives=None) -> np.ndarray:
     """Corrupt one slot per candidate, cycling gene/microbe/disease evenly.
 
-    Emits count_per_positive distinct negatives per positive, in
-    positive-major order.  Candidates that hit a known positive or repeat
+    Emits count_per_positive distinct negatives per positive row, as (N, 3)
+    rows in positive-major order.  Candidates that hit a known positive or repeat
     an earlier candidate for the same positive are rejected and redrawn,
     within 1000 draws per negative asked of each positive.
     """
     known = _known_keys(positives, sizes, known_positives, "sample_negatives")
     rng = np.random.default_rng(rng_seed)
     out = []
-    for p in positives:
+    for p in positives.tolist():
         chosen = set()
         budget = 1000 * count_per_positive
         for j in range(count_per_positive):
             neg, budget = _corrupt(rng, p, j % 3, sizes, known, chosen, budget,
                                    "sample_negatives")
             out.append(neg)
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 3)
 
 
-def sample_training_negatives(positives: list[LabeledTriplet], rng_seed: int,
+def sample_training_negatives(positives: np.ndarray, rng_seed: int,
                               sizes: tuple[int, int, int],
-                              known_positives=None) -> list[LabeledTriplet]:
-    """One negative per positive, the corrupted slot cycling across positives.
+                              known_positives=None) -> np.ndarray:
+    """One negative per positive row, the corrupted slot cycling across positives.
 
     Keeps the three corruption slots balanced over the whole training set,
     which a per-positive count of 1 cannot do.  No negative repeats, and
@@ -320,9 +304,9 @@ def sample_training_negatives(positives: list[LabeledTriplet], rng_seed: int,
     known = _known_keys(positives, sizes, known_positives, "sample_training_negatives")
     rng = np.random.default_rng(rng_seed)
     chosen = set()
-    return [_corrupt(rng, p, i % 3, sizes, known, chosen, 1000,
-                     "sample_training_negatives")[0]
-            for i, p in enumerate(positives)]
+    return np.array([_corrupt(rng, p, i % 3, sizes, known, chosen, 1000,
+                              "sample_training_negatives")[0]
+                     for i, p in enumerate(positives.tolist())], dtype=np.int64)
 
 
 @dataclass
@@ -399,8 +383,7 @@ def make_split(ids: list[str], test_fraction: float = SplitConfig.test_fraction,
     return SplitPlan(test=test, folds=fold_lists, seed=rng_seed)
 
 
-def avg_node_degree(g: HetGraph, t: LabeledTriplet) -> float:
-    """Mean degree of the triplet's three nodes in the association graph."""
-    return (g.degree(GENE, t.gene)
-            + g.degree(MICROBE, t.microbe)
-            + g.degree(DISEASE, t.disease)) / 3.0
+def avg_node_degree(g: HetGraph, rows: np.ndarray) -> np.ndarray:
+    """Mean degree of each (N, 3) triplet row's three nodes in the association graph."""
+    return (g.degrees[GENE][rows[:, 0]] + g.degrees[MICROBE][rows[:, 1]]
+            + g.degrees[DISEASE][rows[:, 2]]) / 3.0

@@ -38,9 +38,6 @@ class Metapath:
     def name(self) -> str:
         return "-".join(_LETTER[t] for t in self.types)
 
-    def reversed(self) -> "Metapath":
-        return Metapath(tuple(reversed(self.types)), self.kind)
-
     def __repr__(self):
         return f"Metapath({self.name})"
 

@@ -11,8 +11,8 @@ import numpy as np
 from . import tensor as T
 from .config import check_at_least, check_field_types
 from .evaluation import METRIC_KEYS, rank_metrics, rank_pools
-from .graph import (EntityType, HetGraph, LabeledTriplet, SplitPlan,
-                    positives_by_id, sample_negatives, sample_training_negatives)
+from .graph import (EntityType, HetGraph, SplitPlan, positives_by_id, sample_negatives,
+                    sample_training_negatives)
 from .model import (ModelCache, ModelConfig, ModelParams, forward, init_params,
                     score_triplets)
 from .optim import Adam
@@ -60,34 +60,30 @@ def loss_fn(scores: Tensor, labels, gamma: float) -> Tensor:
 class RankingSet:
     """Each positive paired with its fixed pool of sampled negatives.
 
-    The pools' flat index arrays, candidate ids (positive first) and the
-    pools x candidates `before` mask, true where a candidate's id sorts
-    before its positive's, are built once, so scoring an epoch does no set-up.
+    `negatives` is pools x negatives x 3 triplet rows.  The pools' index
+    (the 3 x candidates gene, microbe and disease rows that `forward`
+    scores), candidate ids (positive first) and the pools x candidates
+    `before` mask, true where a candidate's id sorts before its positive's,
+    are built once, so scoring an epoch does no set-up.
     """
-    negatives: list[list[LabeledTriplet]]
-    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    negatives: np.ndarray
+    index: np.ndarray
     candidate_ids: list[list[str]]
     before: np.ndarray
 
 
-def triplet_index(triplets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (genes, microbes, diseases) int64 index arrays that `forward` scores."""
-    return tuple(np.array([getattr(t, slot) for t in triplets], dtype=np.int64)
-                 for slot in ("gene", "microbe", "disease"))
-
-
-def build_ranking_set(g: HetGraph, positives, n_negatives: int, seed: int,
+def build_ranking_set(g: HetGraph, positives: np.ndarray, n_negatives: int, seed: int,
                       known_positives) -> RankingSet:
-    flat = sample_negatives(positives, n_negatives, seed, g.sizes,
-                            known_positives=known_positives)
-    grouped = [flat[i * n_negatives:(i + 1) * n_negatives]
-               for i in range(len(positives))]
-    pools = [[pos] + negs for pos, negs in zip(positives, grouped)]
-    ids = [[g.triplet_id(t) for t in pool] for pool in pools]
+    negatives = sample_negatives(positives, n_negatives, seed, g.sizes,
+                                 known_positives=known_positives
+                                 ).reshape(len(positives), n_negatives, 3)
+    width = n_negatives + 1
+    rows = np.concatenate([positives[:, None], negatives], axis=1).reshape(-1, 3)
+    flat_ids = g.triplet_id(rows)
+    ids = [flat_ids[i:i + width] for i in range(0, len(flat_ids), width)]
     before = np.array([[cid < pool[0] for cid in pool] for pool in ids], dtype=bool)
-    return RankingSet(negatives=grouped,
-                      index=triplet_index([t for pool in pools for t in pool]),
-                      candidate_ids=ids, before=before.reshape(len(ids), n_negatives + 1))
+    return RankingSet(negatives=negatives, index=rows.T.copy(), candidate_ids=ids,
+                      before=before.reshape(len(ids), width))
 
 
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
@@ -152,12 +148,12 @@ class TrainReport:
 
 
 def train(g: HetGraph, cache: ModelCache, params: ModelParams,
-          train_index: tuple[np.ndarray, np.ndarray, np.ndarray], labels: np.ndarray,
+          train_index: np.ndarray, labels: np.ndarray,
           val_set: RankingSet, cfg: TrainConfig) -> TrainReport:
     """Full-batch epochs with early stopping on the validation ranking metric.
 
-    `train_index` is the training triplets' (genes, microbes, diseases)
-    index triple and `labels` their 0/1 labels.  Each epoch's step is
+    `train_index` is the training triplets' 3 x N (genes, microbes,
+    diseases) rows and `labels` their 0/1 labels.  Each epoch's step is
     validated, and the best-validated state is kept.  On return `params`
     holds that checkpoint, which is also in `report.best_state`.
 
@@ -221,17 +217,18 @@ def thread_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # its arrays have no single truth value
 class Split:
     """A split plan checked against a graph, each of its ids resolved to a positive.
 
-    `known` holds the key of every positive of the graph, which no sampled
-    negative may be.
+    `known` holds every positive of the graph as a (g, m, d) tuple, which
+    no sampled negative may be.  The test slice and each fold are (n, 3)
+    triplet rows in plan order.
     """
     plan: SplitPlan
     known: set[tuple[int, int, int]]
-    test_positives: list[LabeledTriplet]
-    fold_positives: list[list[LabeledTriplet]]
+    test_positives: np.ndarray
+    fold_positives: list[np.ndarray]
 
     @property
     def test(self) -> list[str]:
@@ -240,7 +237,7 @@ class Split:
 
 
 def resolve_split(g: HetGraph, plan: SplitPlan, where: str,
-                  by_id: dict[str, LabeledTriplet] | None = None) -> Split:
+                  by_id: dict[str, tuple[int, int, int]] | None = None) -> Split:
     """Check `plan` against `g` and resolve every id in it, before any training.
 
     Rejects fewer than 2 folds, a test id inside a fold (the leakage
@@ -266,8 +263,8 @@ def resolve_split(g: HetGraph, plan: SplitPlan, where: str,
                 raise ValueError(f"{where}: id {tid!r} appears more than once "
                                  "across test and folds")
             seen.add(tid)
-        resolved.append([by_id[tid] for tid in ids])
-    return Split(plan=plan, known={p.key() for p in by_id.values()},
+        resolved.append(np.array([by_id[tid] for tid in ids], dtype=np.int64).reshape(-1, 3))
+    return Split(plan=plan, known=set(by_id.values()),
                  test_positives=resolved[0], fold_positives=resolved[1:])
 
 
@@ -316,16 +313,15 @@ def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
     `label` ("fold{k}" or "test-model") names the run in its seed labels.
     """
     seed = train_cfg.seed
-    train_pos = [p for i, fold in enumerate(split.fold_positives) if i != k for p in fold]
+    train_pos = np.concatenate([fold for i, fold in enumerate(split.fold_positives) if i != k])
     train_neg = sample_training_negatives(
         train_pos, derive_seed(seed, f"train-neg/{label}"), g.sizes,
         known_positives=split.known)
     val_set = build_ranking_set(g, split.fold_positives[k], RANK_NEGATIVES,
                                 derive_seed(seed, f"val-neg/{label}"), split.known)
     params = init_params(cache, model_cfg, derive_seed(seed, f"params/{label}"))
-    samples = train_pos + train_neg
-    report = train(g, cache, params, triplet_index(samples),
-                   np.array([t.label for t in samples], dtype=np.float64), val_set, train_cfg)
+    report = train(g, cache, params, np.concatenate([train_pos, train_neg]).T.copy(),
+                   np.repeat([1.0, 0.0], [len(train_pos), len(train_neg)]), val_set, train_cfg)
     return params, report, len(train_pos), len(train_neg)
 
 
@@ -359,7 +355,7 @@ def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
     folds plus equal sampled negatives form the training set.  Test
     positives are never visible here (audited).
     """
-    if not split.test_positives:
+    if not len(split.test_positives):
         raise ValueError("train_for_test: the split holds no test positives")
     cache = ModelCache(g, model_cfg.variant)
     params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg)

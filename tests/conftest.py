@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph
-from hcmgnn.training import triplet_index as index_of  # noqa: F401  (a test helper)
+
+
+def index_of(rows):
+    """The 3 x N (genes, microbes, diseases) index that `forward` scores, of (g, m, d) rows."""
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 3).T.copy()
 
 
 def resolve_rank(scores, candidate_ids, positive_index: int = 0) -> int:

@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from gradcheck import grad_check
 from hcmgnn import training
 from hcmgnn.cli import main as cli_main
 from hcmgnn.evaluation import make_case, rank_metrics
-from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, LabeledTriplet,
-                          derive_positive_triplets, load_edges, make_split,
-                          positives_by_id)
+from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, derive_positive_triplets,
+                          load_edges, make_split, positives_by_id)
 from hcmgnn.metapath import causal_metapaths, enumerate_instance_rows
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
 from hcmgnn.synthetic import generate_synthetic
@@ -44,11 +44,9 @@ def test_criterion_1_gradient_oracle():
     start = time.perf_counter()
     g = toy_graph(seed=0)
     pos = derive_positive_triplets(g)
-    neg = [LabeledTriplet(0, 1, 0, 0, "sampled-negative"),
-           LabeledTriplet(0, 1, 1, 0, "sampled-negative"),
-           LabeledTriplet(1, 1, 0, 0, "sampled-negative")]
-    samples = pos + neg
-    labels = np.array([s.label for s in samples], dtype=np.float64)
+    neg = [(0, 1, 0), (0, 1, 1), (1, 1, 0)]
+    samples = np.concatenate([pos, neg])
+    labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     cache = ModelCache(g, cfg.variant)
     params = init_params(cache, cfg, 1)
@@ -115,8 +113,7 @@ def test_criterion_2_enumeration_oracle():
 
 def test_criterion_3_normalization_suite():
     g = toy_graph(seed=1)
-    samples = [LabeledTriplet(0, 0, 0, 1, "observed"),
-               LabeledTriplet(1, 1, 1, 0, "sampled-negative")]
+    samples = [(0, 0, 0), (1, 1, 1)]
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     cache = ModelCache(g, cfg.variant)
     worst = 0.0
@@ -232,9 +229,9 @@ def test_criterion_7_cv_determinism(tmp_path):
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert cli_main(["cv", "--config", str(cfg_path)]) == 0
     metrics_path = os.path.join(config["out"], "metrics", "cv.json")
-    first = open(metrics_path, "rb").read()
+    first = Path(metrics_path).read_bytes()
     assert cli_main(["cv", "--config", str(cfg_path)]) == 0
-    second = open(metrics_path, "rb").read()
+    second = Path(metrics_path).read_bytes()
     verdict(7, first == second,
             f"two cmd_cv executions produced byte-identical metrics JSON "
             f"({len(first)} bytes)")

@@ -34,6 +34,10 @@ def write_config(tmp_path, out_name="run", **overrides):
     return str(path), doc["out"]
 
 
+def read_json(*parts):
+    return json.loads(Path(*parts).read_text(encoding="utf-8"))
+
+
 def test_synth_writes_files_and_manifest(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["synth", "--config", cfg]) == 0
@@ -43,7 +47,7 @@ def test_synth_writes_files_and_manifest(tmp_path):
     assert len([n for n in names if n.startswith("edges_")]) == 3
     assert len([n for n in names if n.startswith("features_")]) == 3
 
-    manifest = json.load(open(os.path.join(data, "manifest.json")))
+    manifest = read_json(data, "manifest.json")
     g = load_edges(os.path.join(data, "edges_gene_microbe.tsv"),
                    os.path.join(data, "edges_gene_disease.tsv"),
                    os.path.join(data, "edges_microbe_disease.tsv"))
@@ -59,7 +63,7 @@ def test_synth_same_seed_identical_manifest(tmp_path):
 
     def digest(out):
         return hashlib.sha256(
-            open(os.path.join(out, "data", "manifest.json"), "rb").read()).hexdigest()
+            Path(out, "data", "manifest.json").read_bytes()).hexdigest()
 
     assert digest(out1) == digest(out2)
 
@@ -68,7 +72,7 @@ def test_cv_emits_five_folds_plus_mean_and_reruns_identically(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["cv", "--config", cfg]) == 0
     path = os.path.join(out, "metrics", "cv.json")
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     doc = json.loads(first)
     assert len(doc["folds"]) == 5
     assert doc["mean"]["fold"] == "mean"
@@ -80,20 +84,20 @@ def test_cv_emits_five_folds_plus_mean_and_reruns_identically(tmp_path):
         assert os.path.exists(os.path.join(out, "checkpoints", f"fold{k}.json"))
 
     assert main(["cv", "--config", cfg]) == 0
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_cv_threads_env_does_not_change_results(tmp_path):
     cfg, out = write_config(tmp_path, out_name="serial")
     main(["cv", "--config", cfg])
-    serial = open(os.path.join(out, "metrics", "cv.json"), "rb").read()
+    serial = Path(out, "metrics", "cv.json").read_bytes()
     cfg2, out2 = write_config(tmp_path, out_name="parallel")
     os.environ["HCMGNN_THREADS"] = "3"
     try:
         main(["cv", "--config", cfg2])
     finally:
         del os.environ["HCMGNN_THREADS"]
-    parallel = open(os.path.join(out2, "metrics", "cv.json"), "rb").read()
+    parallel = Path(out2, "metrics", "cv.json").read_bytes()
     assert serial == parallel
 
 
@@ -113,7 +117,7 @@ def test_bad_threads_env_rejected_naming_it(tmp_path, monkeypatch, capsys, comma
 def test_test_command_outputs(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["test", "--config", cfg]) == 0
-    doc = json.load(open(os.path.join(out, "metrics", "test.json")))
+    doc = read_json(out, "metrics", "test.json")
     assert set(doc["metrics"]) == {"hit1", "hit3", "hit5",
                                    "ndcg1", "ndcg3", "ndcg5", "mrr"}
     assert -1.0 <= doc["silhouette"] <= 1.0
@@ -130,7 +134,7 @@ def test_test_command_outputs(tmp_path):
 def test_ablate_emits_seven_rows_sharing_split(tmp_path):
     cfg, out = write_config(tmp_path, train={"max_epochs": 2, "patience": 50})
     assert main(["ablate", "--config", cfg]) == 0
-    doc = json.load(open(os.path.join(out, "metrics", "ablation.json")))
+    doc = read_json(out, "metrics", "ablation.json")
     rows = doc["rows"]
     assert [r["variant"] for r in rows] == ["full", "woMP-i", "woMP-ii",
                                             "woMP-iii", "woTM", "woAF", "woBF"]
@@ -143,8 +147,8 @@ def test_stratify_last_stratum_matches_global_hit1(tmp_path):
     cfg, out = write_config(tmp_path)
     main(["test", "--config", cfg])
     assert main(["stratify", "--config", cfg]) == 0
-    doc = json.load(open(os.path.join(out, "metrics", "test.json")))
-    lines = open(os.path.join(out, "metrics", "strata.tsv")).read().strip().split("\n")
+    doc = read_json(out, "metrics", "test.json")
+    lines = Path(out, "metrics", "strata.tsv").read_text(encoding="utf-8").strip().split("\n")
     rows = [line.split("\t") for line in lines]
     assert len(rows) == 12
     counts = [int(r[1]) for r in rows]
@@ -161,7 +165,7 @@ def test_stratify_requires_checkpoint(tmp_path):
 def test_instances_dump(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["instances", "--config", cfg]) == 0
-    lines = open(os.path.join(out, "exports", "instances.tsv")).read().strip().split("\n")
+    lines = Path(out, "exports", "instances.tsv").read_text(encoding="utf-8").strip().split("\n")
     names = {line.split("\t")[0] for line in lines}
     assert names == {"G-M-D", "G-D-M", "D-M-G", "D-G-M", "M-D-G", "M-G-D"}
 
@@ -169,7 +173,7 @@ def test_instances_dump(tmp_path):
 def test_variant_and_seed_overrides(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["cv", "--config", cfg, "--variant", "woAF", "--seed", "9"]) == 0
-    run = json.load(open(os.path.join(out, "run.json")))
+    run = read_json(out, "run.json")
     assert run["model"]["variant"] == "woAF"
     assert run["seed"] == 9
 
@@ -184,9 +188,9 @@ def test_config_must_pick_exactly_one_source(tmp_path):
 def test_run_config_is_written_without_timestamps(tmp_path):
     cfg, out = write_config(tmp_path)
     main(["synth", "--config", cfg])
-    run1 = open(os.path.join(out, "run.json"), "rb").read()
+    run1 = Path(out, "run.json").read_bytes()
     main(["synth", "--config", cfg])
-    assert open(os.path.join(out, "run.json"), "rb").read() == run1
+    assert Path(out, "run.json").read_bytes() == run1
 
 
 def tampered_split_config(tmp_path, tamper):
@@ -236,13 +240,13 @@ def test_build_split_derives_each_positive_id_once(tmp_path, monkeypatch, from_f
     calls = []
     triplet_id = HetGraph.triplet_id
 
-    def counted(self, t):
-        calls.append(t.key())
-        return triplet_id(self, t)
+    def counted(self, rows):
+        calls.extend(map(tuple, rows.tolist()))
+        return triplet_id(self, rows)
 
     monkeypatch.setattr(HetGraph, "triplet_id", counted)
     build_split(cfg, g)
-    assert sorted(calls) == sorted(p.key() for p in derive_positive_triplets(g))
+    assert sorted(calls) == sorted(map(tuple, derive_positive_triplets(g).tolist()))
 
 
 @pytest.mark.parametrize("command", ["cv", "test", "stratify", "ablate"])
@@ -424,9 +428,31 @@ def test_dataset_run_json_loads_back_to_the_same_config(tmp_path):
     dataset = {key: os.path.join(data, f"edges_{key}.tsv") for key in DATASET}
     dataset["features"] = {"gene": os.path.join(data, "features_gene.csv")}
     cfg, out = write_config(tmp_path, out_name="real", synthetic=DROP, dataset=dataset,
-                            split={"folds": 3}, split_file=str(tmp_path / "split.json"))
+                            split_file=str(tmp_path / "split.json"))
     assert main(["instances", "--config", cfg]) == 0
+    # run.json writes the default split block beside the split file, and that reloads
+    assert read_json(out, "run.json")["split"] == {"test_fraction": 0.1, "folds": 5}
     assert load_config(os.path.join(out, "run.json")) == load_config(cfg)
+
+
+@pytest.mark.parametrize("split", [{"folds": 3, "test_fraction": 0.5}, {"folds": 3},
+                                   {"test_fraction": 0.2}],
+                         ids=["folds-and-fraction", "folds", "fraction"])
+def test_split_block_beside_a_split_file_rejected_at_load(tmp_path, split):
+    cfg, g, plan, split_path = tampered_split_config(tmp_path, lambda plan: None)
+    assert len(plan.folds) == 5
+    cfg_path, _ = write_config(tmp_path, split=split, split_file=split_path)
+    with pytest.raises(ValueError) as err:
+        load_config(cfg_path)
+    assert str(err.value) == (f"{cfg_path}: 'split' must be left out beside 'split_file': "
+                              f"the split file {split_path} fixes the test slice and the folds")
+
+
+def test_default_split_block_beside_a_split_file_loads(tmp_path):
+    _, g, plan, split_path = tampered_split_config(tmp_path, lambda plan: None)
+    cfg_path, _ = write_config(tmp_path, split={"folds": 5, "test_fraction": 0.1},
+                               split_file=split_path)
+    assert build_split(load_config(cfg_path), g).plan == plan
 
 
 def test_cv_from_run_json_writes_the_same_metrics(tmp_path):
@@ -434,7 +460,7 @@ def test_cv_from_run_json_writes_the_same_metrics(tmp_path):
     assert main(["cv", "--config", cfg]) == 0
     rerun = str(tmp_path / "rerun")
     assert main(["cv", "--config", os.path.join(out, "run.json"), "--out", rerun]) == 0
-    cv_json = [open(os.path.join(d, "metrics", "cv.json"), "rb").read() for d in (out, rerun)]
+    cv_json = [Path(d, "metrics", "cv.json").read_bytes() for d in (out, rerun)]
     assert cv_json[0] == cv_json[1]
 
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_set, random_graph, toy_graph
-from hcmgnn.graph import (DISEASE, GENE, MICROBE, PAIR_KINDS, RELATIONS, HetGraph,
-                          LabeledTriplet, SplitPlan, avg_node_degree,
-                          derive_positive_triplets, load_edges, make_split,
-                          positives_by_id, sample_negatives, sample_training_negatives)
+from hcmgnn.graph import (DISEASE, GENE, MICROBE, PAIR_KINDS, RELATIONS, EntityType,
+                          HetGraph, SplitPlan, avg_node_degree, derive_positive_triplets,
+                          load_edges, make_split, positives_by_id, sample_negatives,
+                          sample_training_negatives)
 
 
 def write(path, text):
@@ -118,6 +118,16 @@ def test_inconsistent_feature_width_rejected(tmp_path):
         load_edges(gm, gd, md, feature_paths={GENE: feat})
 
 
+@pytest.mark.parametrize("text", ["id\ng1\ng2\n", "id\n", "id\r\ng1\r\n"],
+                         ids=["rows", "header-only", "crlf"])
+def test_feature_file_without_feature_columns_rejected_at_its_header(tmp_path, text):
+    gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\ng2\tm1\n")
+    feat = tmp_path / "genes.csv"
+    feat.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match=r"genes\.csv:1: the header names no feature column"):
+        load_edges(gm, gd, md, feature_paths={GENE: str(feat)})
+
+
 @pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "1e999"])
 def test_non_finite_feature_value_rejected_with_line(tmp_path, value):
     gm, gd, md = write_dataset(tmp_path, gm="g1\tm1\ng2\tm1\n")
@@ -148,7 +158,7 @@ def test_single_triangle():
                  {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],
                   (MICROBE, DISEASE): [(0, 0)]},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    assert [p.key() for p in derive_positive_triplets(g)] == [(0, 0, 0)]
+    assert derive_positive_triplets(g).tolist() == [[0, 0, 0]]
 
 
 def test_open_path_is_not_a_triangle():
@@ -156,7 +166,8 @@ def test_open_path_is_not_a_triangle():
                  {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [],
                   (MICROBE, DISEASE): [(0, 0)]},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    assert derive_positive_triplets(g) == []
+    pos = derive_positive_triplets(g)
+    assert pos.shape == (0, 3) and pos.dtype == np.int64
 
 
 def brute_force_triangles(g):
@@ -174,7 +185,9 @@ def test_triangles_match_brute_force_on_random_graphs():
     rng = np.random.default_rng(11)
     for _ in range(5):
         g = random_graph(rng, 20, 15, 18, p=0.25)
-        got = [p.key() for p in derive_positive_triplets(g)]
+        rows = derive_positive_triplets(g)
+        assert rows.dtype == np.int64 and rows.shape[1] == 3
+        got = list(map(tuple, rows.tolist()))
         assert got == brute_force_triangles(g)
         assert got == sorted(got)
 
@@ -190,14 +203,10 @@ def test_negative_slots_cycle_evenly():
                    {t: np.eye(20) for t in (GENE, MICROBE, DISEASE)})
     pos = derive_positive_triplets(big)
     negs = sample_negatives(pos, 30, rng_seed=0, sizes=big.sizes)
-    assert len(negs) == 30
-    p = pos[0]
-    changed = {"gene": 0, "microbe": 0, "disease": 0}
-    for n in negs:
-        diff = [n.gene != p.gene, n.microbe != p.microbe, n.disease != p.disease]
-        assert sum(diff) == 1  # exactly one corrupted slot
-        changed[("gene", "microbe", "disease")[diff.index(True)]] += 1
-    assert changed == {"gene": 10, "microbe": 10, "disease": 10}
+    assert negs.shape == (30, 3) and negs.dtype == np.int64
+    diff = negs != pos[0]
+    assert (diff.sum(axis=1) == 1).all()  # exactly one corrupted slot
+    assert diff.sum(axis=0).tolist() == [10, 10, 10]
 
 
 def test_forced_negative_outcome():
@@ -208,21 +217,21 @@ def test_forced_negative_outcome():
     pos = derive_positive_triplets(g)
     for seed in range(5):
         negs = sample_negatives(pos, 1, rng_seed=seed, sizes=g.sizes)
-        assert [n.key() for n in negs] == [(1, 0, 0)]
+        assert negs.tolist() == [[1, 0, 0]]
 
 
 def test_negatives_never_positive_and_never_duplicated():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 12, 10, 10, p=0.35)
     pos = derive_positive_triplets(g)
-    keys = {p.key() for p in pos}
+    keys = set(map(tuple, pos.tolist()))
     for seed in (0, 1, 2):
         negs = sample_negatives(pos, 7, rng_seed=seed, sizes=g.sizes)
-        for i, p in enumerate(pos):
-            mine = [n.key() for n in negs[i * 7:(i + 1) * 7]]
+        assert negs.shape == (7 * len(pos), 3)
+        for i in range(len(pos)):
+            mine = list(map(tuple, negs[i * 7:(i + 1) * 7].tolist()))
             assert len(set(mine)) == 7
             assert not keys.intersection(mine)
-            assert all(n.label == 0 for n in negs)
 
 
 def test_negative_sampling_exhaustion_names_positive():
@@ -243,7 +252,7 @@ def test_negative_draws_running_out_name_the_positive():
                   (MICROBE, DISEASE): [(0, 0)]},
                  {GENE: np.eye(1), MICROBE: np.eye(2), DISEASE: np.eye(1)})
     pos = derive_positive_triplets(g)
-    assert [p.key() for p in pos] == [(0, 0, 0)] and np.prod(g.sizes) == 2
+    assert pos.tolist() == [[0, 0, 0]] and np.prod(g.sizes) == 2
     with pytest.raises(RuntimeError, match=r"sample_negatives: .*positive \(0,0,0\)"):
         sample_negatives(pos, 1, rng_seed=0, sizes=g.sizes)
     with pytest.raises(RuntimeError,
@@ -256,26 +265,25 @@ def test_training_negatives_balance_slots_globally():
     g = random_graph(rng, 15, 12, 12, p=0.3)
     pos = derive_positive_triplets(g)
     negs = sample_training_negatives(pos, 4, g.sizes)
-    assert len(negs) == len(pos)
-    slots = [0, 0, 0]
-    for p, n in zip(pos, negs):
-        diff = [n.gene != p.gene, n.microbe != p.microbe, n.disease != p.disease]
-        slots[diff.index(True)] += 1
+    assert negs.shape == pos.shape and negs.dtype == np.int64
+    diff = negs != pos
+    assert (diff.sum(axis=1) == 1).all()
+    slots = diff.sum(axis=0)
     assert max(slots) - min(slots) <= 1
 
 
 def test_positives_by_id_keys_each_positive_by_its_id_in_order(tiny_graph):
     by_id = positives_by_id(tiny_graph)
     pos = derive_positive_triplets(tiny_graph)
-    assert list(by_id.values()) == pos
-    assert list(by_id) == [tiny_graph.triplet_id(p) for p in pos]
+    assert list(by_id.values()) == list(map(tuple, pos.tolist()))
+    assert list(by_id) == tiny_graph.triplet_id(pos)
+    assert list(by_id)[0] == "g0|m0|d0"
 
 
 def test_split_arithmetic_and_determinism():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 120, 110, 115, p=0.0)
-    pos = [LabeledTriplet(i, i, i, 1, "observed") for i in range(100)]
-    ids = [g.triplet_id(p) for p in pos]
+    ids = g.triplet_id(np.repeat(np.arange(100), 3).reshape(100, 3))
     plan = make_split(ids, rng_seed=9)
     assert len(plan.test) == 10
     assert [len(f) for f in plan.folds] == [18, 18, 18, 18, 18]
@@ -286,13 +294,13 @@ def test_split_arithmetic_and_determinism():
 def test_split_is_partition():
     rng = np.random.default_rng(1)
     g = random_graph(rng, 40, 40, 40, p=0.0)
-    pos = [LabeledTriplet(i, (i * 7) % 40, (i * 3) % 40, 1, "observed")
-           for i in range(37)]
-    plan = make_split([g.triplet_id(p) for p in pos], rng_seed=4)
+    i = np.arange(37)
+    ids = g.triplet_id(np.stack([i, (i * 7) % 40, (i * 3) % 40], axis=1))
+    plan = make_split(ids, rng_seed=4)
     buckets = [plan.test] + plan.folds
     flat = [tid for b in buckets for tid in b]
     assert len(flat) == len(set(flat)) == 37
-    assert set(flat) == {g.triplet_id(p) for p in pos}
+    assert set(flat) == set(ids)
 
 
 def test_split_requires_enough_positives(tiny_graph):
@@ -356,8 +364,7 @@ def test_triangle_degrees_average_two():
                  {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],
                   (MICROBE, DISEASE): [(0, 0)]},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    t = derive_positive_triplets(g)[0]
-    assert avg_node_degree(g, t) == 2.0
+    assert avg_node_degree(g, derive_positive_triplets(g)).tolist() == [2.0]
 
 
 def test_isolated_node_contributes_zero_degree():
@@ -365,35 +372,65 @@ def test_isolated_node_contributes_zero_degree():
                  {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],
                   (MICROBE, DISEASE): [(0, 0)]},
                  {GENE: np.eye(2), MICROBE: np.eye(1), DISEASE: np.eye(1)})
-    neg = LabeledTriplet(1, 0, 0, 0, "sampled-negative")
-    assert avg_node_degree(g, neg) == pytest.approx((0 + 2 + 2) / 3)
+    neg = np.array([[1, 0, 0]])
+    assert avg_node_degree(g, neg).tolist() == pytest.approx([(0 + 2 + 2) / 3])
 
 
-def test_neighbors_of_a_node_without_edges_is_empty_int64():
-    g = HetGraph({GENE: ["g0", "g_iso"], MICROBE: ["m0", "m1"], DISEASE: ["d0"]},
+def degree(g, t, v):
+    """Distinct cross-type neighbours of node v of type t, one relation's edge rows at a
+    time: the per-node walk that `HetGraph.degrees` replaces, kept as its oracle."""
+    total = 0
+    for rel in RELATIONS:
+        if rel[0] is t:
+            heads = g.edge_rows[rel][:, 0]
+            total += heads.searchsorted(v + 1) - heads.searchsorted(v)
+    return total
+
+
+def test_degrees_of_nodes_without_edges_are_zero():
+    g = HetGraph({GENE: ["g0", "g_iso"], MICROBE: ["m0", "m1"], DISEASE: ["d0", "d_iso"]},
                  {(GENE, MICROBE): [(0, 1), (0, 0)], (GENE, DISEASE): [],
                   (MICROBE, DISEASE): [(1, 0)]},
-                 {GENE: np.eye(2), MICROBE: np.eye(2), DISEASE: np.eye(1)})
-    for rel, u in [((GENE, MICROBE), 1), ((GENE, DISEASE), 0), ((DISEASE, MICROBE), 1),
-                   ((MICROBE, DISEASE), 0)]:
-        nb = g.neighbors(rel, u)
-        assert nb.dtype == np.int64 and nb.shape == (0,)
-    assert g.neighbors((GENE, MICROBE), 0).tolist() == [0, 1]
-    assert g.neighbors((DISEASE, MICROBE), 0).tolist() == [1]
+                 {GENE: np.eye(2), MICROBE: np.eye(2), DISEASE: np.eye(2)})
+    assert {t: g.degrees[t].tolist() for t in EntityType} == {
+        GENE: [2, 0], MICROBE: [1, 2], DISEASE: [1, 0]}
+    for t in EntityType:
+        assert g.degrees[t].dtype == np.int64
+        assert g.degrees[t].tolist() == [degree(g, t, v) for v in range(g.num_nodes(t))]
+
+
+def test_degrees_match_the_per_node_walk_on_random_graphs():
+    rng = np.random.default_rng(8)
+    isolated = 0
+    for _ in range(12):
+        g = random_graph(rng, *rng.integers(1, 25, size=3), p=rng.uniform(0.02, 0.3))
+        for t in EntityType:
+            assert g.degrees[t].shape == (g.num_nodes(t),)
+            assert g.degrees[t].tolist() == [degree(g, t, v) for v in range(g.num_nodes(t))]
+            isolated += int((g.degrees[t] == 0).sum())
+    assert isolated > 0   # the sparse graphs leave nodes without edges
+
+
+def test_avg_node_degree_of_no_rows_is_empty(tiny_graph):
+    got = avg_node_degree(tiny_graph, np.zeros((0, 3), dtype=np.int64))
+    assert got.shape == (0,) and got.dtype == np.float64
 
 
 def test_degree_matches_adjacency_recount():
     rng = np.random.default_rng(7)
     g = random_graph(rng, 14, 11, 9, p=0.3)
-    for p in derive_positive_triplets(g)[:20]:
+    rows = derive_positive_triplets(g)[:20]
+    want = []
+    for p in rows.tolist():
         expected = 0
-        for t, v in [(GENE, p.gene), (MICROBE, p.microbe), (DISEASE, p.disease)]:
+        for t, v in zip(EntityType, p):
             seen = set()
             for a, b in RELATIONS:
                 if a is t:
                     seen.update((b, w) for u, w in edge_set(g, (a, b)) if u == v)
             expected += len(seen)
-        assert avg_node_degree(g, p) == pytest.approx(expected / 3)
+        want.append(expected / 3)
+    assert avg_node_degree(g, rows).tolist() == pytest.approx(want)
 
 
 @settings(max_examples=20, deadline=None)

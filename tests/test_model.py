@@ -7,8 +7,7 @@ import pytest
 import hcmgnn.tensor as T
 from conftest import edge_set, index_of, random_graph, toy_graph
 from gradcheck import grad_check
-from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, HetGraph, LabeledTriplet,
-                          derive_positive_triplets)
+from hcmgnn.graph import DISEASE, GENE, MICROBE, RELATIONS, HetGraph, derive_positive_triplets
 from hcmgnn.metapath import enumerate_instance_rows
 from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams,
                           delivery_positions, encode_instance, encode_walk,
@@ -28,8 +27,7 @@ def small_config(variant="full"):
 
 
 def some_samples(g):
-    return index_of([LabeledTriplet(0, 0, 0, 1, "observed"),
-                     LabeledTriplet(1, 1, 0, 0, "sampled-negative")])
+    return index_of([(0, 0, 0), (1, 1, 0)])
 
 
 # ---- feature transform ----
@@ -232,12 +230,11 @@ def test_per_node_head_matches_the_concat_head(variant):
     rng = np.random.default_rng(23)
     g = random_graph(rng, 6, 5, 5, p=0.45)
     # repeated nodes and repeated triplets, so the scatters sum several rows
-    samples = derive_positive_triplets(g) + [
-        LabeledTriplet(int(a), int(b), int(c), 0, "sampled-negative")
-        for a, b, c in zip(rng.integers(0, 6, 30), rng.integers(0, 5, 30),
-                           rng.integers(0, 5, 30))]
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    index = index_of(samples)
+    pos = derive_positive_triplets(g)
+    neg = np.stack([rng.integers(0, 6, 30), rng.integers(0, 5, 30), rng.integers(0, 5, 30)],
+                   axis=1)
+    labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
+    index = index_of(np.concatenate([pos, neg]))
     cfg = ModelConfig(proj_dim=3, heads=2, fusion_dim=4, mlp_hidden=7, variant=variant)
     cache = ModelCache(g, variant)
     params = init_params(cache, cfg, 13)
@@ -297,8 +294,7 @@ def test_empty_instance_set_yields_zero_view():
     cfg = small_config()
     cache = ModelCache(g, cfg.variant)
     params = init_params(cache, cfg, 1)
-    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed"),
-                                           LabeledTriplet(1, 0, 0, 0, "sampled-negative")]))
+    out = forward(cache, params, index_of([(0, 0, 0), (1, 0, 0)]))
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
     h = out.subgraph_embeddings["G-M-D"]
     assert np.array_equal(h[1], np.zeros(cfg.embed_dim))
@@ -310,7 +306,7 @@ def test_full_equals_woaf_when_all_views_equal():
     g = HetGraph({GENE: ["g0"], MICROBE: ["m0"], DISEASE: ["d0"]},
                  {(GENE, MICROBE): [], (GENE, DISEASE): [], (MICROBE, DISEASE): []},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    samples = index_of([LabeledTriplet(0, 0, 0, 0, "sampled-negative")])
+    samples = index_of([(0, 0, 0)])
     outs = {}
     for variant in ("full", "woAF"):
         cfg = small_config(variant)
@@ -331,7 +327,7 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     cfg_full = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6)
     cfg_ii = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6,
                          variant="woMP-ii")
-    samples = index_of([LabeledTriplet(0, 0, 0, 1, "observed")])
+    samples = index_of([(0, 0, 0)])
     out_full = forward(ModelCache(g, "full"),
                        init_params(ModelCache(g, "full"), cfg_full, 3), samples)
     out_ii = forward(ModelCache(g, "woMP-ii"),
@@ -381,11 +377,9 @@ def test_permutation_equivariance():
     cfg = small_config()
     cache1, cache2 = ModelCache(g, cfg.variant), ModelCache(g2, cfg.variant)
     params = init_params(cache1, cfg, 2)
-    samples1 = [LabeledTriplet(1, 2, 3, 1, "observed"),
-                LabeledTriplet(4, 0, 2, 0, "sampled-negative")]
-    samples2 = [LabeledTriplet(int(perms[GENE][s.gene]), int(perms[MICROBE][s.microbe]),
-                               int(perms[DISEASE][s.disease]), s.label, s.provenance)
-                for s in samples1]
+    samples1 = np.array([(1, 2, 3), (4, 0, 2)])
+    samples2 = np.stack([perms[t][samples1[:, k]] for k, t in enumerate((GENE, MICROBE, DISEASE))],
+                        axis=1)
     out1 = forward(cache1, params, index_of(samples1))
     out2 = forward(cache2, params, index_of(samples2))
     for t in (GENE, MICROBE, DISEASE):
@@ -433,12 +427,10 @@ def attn_vector(params, path: int, head: int) -> Tensor:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_full_loss_gradients_match_finite_differences(variant):
     g = toy_graph(seed=0)
-    samples = derive_positive_triplets(g) + [
-        LabeledTriplet(0, 1, 0, 0, "sampled-negative"),
-        LabeledTriplet(0, 1, 1, 0, "sampled-negative"),
-        LabeledTriplet(1, 1, 0, 0, "sampled-negative")]
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    index = index_of(samples)
+    pos = derive_positive_triplets(g)
+    neg = [(0, 1, 0), (0, 1, 1), (1, 1, 0)]
+    labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
+    index = index_of(np.concatenate([pos, neg]))
     cache = ModelCache(g, variant)
     params = init_params(cache, small_config(variant), 1)
 
@@ -456,7 +448,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
                       variant="woMP-i")
     cache = ModelCache(g, "woMP-i")
     params = init_params(cache, cfg, 6)
-    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
+    out = forward(cache, params, index_of([(0, 0, 0)]))
     h = out.subgraph_embeddings["G-M-D"]
     h_disease = params.proj(DISEASE).data @ g.features[DISEASE][0]
     assert np.allclose(h[0], elu_np(h_disease))  # head view = ELU(tail projection)
@@ -470,7 +462,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
                       variant="woTM")
     cache = ModelCache(g, "woTM")
     params = init_params(cache, cfg, 8)
-    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
+    out = forward(cache, params, index_of([(0, 0, 0)]))
     h = out.subgraph_embeddings["G-M"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -487,7 +479,7 @@ def test_womp3_five_node_fold_formula():
                       variant="woMP-iii")
     cache = ModelCache(g, "woMP-iii")
     params = init_params(cache, cfg, 9)
-    out = forward(cache, params, index_of([LabeledTriplet(0, 0, 0, 1, "observed")]))
+    out = forward(cache, params, index_of([(0, 0, 0)]))
     h = out.subgraph_embeddings["G-M-D-M-G"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -569,7 +561,7 @@ def test_forward_rejects_unseen_entities(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg.variant)
     params = init_params(cache, cfg, 0)
-    ghost = index_of([LabeledTriplet(99, 0, 0, 0, "sampled-negative")])
+    ghost = index_of([(99, 0, 0)])
     with pytest.raises(ShapeError):
         forward(cache, params, ghost)
 
@@ -729,11 +721,10 @@ def taped_grads(run, params, labels):
 def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     rng = np.random.default_rng(21)
     g = random_graph(rng, 6, 5, 5, p=0.45)
-    samples = derive_positive_triplets(g)[:6] + [
-        LabeledTriplet(0, 1, 0, 0, "sampled-negative"),
-        LabeledTriplet(2, 3, 4, 0, "sampled-negative")]
-    labels = np.array([s.label for s in samples], dtype=np.float64)
-    index = index_of(samples)
+    pos = derive_positive_triplets(g)[:6]
+    neg = [(0, 1, 0), (2, 3, 4)]
+    labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
+    index = index_of(np.concatenate([pos, neg]))
     cfg = ModelConfig(proj_dim=3, heads=3, fusion_dim=4, mlp_hidden=5, variant=variant)
     cache = ModelCache(g, variant)
     params = init_params(cache, cfg, 11)

@@ -9,9 +9,9 @@ from gradcheck import grad_check
 from hcmgnn.evaluation import rank_metrics
 from hcmgnn import evaluation, training
 from hcmgnn import tensor as T
-from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, LabeledTriplet,
-                          SplitPlan, derive_positive_triplets, make_split,
-                          positives_by_id, sample_training_negatives)
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, SplitPlan,
+                          derive_positive_triplets, make_split, positives_by_id,
+                          sample_negatives, sample_training_negatives)
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
 from hcmgnn.optim import Adam
 from hcmgnn.synthetic import generate_synthetic
@@ -21,6 +21,11 @@ from hcmgnn.training import (EarlyStopper, TrainConfig, audit_no_leakage,
                              run_test, score_ranking_set, train, train_for_test)
 
 SMALL_MODEL = dict(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
+
+
+def keys(rows):
+    """(N, 3) triplet rows as the set of (g, m, d) tuples that `known_positives` takes."""
+    return set(map(tuple, rows.tolist()))
 
 
 def small_planted(seed=3):
@@ -94,7 +99,7 @@ def test_improvement_resets_patience():
 
 def fold_fixture(g, seed=0):
     pos = derive_positive_triplets(g)
-    plan = make_split([g.triplet_id(p) for p in pos], rng_seed=seed)
+    plan = make_split(g.triplet_id(pos), rng_seed=seed)
     return pos, plan
 
 
@@ -115,7 +120,7 @@ def test_train_rejects_empty_training_set():
     cache = ModelCache(g, "full")
     mc = ModelConfig(**SMALL_MODEL)
     params = init_params(cache, mc, 0)
-    val = build_ranking_set(g, pos[:3], 5, 0, {p.key() for p in pos})
+    val = build_ranking_set(g, pos[:3], 5, 0, keys(pos))
     with pytest.raises(ValueError, match="empty"):
         train(g, cache, params, index_of([]), np.array([]), val, TrainConfig())
 
@@ -188,13 +193,13 @@ def train_inputs(variant):
     """A cache, a training index with labels and a validation set on the planted graph."""
     g = small_planted()
     pos = derive_positive_triplets(g)
-    known = {p.key() for p in pos}
+    known = keys(pos)
     val_set = build_ranking_set(g, pos[:8], 30, 1, known)
     train_pos = pos[8:]
-    samples = train_pos + sample_training_negatives(train_pos, 2, g.sizes,
-                                                    known_positives=known)
-    labels = np.array([t.label for t in samples], dtype=np.float64)
-    return g, ModelCache(g, variant), index_of(samples), labels, val_set
+    train_neg = sample_training_negatives(train_pos, 2, g.sizes, known_positives=known)
+    labels = np.repeat([1.0, 0.0], [len(train_pos), len(train_neg)])
+    return (g, ModelCache(g, variant), index_of(np.concatenate([train_pos, train_neg])),
+            labels, val_set)
 
 
 @pytest.mark.parametrize("variant", ["full", "woTM"])
@@ -326,10 +331,14 @@ def test_resolve_split_resolves_each_id_to_its_positive():
     g = small_planted()
     pos, plan = fold_fixture(g, seed=2)
     split = resolve_split(g, plan, "split", positives_by_id(g))
-    assert split == resolve_split(g, plan, "split")
-    assert split.known == {p.key() for p in pos}
-    assert [g.triplet_id(p) for p in split.test_positives] == plan.test == split.test
-    assert [[g.triplet_id(p) for p in fold] for fold in split.fold_positives] == plan.folds
+    again = resolve_split(g, plan, "split")
+    assert (split.plan, split.known) == (again.plan, again.known)
+    for a, b in zip([split.test_positives] + split.fold_positives,
+                    [again.test_positives] + again.fold_positives, strict=True):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+    assert split.known == keys(pos)
+    assert g.triplet_id(split.test_positives) == plan.test == split.test
+    assert [g.triplet_id(fold) for fold in split.fold_positives] == plan.folds
 
 
 def test_leakage_audit_fires_on_tampered_plan():
@@ -370,17 +379,21 @@ def test_empty_test_set_fails_before_any_training(monkeypatch):
 def test_ranking_set_ids_built_once_and_reused(monkeypatch):
     g = small_planted()
     pos = derive_positive_triplets(g)
-    rset = build_ranking_set(g, pos[:4], 5, 3, {p.key() for p in pos})
-    pools = [[p] + negs for p, negs in zip(pos[:4], rset.negatives)]
-    assert rset.candidate_ids == [[g.triplet_id(t) for t in pool] for pool in pools]
+    rset = build_ranking_set(g, pos[:4], 5, 3, keys(pos))
+    assert rset.negatives.shape == (4, 5, 3) and rset.negatives.dtype == np.int64
+    assert np.array_equal(rset.negatives.reshape(-1, 3),
+                          sample_negatives(pos[:4], 5, 3, g.sizes, known_positives=keys(pos)))
+    # a reference built one candidate at a time, each id from a single row
+    pools = [[p] + list(negs) for p, negs in zip(pos[:4], rset.negatives)]
+    ids = [[g.triplet_id(row[None])[0] for row in pool] for pool in pools]
+    assert rset.candidate_ids == ids
     assert rset.before.dtype == bool
-    assert rset.before.tolist() == [[cid < ids[0] for cid in ids] for ids in rset.candidate_ids]
-    flat = [t for pool in pools for t in pool]
-    assert [a.tolist() for a in rset.index] == [[t.gene for t in flat],
-                                                [t.microbe for t in flat],
-                                                [t.disease for t in flat]]
+    assert rset.before.tolist() == [[cid < pool[0] for cid in pool] for pool in ids]
+    flat = [row.tolist() for pool in pools for row in pool]
+    assert rset.index.dtype == np.int64
+    assert [a.tolist() for a in rset.index] == [list(col) for col in zip(*flat)]
 
-    def no_ids(self, t):
+    def no_ids(self, rows):
         raise AssertionError("scoring rebuilt a triplet id")
 
     monkeypatch.setattr(HetGraph, "triplet_id", no_ids)
@@ -394,7 +407,7 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
 def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
     g = small_planted()
     pos = derive_positive_triplets(g)
-    rset = build_ranking_set(g, pos[:6], 30, 2, {p.key() for p in pos})
+    rset = build_ranking_set(g, pos[:6], 30, 2, keys(pos))
 
     def per_pool(*args, **kwargs):
         raise AssertionError("score_ranking_set ranked one pool at a time")
@@ -411,7 +424,7 @@ def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
 def test_score_ranking_set_names_the_positive_of_a_non_finite_pool():
     g = small_planted()
     pos = derive_positive_triplets(g)
-    rset = build_ranking_set(g, pos[:3], 5, 0, {p.key() for p in pos})
+    rset = build_ranking_set(g, pos[:3], 5, 0, keys(pos))
     cache = ModelCache(g, "full")
     params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
     params.tensors["mlp_b2"].data[:] = np.nan
