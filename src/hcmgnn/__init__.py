@@ -3,10 +3,9 @@
 from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, SplitPlan,
                     avg_node_degree, derive_positive_triplets, load_edges, make_split,
                     positives_by_id, sample_negatives)
-from .metapath import (Metapath, ablation_metapaths, causal_metapaths,
-                       enumerate_instance_rows)
+from .metapath import Metapath, causal_metapaths, enumerate_instance_rows, metapaths
 from .model import (ModelCache, ModelConfig, ModelParams, ForwardOutput,
-                    forward, init_params)
+                    forward, init_params, score_triplets)
 from .optim import Adam
 from .synthetic import generate_synthetic
 from .tensor import Tape, Tensor

@@ -89,9 +89,7 @@ def _synthesize(cfg: RunConfig, out_dir):
     """The planted dataset of the config's synthetic block, and its seed."""
     s = cfg.synthetic
     gen_seed = derive_seed(cfg.seed, "synthetic") if s.rng_seed is None else s.rng_seed
-    return gen_seed, generate_synthetic(s.n_genes, s.n_microbes, s.n_diseases,
-                                        s.latent_dim, s.edge_density, gen_seed,
-                                        out_dir=out_dir)
+    return gen_seed, generate_synthetic(s, gen_seed, out_dir=out_dir)
 
 
 def build_graph(cfg: RunConfig) -> HetGraph:
@@ -174,7 +172,7 @@ def cmd_cv(cfg: RunConfig) -> str:
     _write_json(path, doc)
     for fold in result.folds:
         fold.params.save(os.path.join(cfg.out, "checkpoints", f"fold{fold.fold}.json"))
-    for rec in result.all_records():
+    for rec in result.records + [result.mean]:
         print("fold {fold}: hit1={hit1:.4f} hit3={hit3:.4f} hit5={hit5:.4f} "
               "mrr={mrr:.4f}".format(**rec))
     return path

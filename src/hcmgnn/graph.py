@@ -320,10 +320,6 @@ class SplitPlan:
         return json.dumps({"test": self.test, "folds": self.folds, "seed": self.seed},
                           indent=2, sort_keys=True)
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
     @classmethod
     def load(cls, path) -> "SplitPlan":
         """Read a split file; a missing key or a wrong type is an error naming it."""
@@ -374,13 +370,10 @@ def make_split(ids: list[str], test_fraction: float = SplitConfig.test_fraction,
     test = ids[:n_test]
     rest = ids[n_test:]
     base, extra = divmod(len(rest), folds)
-    fold_lists = []
-    off = 0
-    for k in range(folds):
-        size = base + (1 if k < extra else 0)
-        fold_lists.append(rest[off:off + size])
-        off += size
-    return SplitPlan(test=test, folds=fold_lists, seed=rng_seed)
+    # the first `extra` folds take one id more than the others
+    bounds = [k * base + min(k, extra) for k in range(folds + 1)]
+    return SplitPlan(test=test, folds=[rest[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+                     seed=rng_seed)
 
 
 def avg_node_degree(g: HetGraph, rows: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Metapath definitions and instance enumeration over the tri-partite graph.
 
-A causal metapath is a length-3 type sequence visiting gene, microbe and
+A metapath is its type sequence, named by the types' letters ("G-M-D").
+A causal metapath is a length-3 sequence visiting gene, microbe and
 disease once each; its subgraph holds exactly the two relation edge sets
 along the path.  Ablation families cover symmetric length-5 palindromes
 and plain length-2 type pairs.
@@ -20,15 +21,19 @@ MAX_INSTANCES = 10_000_000
 _LETTER = {GENE: "G", MICROBE: "M", DISEASE: "D"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
 
-CAUSAL_3 = "causal-3"
-PAIRWISE_2 = "pairwise-2"
-SYMMETRIC_5 = "symmetric-5"
+# the three families, each path by name; a family's paths share one length
+CAUSAL_3 = ("G-M-D", "G-D-M", "D-M-G", "D-G-M", "M-D-G", "M-G-D")
+SYMMETRIC_5 = ("G-M-D-M-G", "G-D-M-D-G", "M-G-D-G-M", "M-D-G-D-M", "D-G-M-G-D", "D-M-G-M-D")
+PAIRWISE_2 = ("G-M", "M-G", "G-D", "D-G", "M-D", "D-M")
 
 
 @dataclass(frozen=True)
 class Metapath:
     types: tuple[EntityType, ...]
-    kind: str
+
+    def __post_init__(self):
+        if len(self.types) < 2:
+            raise ValueError(f"a metapath needs at least 2 types, got {len(self.types)}")
 
     @property
     def relations(self) -> tuple[tuple[EntityType, EntityType], ...]:
@@ -42,25 +47,14 @@ class Metapath:
         return f"Metapath({self.name})"
 
 
-def _path(letters: str, kind: str) -> Metapath:
-    return Metapath(tuple(_BY_LETTER[c] for c in letters.split("-")), kind)
+def metapaths(names) -> list[Metapath]:
+    """The metapaths of `names` such as "G-M-D", in order."""
+    return [Metapath(tuple(_BY_LETTER[c] for c in name.split("-"))) for name in names]
 
 
 def causal_metapaths() -> list[Metapath]:
     """The six directed influence modes, in canonical order."""
-    return [_path(s, CAUSAL_3)
-            for s in ("G-M-D", "G-D-M", "D-M-G", "D-G-M", "M-D-G", "M-G-D")]
-
-
-def ablation_metapaths(kind: str) -> list[Metapath]:
-    if kind == SYMMETRIC_5:
-        return [_path(s, SYMMETRIC_5)
-                for s in ("G-M-D-M-G", "G-D-M-D-G", "M-G-D-G-M",
-                          "M-D-G-D-M", "D-G-M-G-D", "D-M-G-M-D")]
-    if kind == PAIRWISE_2:
-        return [_path(s, PAIRWISE_2)
-                for s in ("G-M", "M-G", "G-D", "D-G", "M-D", "D-M")]
-    raise ValueError(f"unknown ablation metapath kind {kind!r}")
+    return metapaths(CAUSAL_3)
 
 
 def _walks(g: HetGraph, types) -> np.ndarray:
@@ -76,11 +70,10 @@ def enumerate_instance_rows(g: HetGraph, p: Metapath) -> np.ndarray:
     """Instances of p as an (S, len(types)) array of per-type node indices.
 
     Rows come out in lexicographic order, so enumeration is deterministic.
-    Causal-3 joins two edge sets, symmetric-5 two causal-3 halves and
-    pairwise-2 is the edge set itself; node revisits are allowed.
+    A length-2 path is the edge set itself, and a longer one joins its two
+    halves at the middle type: length 3 joins two edge sets, length 5 two
+    length-3 halves.  Node revisits are allowed.
     """
-    if p.kind not in (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5):
-        raise ValueError(f"unknown metapath kind {p.kind!r}")
     try:
         return _walks(g, p.types)
     except InstanceExplosion as exc:

@@ -3,9 +3,10 @@
 The pipeline per variant: project each type's features into a shared
 space, encode every metapath instance into a relation-aware message,
 share that message with the instance's nodes through per-head attention,
-fuse the per-subgraph views with a type-level softmax, then score
-triplets with an MLP head.  One set of ops over stacked tables runs every
-path and head; ablation variants reroute messages or swap the family.
+and fuse the per-subgraph views with a type-level softmax; that is
+`forward`.  An MLP head, `score_triplets`, then scores triplets from the
+fused embeddings.  One set of ops over stacked tables runs every path and
+head; ablation variants reroute messages or swap the family.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from . import tensor as T
 from .config import check_at_least, check_field_types, config_block
 from .graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                     load_json)
-from .metapath import (PAIRWISE_2, SYMMETRIC_5, Metapath, ablation_metapaths,
-                       causal_metapaths, enumerate_instance_rows)
+from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
+                       enumerate_instance_rows, metapaths)
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
@@ -51,11 +52,7 @@ class ModelConfig:
 
 def family_paths(variant: str) -> list[Metapath]:
     """The metapaths whose views the variant fuses."""
-    if variant == "woMP-iii":
-        return ablation_metapaths(SYMMETRIC_5)
-    if variant == "woTM":
-        return ablation_metapaths(PAIRWISE_2)
-    return causal_metapaths()
+    return metapaths({"woMP-iii": SYMMETRIC_5, "woTM": PAIRWISE_2}.get(variant, CAUSAL_3))
 
 
 def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
@@ -64,8 +61,6 @@ def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
         return (0,)
     if variant in ("woMP-ii", "woMP-iii"):
         return (0, length - 1)
-    if variant == "woTM":
-        return (0, 1)
     return tuple(range(length))
 
 
@@ -186,7 +181,11 @@ class ModelParams:
     """All learnable tensors, keyed by stable names for Adam and checkpoints."""
     tensors: dict[str, Tensor]
     config: ModelConfig
-    feature_dims: dict[EntityType, int]
+
+    @property
+    def feature_dims(self) -> dict[EntityType, int]:
+        """Each type's input feature width, the column count of its projection."""
+        return {t: self.proj(t).shape[1] for t in EntityType}
 
     def proj(self, t: EntityType) -> Tensor:
         return self.tensors[f"proj_{_type_key(t)}"]
@@ -211,7 +210,7 @@ class ModelParams:
         doc = {
             "format": CHECKPOINT_FORMAT,
             "config": asdict(self.config),
-            "feature_dims": {_type_key(t): int(d) for t, d in self.feature_dims.items()},
+            "feature_dims": {_type_key(t): d for t, d in self.feature_dims.items()},
             "tensors": {name: {"shape": list(p.shape),
                                "data": p.data.reshape(-1).tolist()}
                         for name, p in self.tensors.items()},
@@ -249,7 +248,7 @@ class ModelParams:
                 raise ValueError(f"{path}: tensor {name!r}: {exc}") from exc
         arrays = _check_state(param_specs(config, fdims), state, str(path))
         return cls({name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()},
-                   config, fdims)
+                   config)
 
 
 def init_params(cache: ModelCache, config: ModelConfig, seed: int) -> ModelParams:
@@ -260,7 +259,7 @@ def init_params(cache: ModelCache, config: ModelConfig, seed: int) -> ModelParam
     rng = np.random.default_rng(seed)
     tensors = {name: Tensor(init(rng, shape), requires_grad=True)
                for name, shape, init in param_specs(config, cache.feature_dims)}
-    return ModelParams(tensors, config, dict(cache.feature_dims))
+    return ModelParams(tensors, config)
 
 
 def feature_transform(x: Tensor, w: Tensor) -> Tensor:
@@ -366,7 +365,6 @@ class ForwardOutput:
     embeddings: dict[EntityType, Tensor]
     subgraph_embeddings: dict[str, np.ndarray]   # each path's V x D views
     fusion_weights: dict[EntityType, np.ndarray]
-    scores: Tensor
     attention: np.ndarray   # pairs x heads, row-aligned with the cache's pairs
 
 
@@ -380,11 +378,9 @@ def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) ->
                         for ids in cache.instance_relations.T])
 
 
-def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
-    """Score the triplets of `index` and expose embeddings, fusion weights and attention.
-
-    `index` is the triple (genes, microbes, diseases) of int64 node-index arrays.
-    """
+def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
+    """Every node's fused embedding, with each path's views, the fusion weights
+    and the attention; `score_triplets` scores triplets from the embeddings."""
     config = params.config
     if config.variant != cache.variant:
         raise ValueError(f"forward: cache holds {cache.variant!r} instance tables, "
@@ -425,8 +421,7 @@ def forward(cache: ModelCache, params: ModelParams, index) -> ForwardOutput:
 
     subgraph_embeds = dict(zip([p.name for p in cache.metapaths],
                                np.split(views.data, n_paths)))
-    return ForwardOutput(embeddings, subgraph_embeds, fusion_weights,
-                         score_triplets(embeddings, params, index), attention)
+    return ForwardOutput(embeddings, subgraph_embeds, fusion_weights, attention)
 
 
 def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,

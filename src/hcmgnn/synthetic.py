@@ -54,8 +54,7 @@ class SyntheticDataset:
     graph: HetGraph
     files: dict[str, str] | None
     realized_density: float
-    bias: float
-    latents: dict[EntityType, np.ndarray]
+    bias: float   # the calibrated edge bias
 
 
 def _edge_prob(scores: np.ndarray, bias: float) -> np.ndarray:
@@ -71,25 +70,22 @@ def _density(scores: dict, uniforms: dict, bias: float) -> float:
     return hits / total
 
 
-def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
-                       latent_dim: int, edge_density_target: float,
-                       rng_seed: int, out_dir: str | None = None,
-                       bias: float | None = None) -> SyntheticDataset:
-    """Sample a planted graph and optionally write its edge/feature files.
+def generate_synthetic(cfg: SyntheticConfig, rng_seed: int,
+                       out_dir: str | None = None) -> SyntheticDataset:
+    """Sample the planted graph of `cfg` and optionally write its edge/feature files.
 
+    `rng_seed` seeds every draw; it is `cfg.rng_seed` when that is set.
     Output files are a pure function of the arguments, byte for byte.
-    Passing `bias` skips density calibration.  `SyntheticConfig` checks the arguments.
     """
-    SyntheticConfig(n_genes, n_microbes, n_diseases, latent_dim, edge_density_target, rng_seed)
-    sizes = {GENE: n_genes, MICROBE: n_microbes, DISEASE: n_diseases}
+    sizes = {GENE: cfg.n_genes, MICROBE: cfg.n_microbes, DISEASE: cfg.n_diseases}
 
     rng = np.random.default_rng(rng_seed)
-    center = (MIXTURE_SCALE / np.sqrt(latent_dim)) * np.ones(latent_dim)
+    center = (MIXTURE_SCALE / np.sqrt(cfg.latent_dim)) * np.ones(cfg.latent_dim)
     latents = {}
     for t in EntityType:
         comp = rng.integers(0, 2, size=sizes[t])
-        noise = rng.normal(0.0, MIXTURE_SPREAD / np.sqrt(latent_dim),
-                           size=(sizes[t], latent_dim))
+        noise = rng.normal(0.0, MIXTURE_SPREAD / np.sqrt(cfg.latent_dim),
+                           size=(sizes[t], cfg.latent_dim))
         latents[t] = np.where(comp[:, None] == 0, center, -center) + noise
 
     scores = {}
@@ -98,24 +94,23 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
         scores[(a, b_t)] = EDGE_SLOPE * (latents[a] @ latents[b_t].T)
         uniforms[(a, b_t)] = rng.uniform(size=scores[(a, b_t)].shape)
 
+    lo, hi = -40.0, 40.0
+    tol = 0.1 * cfg.edge_density
+    bias = achieved = None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        achieved = _density(scores, uniforms, mid)
+        if abs(achieved - cfg.edge_density) <= tol:
+            bias = mid
+            break
+        if achieved < cfg.edge_density:
+            lo = mid
+        else:
+            hi = mid
     if bias is None:
-        lo, hi = -40.0, 40.0
-        tol = 0.1 * edge_density_target
-        achieved = None
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            achieved = _density(scores, uniforms, mid)
-            if abs(achieved - edge_density_target) <= tol:
-                bias = mid
-                break
-            if achieved < edge_density_target:
-                lo = mid
-            else:
-                hi = mid
-        if bias is None:
-            raise CalibrationError(
-                f"could not reach density {edge_density_target} in 60 bisection "
-                f"steps; achieved {achieved}")
+        raise CalibrationError(
+            f"could not reach density {cfg.edge_density} in 60 bisection "
+            f"steps; achieved {achieved}")
 
     undirected = {}
     for kind in PAIR_KINDS:
@@ -147,7 +142,7 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
             fname = f"features_{t.name.lower()}.csv"
             path = os.path.join(out_dir, fname)
             with open(path, "w", encoding="utf-8") as fh:
-                header = "id," + ",".join(f"f{j + 1}" for j in range(latent_dim))
+                header = "id," + ",".join(f"f{j + 1}" for j in range(cfg.latent_dim))
                 fh.write(header + "\n")
                 for i, nid in enumerate(node_ids[t]):
                     vals = ",".join(repr(float(x)) for x in features[t][i])
@@ -155,4 +150,4 @@ def generate_synthetic(n_genes: int, n_microbes: int, n_diseases: int,
             files[fname] = path
 
     return SyntheticDataset(graph=graph, files=files, realized_density=realized,
-                            bias=float(bias), latents=latents)
+                            bias=float(bias))

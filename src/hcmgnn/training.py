@@ -91,49 +91,20 @@ def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
                       ) -> tuple[np.ndarray, dict[EntityType, Tensor]]:
     """Score every candidate pool in one batch, then rank every pool at once.
 
-    `embeddings`, when given, are `forward`'s per-type outputs at `params`,
-    and only the MLP head runs on them; otherwise one `forward` computes
-    them.  Returns each pool's 1-based rank of its positive, in pool order,
-    and the embeddings they were scored from.
+    `embeddings`, when given, are `forward`'s per-type outputs at `params`;
+    otherwise one `forward` computes them.  The MLP head scores the pools
+    from them.  Returns each pool's 1-based rank of its positive, in pool
+    order, and the embeddings they were scored from.
     """
     if embeddings is None:
-        out = forward(cache, params, rset.index)
-        embeddings, scores = out.embeddings, out.scores
-    else:
-        scores = score_triplets(embeddings, params, rset.index)
-    scores = scores.data.reshape(rset.before.shape)
+        embeddings = forward(cache, params).embeddings
+    scores = score_triplets(embeddings, params, rset.index).data.reshape(rset.before.shape)
     finite = np.isfinite(scores).all(axis=1)
     if not finite.all():
         pool = int(np.argmin(finite))
         raise ValueError("score_ranking_set: non-finite score among the candidates of "
                          f"{rset.candidate_ids[pool][0]}")
     return rank_pools(scores, rset.before), embeddings
-
-
-class EarlyStopper:
-    """Stop after `patience` consecutive epochs without strict improvement."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_epoch = 0
-        self.bad = 0
-        self.epoch = 0
-
-    def update(self, metric: float) -> bool:
-        """Record one epoch's metric; True iff it improved on the best."""
-        self.epoch += 1
-        if metric > self.best:
-            self.best = metric
-            self.best_epoch = self.epoch
-            self.bad = 0
-            return True
-        self.bad += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.bad >= self.patience
 
 
 @dataclass
@@ -152,6 +123,8 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
           val_set: RankingSet, cfg: TrainConfig) -> TrainReport:
     """Full-batch epochs with early stopping on the validation ranking metric.
 
+    Training stops once `patience` validations in a row bring no strict
+    improvement on the best metric, so a tie or a NaN never becomes the best.
     `train_index` is the training triplets' 3 x N (genes, microbes,
     diseases) rows and `labels` their 0/1 labels.  Each epoch's step is
     validated, and the best-validated state is kept.  On return `params`
@@ -172,27 +145,28 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
 
     losses: list[float] = []
     val_trace: list[float] = []
-    stopper = EarlyStopper(cfg.patience)
+    best_metric, best_epoch = -np.inf, 0
     best_state = params.state()
     best_ranks = np.zeros(0, dtype=np.int64)
 
     def validate(embeddings=None) -> bool:
         """Record the metric of the current state; True iff training should stop."""
-        nonlocal best_state, best_ranks
+        nonlocal best_metric, best_epoch, best_state, best_ranks
         ranks, _ = score_ranking_set(g, cache, params, val_set, embeddings=embeddings)
         metric = rank_metrics(ranks)[cfg.val_metric]
         val_trace.append(metric)
-        if stopper.update(metric):
+        if metric > best_metric:
+            best_metric, best_epoch = metric, len(val_trace)
             best_state, best_ranks = params.state(), ranks
-        return stopper.should_stop
+        return len(val_trace) - best_epoch >= cfg.patience
 
     for epoch in range(1, cfg.max_epochs + 1):
         params.zero_grad()
         with Tape() as tape:
-            out = forward(cache, params, train_index)
-            loss = loss_fn(out.scores, labels, cfg.gamma)
+            embeddings = forward(cache, params).embeddings
+            loss = loss_fn(score_triplets(embeddings, params, train_index), labels, cfg.gamma)
         tape.backward(loss)
-        if epoch > 1 and validate(out.embeddings):
+        if epoch > 1 and validate(embeddings):
             break
         value = loss.item()
         if not np.isfinite(value):
@@ -204,7 +178,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
 
     params.load_state(best_state)
     return TrainReport(train_losses=losses, val_trace=val_trace,
-                       best_epoch=stopper.best_epoch, best_metric=float(stopper.best),
+                       best_epoch=best_epoch, best_metric=float(best_metric),
                        best_state=best_state, best_ranks=best_ranks,
                        epochs_run=len(losses))
 
@@ -294,9 +268,6 @@ class CVResult:
     records: list[dict]
     mean: dict
 
-    def all_records(self) -> list[dict]:
-        return self.records + [self.mean]
-
 
 def _mean_record(records: list[dict]) -> dict:
     keys = [k for k in records[0] if k != "fold"]
@@ -355,11 +326,16 @@ def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
     folds plus equal sampled negatives form the training set.  Test
     positives are never visible here (audited).
     """
-    if not len(split.test_positives):
-        raise ValueError("train_for_test: the split holds no test positives")
+    _require_test_positives(split, "train_for_test")
     cache = ModelCache(g, model_cfg.variant)
     params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg)
     return params, report, cache
+
+
+def _require_test_positives(split: Split, where: str):
+    """Reject a split whose test slice is empty, before any training or sampling."""
+    if not len(split.test_positives):
+        raise ValueError(f"{where}: the split holds no test positives")
 
 
 def run_test(g: HetGraph, split: Split, cache: ModelCache, params: ModelParams,
@@ -369,6 +345,7 @@ def run_test(g: HetGraph, split: Split, cache: ModelCache, params: ModelParams,
     Returns the ranks in test-positive order, the test set and the
     embeddings it was scored from.
     """
+    _require_test_positives(split, "run_test")
     test_set = build_ranking_set(g, split.test_positives, RANK_NEGATIVES,
                                  derive_seed(seed, "test-neg"), split.known)
     ranks, embeddings = score_ranking_set(g, cache, params, test_set)

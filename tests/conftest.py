@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph
+from hcmgnn.model import forward, score_triplets
 
 
 def index_of(rows):
-    """The 3 x N (genes, microbes, diseases) index that `forward` scores, of (g, m, d) rows."""
+    """The 3 x N (genes, microbes, diseases) index of (g, m, d) rows that the head scores."""
     return np.asarray(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+
+
+def forward_scores(cache, params, index):
+    """`forward`, then the MLP head on its embeddings: the output and the scores of `index`."""
+    out = forward(cache, params)
+    return out, score_triplets(out.embeddings, params, index)
 
 
 def resolve_rank(scores, candidate_ids, positive_index: int = 0) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import edge_set, index_of, toy_graph
+from conftest import edge_set, forward_scores, index_of, toy_graph
 from gradcheck import grad_check
 from hcmgnn import training
 from hcmgnn.cli import main as cli_main
@@ -17,12 +17,13 @@ from hcmgnn.graph import (DISEASE, GENE, MICROBE, HetGraph, derive_positive_trip
                           load_edges, make_split, positives_by_id)
 from hcmgnn.metapath import causal_metapaths, enumerate_instance_rows
 from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
-from hcmgnn.synthetic import generate_synthetic
+from hcmgnn.synthetic import SyntheticConfig, generate_synthetic
 from hcmgnn.training import (TrainConfig, loss_fn, resolve_split, run_cv, run_test,
                              train_for_test)
 
-PLANTED = dict(n_genes=40, n_microbes=30, n_diseases=30,
-               latent_dim=8, edge_density_target=0.15, rng_seed=7)
+PLANTED = SyntheticConfig(n_genes=40, n_microbes=30, n_diseases=30,
+                          latent_dim=8, edge_density=0.15)
+PLANTED_SEED = 7
 ACCEPT_MODEL = dict(proj_dim=16, heads=4, fusion_dim=32, mlp_hidden=128)
 SPLIT_SEED = 101
 TRAIN_SEED = 11
@@ -35,7 +36,7 @@ def verdict(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def planted():
-    ds = generate_synthetic(**PLANTED)
+    ds = generate_synthetic(PLANTED, PLANTED_SEED)
     plan = make_split(list(positives_by_id(ds.graph)), rng_seed=SPLIT_SEED)
     return ds.graph, plan
 
@@ -54,7 +55,7 @@ def test_criterion_1_gradient_oracle():
     index = index_of(samples)
 
     def full_loss(*_):
-        return loss_fn(forward(cache, params, index).scores, labels, 0.7)
+        return loss_fn(forward_scores(cache, params, index)[1], labels, 0.7)
 
     report = grad_check(full_loss, tensors, h=1e-6, tol=1e-4)
     elapsed = time.perf_counter() - start
@@ -113,13 +114,12 @@ def test_criterion_2_enumeration_oracle():
 
 def test_criterion_3_normalization_suite():
     g = toy_graph(seed=1)
-    samples = [(0, 0, 0), (1, 1, 1)]
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
     cache = ModelCache(g, cfg.variant)
     worst = 0.0
     for seed in range(100):
         params = init_params(cache, cfg, seed)
-        out = forward(cache, params, index_of(samples))
+        out = forward(cache, params)
         # every (path, node) segment of every head's column of alpha sums to 1
         seg = cache.pair_paths * cache.total_nodes + cache.pair_nodes
         assert out.attention.shape == (seg.size, cfg.heads) and seg.size > 0
@@ -180,7 +180,7 @@ def test_criterion_5_learnability(planted):
 
 
 def test_criterion_6_protocol_fidelity(monkeypatch):
-    ds = generate_synthetic(20, 16, 16, 4, 0.2, rng_seed=3)
+    ds = generate_synthetic(SyntheticConfig(20, 16, 16, 4, 0.2), 3)
     g = ds.graph
     plan = make_split(list(positives_by_id(g)), rng_seed=13)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)

@@ -2,17 +2,20 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
 
 from conftest import load_embeddings
 from hcmgnn import cli, training
-from hcmgnn.cli import build_graph, build_split, load_config, main
-from hcmgnn.config import block_doc
+from hcmgnn.cli import RunConfig, build_graph, build_split, load_config, main
+from hcmgnn.config import block_doc, settable_fields
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, derive_positive_triplets,
                           load_edges)
+from hcmgnn.model import ModelCache, ModelConfig, init_params
 
 SMALL_MODEL = {"proj_dim": 4, "heads": 2, "fusion_dim": 5, "mlp_hidden": 6}
 DROP = object()   # an override that leaves the key out of the config
@@ -162,6 +165,15 @@ def test_stratify_requires_checkpoint(tmp_path):
     assert main(["stratify", "--config", cfg]) == 1
 
 
+def test_stratify_on_a_split_with_no_test_positives_names_it(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, split={"test_fraction": 0.0})
+    checkpoint = str(tmp_path / "ckpt.json")
+    cache = ModelCache(build_graph(load_config(cfg)), "full")
+    init_params(cache, ModelConfig(**SMALL_MODEL), 0).save(checkpoint)
+    assert main(["stratify", "--config", cfg, "--checkpoint", checkpoint]) == 1
+    assert "the split holds no test positives" in capsys.readouterr().err
+
+
 def test_instances_dump(tmp_path):
     cfg, out = write_config(tmp_path)
     assert main(["instances", "--config", cfg]) == 0
@@ -201,7 +213,7 @@ def tampered_split_config(tmp_path, tamper):
     plan = build_split(cfg, g).plan
     tamper(plan)
     split_path = str(tmp_path / "split.json")
-    plan.save(split_path)
+    Path(split_path).write_text(plan.to_json(), encoding="utf-8")
     cfg_path, _ = write_config(tmp_path, split_file=split_path)
     return load_config(cfg_path), g, plan, split_path
 
@@ -482,6 +494,33 @@ def test_readme_example_configs_load(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert within(doc, block_doc(load_config(str(path))))
+
+
+def settable_keys(cls, where=""):
+    """The dotted keys a config file sets, each block's keys under its own name."""
+    hints = get_type_hints(cls)
+    for f in settable_fields(cls):
+        block = next((t for t in get_args(hints[f.name]) or (hints[f.name],)
+                      if is_dataclass(t)), None)
+        if block is None:
+            yield where + f.name
+        else:
+            yield from settable_keys(block, f"{where}{f.name}.")
+
+
+def test_config_surface_is_pinned():
+    """Adding or dropping a config key is an edit of this list."""
+    assert sorted(settable_keys(RunConfig)) == [
+        "dataset.features.disease", "dataset.features.gene", "dataset.features.microbe",
+        "dataset.gene_disease", "dataset.gene_microbe", "dataset.microbe_disease",
+        "model.fusion_dim", "model.heads", "model.leaky_slope", "model.mlp_hidden",
+        "model.proj_dim", "model.variant",
+        "out", "seed",
+        "split.folds", "split.test_fraction", "split_file",
+        "synthetic.edge_density", "synthetic.latent_dim", "synthetic.n_diseases",
+        "synthetic.n_genes", "synthetic.n_microbes", "synthetic.rng_seed",
+        "train.gamma", "train.lr", "train.max_epochs", "train.patience", "train.val_metric",
+    ]
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):

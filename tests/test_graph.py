@@ -321,7 +321,7 @@ def test_split_checks_fold_sizes_after_the_test_slice():
 def test_split_plan_file_round_trip(tmp_path):
     plan = SplitPlan(test=["a|b|c"], folds=[["d|e|f"], ["g|h|i"]], seed=3)
     path = tmp_path / "split.json"
-    plan.save(path)
+    path.write_text(plan.to_json(), encoding="utf-8")
     assert SplitPlan.load(path) == plan
 
 

@@ -4,9 +4,10 @@ import pytest
 import hcmgnn.metapath as mp
 from conftest import edge_set, random_graph, toy_graph
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph, derive_positive_triplets
-from hcmgnn.metapath import (InstanceExplosion, Metapath, ablation_metapaths,
-                             causal_metapaths, dump_instances,
-                             enumerate_instance_rows)
+from hcmgnn.metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, InstanceExplosion,
+                             Metapath, causal_metapaths, dump_instances,
+                             enumerate_instance_rows, metapaths)
+from hcmgnn.model import VARIANTS, family_paths
 
 
 def involving(rows, p, t, v):
@@ -44,11 +45,28 @@ def test_subgraph_with_missing_relations_is_empty():
     assert enumerate_instance_rows(g, p).shape == (0, 3)
 
 
-def test_enumeration_rejects_unknown_kind(tiny_graph):
-    with pytest.raises(ValueError):
-        enumerate_instance_rows(tiny_graph, Metapath((GENE, MICROBE, DISEASE), "causal-4"))
-    with pytest.raises(ValueError):
-        ablation_metapaths("causal-4")
+@pytest.mark.parametrize("types", [(GENE,), ()], ids=["one-type", "no-type"])
+def test_metapath_needs_at_least_two_types(types):
+    with pytest.raises(ValueError, match="at least 2 types"):
+        Metapath(types)
+
+
+def test_each_family_is_six_names_of_one_length():
+    for family, length in ((CAUSAL_3, 3), (SYMMETRIC_5, 5), (PAIRWISE_2, 2)):
+        assert len(family) == len(set(family)) == 6
+        paths = metapaths(family)
+        assert [p.name for p in paths] == list(family)
+        assert all(len(p.types) == length for p in paths)
+
+
+FAMILY = {"full": CAUSAL_3, "woMP-i": CAUSAL_3, "woMP-ii": CAUSAL_3, "woMP-iii": SYMMETRIC_5,
+          "woTM": PAIRWISE_2, "woAF": CAUSAL_3, "woBF": CAUSAL_3}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_family_paths_of_each_variant(variant):
+    assert sorted(FAMILY) == sorted(VARIANTS)
+    assert [p.name for p in family_paths(variant)] == list(FAMILY[variant])
 
 
 def test_each_relation_used_by_exactly_two_causal_paths():
@@ -160,7 +178,7 @@ def test_membership_total_is_three_per_instance():
 
 
 def test_symmetric5_family():
-    paths = ablation_metapaths("symmetric-5")
+    paths = metapaths(SYMMETRIC_5)
     names = {p.name for p in paths}
     assert names == {"G-M-D-M-G", "G-D-M-D-G", "M-G-D-G-M",
                      "M-D-G-D-M", "D-G-M-G-D", "D-M-G-M-D"}
@@ -169,7 +187,7 @@ def test_symmetric5_family():
 
 
 def test_pairwise2_family_instances_are_edge_sets(tiny_graph):
-    paths = ablation_metapaths("pairwise-2")
+    paths = metapaths(PAIRWISE_2)
     assert {p.name for p in paths} == {"G-M", "M-G", "G-D", "D-G", "M-D", "D-M"}
     gm = next(p for p in paths if p.name == "G-M")
     rows = enumerate_instance_rows(tiny_graph, gm)
@@ -179,7 +197,7 @@ def test_pairwise2_family_instances_are_edge_sets(tiny_graph):
 def test_symmetric5_matches_walk_oracle():
     rng = np.random.default_rng(31)
     g = random_graph(rng, 5, 5, 5, p=0.45)
-    p = next(q for q in ablation_metapaths("symmetric-5") if q.name == "G-M-D-M-G")
+    p = next(q for q in metapaths(SYMMETRIC_5) if q.name == "G-M-D-M-G")
     got = sorted(map(tuple, enumerate_instance_rows(g, p).tolist()))
     expect = []
     gm = edge_set(g, (GENE, MICROBE))
@@ -211,9 +229,9 @@ def test_instance_explosion_guard(monkeypatch):
 def test_symmetric_five_join_has_its_own_explosion_guard(monkeypatch):
     rng = np.random.default_rng(1)
     g = random_graph(rng, 10, 10, 10, p=0.5)
-    p = ablation_metapaths("symmetric-5")[0]  # G-M-D-M-G
-    halves = [enumerate_instance_rows(g, Metapath(p.types[:3], "causal-3")).shape[0],
-              enumerate_instance_rows(g, Metapath(p.types[2:], "causal-3")).shape[0]]
+    p = metapaths(SYMMETRIC_5)[0]  # G-M-D-M-G
+    halves = [enumerate_instance_rows(g, Metapath(p.types[:3])).shape[0],
+              enumerate_instance_rows(g, Metapath(p.types[2:])).shape[0]]
     full = enumerate_instance_rows(g, p).shape[0]
     assert max(halves) < full
     # both causal-3 halves fit, only the five-node join is over the limit

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import hcmgnn.tensor as T
-from conftest import edge_set, index_of, random_graph, toy_graph
+from conftest import edge_set, forward_scores, index_of, random_graph, toy_graph
 from gradcheck import grad_check
 from hcmgnn.graph import DISEASE, GENE, MICROBE, RELATIONS, HetGraph, derive_positive_triplets
 from hcmgnn.metapath import enumerate_instance_rows
@@ -242,7 +242,7 @@ def test_per_node_head_matches_the_concat_head(variant):
 
     def head(fn):
         def run():
-            emb = forward(cache, params, index).embeddings
+            emb = forward(cache, params).embeddings
             return (fn([emb[t] for t in (GENE, MICROBE, DISEASE)], index, *mlp),)
         return taped_grads(run, params, labels)
 
@@ -260,8 +260,8 @@ def test_forward_scores_in_unit_interval_and_beta_normalized(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg.variant)
     params = init_params(cache, cfg, 0)
-    out = forward(cache, params, some_samples(tiny_graph))
-    assert ((out.scores.data > 0) & (out.scores.data < 1)).all()
+    out, scores = forward_scores(cache, params, some_samples(tiny_graph))
+    assert ((scores.data > 0) & (scores.data < 1)).all()
     for t, beta in out.fusion_weights.items():
         assert beta.shape == (6,)
         assert beta.sum() == pytest.approx(1.0, abs=1e-9)
@@ -281,7 +281,7 @@ def test_forward_attention_rows_normalized_over_seeds(tiny_graph):
     cache = ModelCache(tiny_graph, cfg.variant)
     for seed in range(10):
         params = init_params(cache, cfg, seed)
-        out = forward(cache, params, some_samples(tiny_graph))
+        out = forward(cache, params)
         assert out.attention.shape == (cache.pair_nodes.size, cfg.heads)
         assert np.allclose(attention_sums(cache, out.attention), 1.0, atol=1e-9)
 
@@ -294,7 +294,7 @@ def test_empty_instance_set_yields_zero_view():
     cfg = small_config()
     cache = ModelCache(g, cfg.variant)
     params = init_params(cache, cfg, 1)
-    out = forward(cache, params, index_of([(0, 0, 0), (1, 0, 0)]))
+    out = forward(cache, params)
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
     h = out.subgraph_embeddings["G-M-D"]
     assert np.array_equal(h[1], np.zeros(cfg.embed_dim))
@@ -306,13 +306,12 @@ def test_full_equals_woaf_when_all_views_equal():
     g = HetGraph({GENE: ["g0"], MICROBE: ["m0"], DISEASE: ["d0"]},
                  {(GENE, MICROBE): [], (GENE, DISEASE): [], (MICROBE, DISEASE): []},
                  {t: np.eye(1) for t in (GENE, MICROBE, DISEASE)})
-    samples = index_of([(0, 0, 0)])
     outs = {}
     for variant in ("full", "woAF"):
         cfg = small_config(variant)
         cache = ModelCache(g, variant)
         params = init_params(cache, cfg, 7)
-        outs[variant] = forward(cache, params, samples)
+        outs[variant] = forward(cache, params)
     for t in (GENE, MICROBE, DISEASE):
         assert np.allclose(outs["full"].embeddings[t].data,
                            outs["woAF"].embeddings[t].data)
@@ -327,11 +326,10 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     cfg_full = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6)
     cfg_ii = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6,
                          variant="woMP-ii")
-    samples = index_of([(0, 0, 0)])
     out_full = forward(ModelCache(g, "full"),
-                       init_params(ModelCache(g, "full"), cfg_full, 3), samples)
+                       init_params(ModelCache(g, "full"), cfg_full, 3))
     out_ii = forward(ModelCache(g, "woMP-ii"),
-                     init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3), samples)
+                     init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3))
     # head is row 0 (gene), tail is row 2 (disease) for G-M-D
     h_full = out_full.subgraph_embeddings["G-M-D"]
     h_ii = out_ii.subgraph_embeddings["G-M-D"]
@@ -344,7 +342,7 @@ def test_mirror_metapaths_differ_for_some_node(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg.variant)
     params = init_params(cache, cfg, 5)
-    out = forward(cache, params, some_samples(tiny_graph))
+    out = forward(cache, params)
     fwd = out.subgraph_embeddings["G-M-D"]
     rev = out.subgraph_embeddings["D-M-G"]
     assert not np.allclose(fwd, rev)
@@ -380,13 +378,13 @@ def test_permutation_equivariance():
     samples1 = np.array([(1, 2, 3), (4, 0, 2)])
     samples2 = np.stack([perms[t][samples1[:, k]] for k, t in enumerate((GENE, MICROBE, DISEASE))],
                         axis=1)
-    out1 = forward(cache1, params, index_of(samples1))
-    out2 = forward(cache2, params, index_of(samples2))
+    out1, scores1 = forward_scores(cache1, params, index_of(samples1))
+    out2, scores2 = forward_scores(cache2, params, index_of(samples2))
     for t in (GENE, MICROBE, DISEASE):
         # row i of graph 1 lands at row perms[t][i] in graph 2
         assert np.allclose(out1.embeddings[t].data,
                            out2.embeddings[t].data[perms[t]], atol=1e-9)
-    assert np.allclose(out1.scores.data, out2.scores.data, atol=1e-9)
+    assert np.allclose(scores1.data, scores2.data, atol=1e-9)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -394,9 +392,9 @@ def test_every_variant_runs_and_normalizes(tiny_graph, variant):
     cfg = small_config(variant)
     cache = ModelCache(tiny_graph, variant)
     params = init_params(cache, cfg, 4)
-    out = forward(cache, params, some_samples(tiny_graph))
-    assert out.scores.shape == (2, 1)
-    assert ((out.scores.data > 0) & (out.scores.data < 1)).all()
+    out, scores = forward_scores(cache, params, some_samples(tiny_graph))
+    assert scores.shape == (2, 1)
+    assert ((scores.data > 0) & (scores.data < 1)).all()
     for t in (GENE, MICROBE, DISEASE):
         assert out.embeddings[t].shape == (tiny_graph.num_nodes(t), cfg.embed_dim)
         assert out.fusion_weights[t].sum() == pytest.approx(1.0, abs=1e-9)
@@ -435,7 +433,7 @@ def test_full_loss_gradients_match_finite_differences(variant):
     params = init_params(cache, small_config(variant), 1)
 
     def full_loss(*_):
-        return loss_fn(forward(cache, params, index).scores, labels, 0.7)
+        return loss_fn(forward_scores(cache, params, index)[1], labels, 0.7)
 
     report = grad_check(full_loss, list(params.tensors.values()), h=1e-6, tol=1e-4)
     assert report.n_checked > 0
@@ -448,7 +446,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
                       variant="woMP-i")
     cache = ModelCache(g, "woMP-i")
     params = init_params(cache, cfg, 6)
-    out = forward(cache, params, index_of([(0, 0, 0)]))
+    out = forward(cache, params)
     h = out.subgraph_embeddings["G-M-D"]
     h_disease = params.proj(DISEASE).data @ g.features[DISEASE][0]
     assert np.allclose(h[0], elu_np(h_disease))  # head view = ELU(tail projection)
@@ -462,7 +460,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
                       variant="woTM")
     cache = ModelCache(g, "woTM")
     params = init_params(cache, cfg, 8)
-    out = forward(cache, params, index_of([(0, 0, 0)]))
+    out = forward(cache, params)
     h = out.subgraph_embeddings["G-M"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -479,7 +477,7 @@ def test_womp3_five_node_fold_formula():
                       variant="woMP-iii")
     cache = ModelCache(g, "woMP-iii")
     params = init_params(cache, cfg, 9)
-    out = forward(cache, params, index_of([(0, 0, 0)]))
+    out = forward(cache, params)
     h = out.subgraph_embeddings["G-M-D-M-G"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
@@ -554,7 +552,7 @@ def test_forward_rejects_variant_mismatch(tiny_graph):
     cfg_wo = small_config("woTM")
     params = init_params(ModelCache(tiny_graph, "woTM"), cfg_wo, 0)
     with pytest.raises(ValueError, match="variant|instance tables"):
-        forward(cache_full, params, some_samples(tiny_graph))
+        forward(cache_full, params)
 
 
 def test_forward_rejects_unseen_entities(tiny_graph):
@@ -563,7 +561,7 @@ def test_forward_rejects_unseen_entities(tiny_graph):
     params = init_params(cache, cfg, 0)
     ghost = index_of([(99, 0, 0)])
     with pytest.raises(ShapeError):
-        forward(cache, params, ghost)
+        forward_scores(cache, params, ghost)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_graph):
@@ -577,9 +575,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_graph):
     assert set(loaded.tensors) == set(params.tensors)
     for name, p in params.tensors.items():
         assert np.array_equal(loaded.tensors[name].data, p.data), name
-    out1 = forward(cache, params, some_samples(tiny_graph))
-    out2 = forward(cache, loaded, some_samples(tiny_graph))
-    assert np.array_equal(out1.scores.data, out2.scores.data)
+    scores1 = forward_scores(cache, params, some_samples(tiny_graph))[1]
+    scores2 = forward_scores(cache, loaded, some_samples(tiny_graph))[1]
+    assert np.array_equal(scores1.data, scores2.data)
 
 
 def test_checkpoint_that_is_not_json_names_the_file(tmp_path):
@@ -730,8 +728,8 @@ def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     params = init_params(cache, cfg, 11)
 
     def stacked():
-        out = forward(cache, params, index)
-        return (out.scores, out.embeddings, out.fusion_weights,
+        out, scores = forward_scores(cache, params, index)
+        return (scores, out.embeddings, out.fusion_weights,
                 out.subgraph_embeddings, out.attention)
 
     (scores, emb, betas, views, alpha), grads = taped_grads(stacked, params, labels)

@@ -8,7 +8,7 @@ from hcmgnn.tensor import Tensor
 def test_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     p.grad = np.zeros_like(p.data)
-    opt = Adam([("p", p)])
+    opt = Adam({"p": p})
     before = p.data.copy()
     opt.step()
     assert np.array_equal(p.data, before)
@@ -17,7 +17,7 @@ def test_zero_gradient_leaves_params_unchanged():
 
 def test_none_gradient_treated_as_zero():
     p = Tensor(np.array([[3.0]]), requires_grad=True)
-    opt = Adam([("p", p)])
+    opt = Adam({"p": p})
     opt.step()
     assert p.data[0, 0] == 3.0
 
@@ -25,7 +25,7 @@ def test_none_gradient_treated_as_zero():
 def test_first_step_is_signed_learning_rate():
     p = Tensor(np.array([[1.0, 1.0, 1.0]]), requires_grad=True)
     p.grad = np.array([[0.5, -3.0, 1e-4]])
-    opt = Adam([("p", p)], lr=0.005)
+    opt = Adam({"p": p}, lr=0.005)
     opt.step()
     # bias correction makes m_hat/sqrt(v_hat) ~ sign(g) on step one
     delta = p.data - 1.0
@@ -34,7 +34,7 @@ def test_first_step_is_signed_learning_rate():
 
 def test_quadratic_descent_monotone_after_burn_in():
     w = Tensor(np.array([[0.0]]), requires_grad=True)
-    opt = Adam([("w", w)], lr=0.005)
+    opt = Adam({"w": w}, lr=0.005)
     gaps = []
     for _ in range(200):
         w.grad = 2.0 * (w.data - 3.0)
@@ -50,7 +50,7 @@ def test_non_finite_gradient_names_parameter():
     bad = Tensor(np.ones((1, 1)), requires_grad=True)
     good.grad = np.ones((1, 1))
     bad.grad = np.array([[np.nan]])
-    opt = Adam([("good", good), ("offender", bad)])
+    opt = Adam({"good": good, "offender": bad})
     with pytest.raises(NonFiniteGradient, match="offender"):
         opt.step()
     # aborted before mutating anything
@@ -64,7 +64,7 @@ def test_moments_match_reference_formula():
     ref = p.data.copy()
     m = np.zeros_like(ref)
     v = np.zeros_like(ref)
-    opt = Adam([("p", p)], lr=0.01)
+    opt = Adam({"p": p}, lr=0.01)
     for t in range(1, 6):
         g = rng.normal(size=(2, 2))
         p.grad = g.copy()

@@ -4,53 +4,57 @@ import numpy as np
 import pytest
 
 from conftest import edge_set
-from hcmgnn.graph import (GENE, MICROBE, DISEASE, RELATIONS, derive_positive_triplets,
-                          load_edges)
-from hcmgnn.synthetic import CalibrationError, generate_synthetic
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, RELATIONS, HetGraph,
+                          derive_positive_triplets, load_edges)
+from hcmgnn.synthetic import CalibrationError, SyntheticConfig, generate_synthetic
 
 
 def test_same_seed_byte_identical_files(tmp_path):
-    d1 = generate_synthetic(10, 8, 8, 4, 0.2, rng_seed=5, out_dir=str(tmp_path / "a"))
-    d2 = generate_synthetic(10, 8, 8, 4, 0.2, rng_seed=5, out_dir=str(tmp_path / "b"))
+    d1 = generate_synthetic(SyntheticConfig(10, 8, 8, 4, 0.2), 5, out_dir=str(tmp_path / "a"))
+    d2 = generate_synthetic(SyntheticConfig(10, 8, 8, 4, 0.2), 5, out_dir=str(tmp_path / "b"))
     assert sorted(d1.files) == sorted(d2.files)
     for name in d1.files:
         assert Path(d1.files[name]).read_bytes() == Path(d2.files[name]).read_bytes()
 
 
 def test_different_seed_changes_output(tmp_path):
-    d1 = generate_synthetic(10, 8, 8, 4, 0.2, rng_seed=5, out_dir=str(tmp_path / "a"))
-    d2 = generate_synthetic(10, 8, 8, 4, 0.2, rng_seed=6, out_dir=str(tmp_path / "b"))
+    d1 = generate_synthetic(SyntheticConfig(10, 8, 8, 4, 0.2), 5, out_dir=str(tmp_path / "a"))
+    d2 = generate_synthetic(SyntheticConfig(10, 8, 8, 4, 0.2), 6, out_dir=str(tmp_path / "b"))
     blobs1 = b"".join(Path(d1.files[n]).read_bytes() for n in sorted(d1.files))
     blobs2 = b"".join(Path(d2.files[n]).read_bytes() for n in sorted(d2.files))
     assert blobs1 != blobs2
 
 
 def test_zero_density_limit_has_no_edges():
-    ds = generate_synthetic(8, 8, 8, 4, 0.2, rng_seed=0, bias=-1e9)
-    assert all(len(e) == 0 for e in ds.graph.edge_rows.values())
-    assert derive_positive_triplets(ds.graph).shape == (0, 3)
+    types = (GENE, MICROBE, DISEASE)
+    rng = np.random.default_rng(0)
+    g = HetGraph({t: [f"{t.name[0].lower()}{i}" for i in range(8)] for t in types},
+                 {(GENE, MICROBE): [], (GENE, DISEASE): [], (MICROBE, DISEASE): []},
+                 {t: rng.normal(size=(8, 4)) for t in types})
+    assert all(len(e) == 0 for e in g.edge_rows.values())
+    assert derive_positive_triplets(g).shape == (0, 3)
 
 
 def test_realized_density_within_ten_percent():
     for seed in (0, 1, 2):
-        ds = generate_synthetic(40, 30, 30, 8, 0.15, rng_seed=seed)
+        ds = generate_synthetic(SyntheticConfig(40, 30, 30, 8, 0.15), seed)
         assert abs(ds.realized_density - 0.15) <= 0.015
 
 
 def test_planted_dataset_triangle_expectation():
     counts = [len(derive_positive_triplets(
-        generate_synthetic(40, 30, 30, 8, 0.15, rng_seed=s).graph))
+        generate_synthetic(SyntheticConfig(40, 30, 30, 8, 0.15), s).graph))
         for s in range(10)]
     assert np.mean(counts) >= 50
 
 
 def test_calibration_failure_reports_achieved_density():
     with pytest.raises(CalibrationError, match="achieved"):
-        generate_synthetic(8, 8, 8, 4, 1e-9, rng_seed=0)
+        generate_synthetic(SyntheticConfig(8, 8, 8, 4, 1e-9), 0)
 
 
 def test_written_files_reload_to_same_graph(tmp_path):
-    ds = generate_synthetic(12, 10, 9, 4, 0.25, rng_seed=8, out_dir=str(tmp_path))
+    ds = generate_synthetic(SyntheticConfig(12, 10, 9, 4, 0.25), 8, out_dir=str(tmp_path))
     g2 = load_edges(ds.files["edges_gene_microbe.tsv"],
                     ds.files["edges_gene_disease.tsv"],
                     ds.files["edges_microbe_disease.tsv"],
@@ -78,8 +82,8 @@ def test_written_files_reload_to_same_graph(tmp_path):
 
 def test_size_and_density_validation():
     with pytest.raises(ValueError):
-        generate_synthetic(1, 5, 5, 4, 0.2, rng_seed=0)
+        generate_synthetic(SyntheticConfig(1, 5, 5, 4, 0.2), 0)
     with pytest.raises(ValueError):
-        generate_synthetic(5, 5, 5, 4, 1.5, rng_seed=0)
+        generate_synthetic(SyntheticConfig(5, 5, 5, 4, 1.5), 0)
     with pytest.raises(ValueError, match="latent_dim must be >= 1"):
-        generate_synthetic(5, 5, 5, 0, 0.2, rng_seed=0)
+        generate_synthetic(SyntheticConfig(5, 5, 5, 0, 0.2), 0)

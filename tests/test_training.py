@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import index_of, resolve_rank, toy_graph
+from conftest import forward_scores, index_of, resolve_rank, toy_graph
 from gradcheck import grad_check
 from hcmgnn.evaluation import rank_metrics
 from hcmgnn import evaluation, training
@@ -12,11 +12,11 @@ from hcmgnn import tensor as T
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, SplitPlan,
                           derive_positive_triplets, make_split, positives_by_id,
                           sample_negatives, sample_training_negatives)
-from hcmgnn.model import ModelCache, ModelConfig, forward, init_params
+from hcmgnn.model import ModelCache, ModelConfig, init_params
 from hcmgnn.optim import Adam
-from hcmgnn.synthetic import generate_synthetic
+from hcmgnn.synthetic import SyntheticConfig, generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
-from hcmgnn.training import (EarlyStopper, TrainConfig, audit_no_leakage,
+from hcmgnn.training import (TrainConfig, audit_no_leakage,
                              build_ranking_set, loss_fn, resolve_split, run_cv,
                              run_test, score_ranking_set, train, train_for_test)
 
@@ -30,7 +30,7 @@ def keys(rows):
 
 def small_planted(seed=3):
     # sized so every positive admits 30 slot-cycled distinct negatives
-    ds = generate_synthetic(20, 16, 16, 4, 0.2, rng_seed=seed)
+    ds = generate_synthetic(SyntheticConfig(20, 16, 16, 4, 0.2), seed)
     return ds.graph
 
 
@@ -74,25 +74,6 @@ def test_loss_gradient_formula():
     # and against finite differences
     rep = grad_check(lambda t: loss_fn(t, y, gamma), Tensor(s.copy()), h=1e-6)
     assert rep.passed
-
-
-# ---- early stopping ----
-
-def test_patience_one_with_worsening_trace_stops_after_two():
-    stop = EarlyStopper(patience=1)
-    assert stop.update(0.5) is True
-    assert not stop.should_stop
-    assert stop.update(0.4) is False
-    assert stop.should_stop
-    assert stop.epoch == 2 and stop.best_epoch == 1
-
-
-def test_improvement_resets_patience():
-    stop = EarlyStopper(patience=2)
-    for metric in (0.1, 0.05, 0.2, 0.15, 0.1):
-        stop.update(metric)
-    assert stop.bad == 2 and stop.should_stop
-    assert stop.best == 0.2 and stop.best_epoch == 3
 
 
 # ---- train loop ----
@@ -139,7 +120,7 @@ def test_train_returns_best_checkpoint():
 
 
 def test_loss_trace_on_planted_dataset_decreases():
-    ds = generate_synthetic(40, 30, 30, 8, 0.15, rng_seed=7)
+    ds = generate_synthetic(SyntheticConfig(40, 30, 30, 8, 0.15), 7)
     g = ds.graph
     split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=101), "split")
     mc = ModelConfig(proj_dim=8, heads=2, fusion_dim=16, mlp_hidden=32)
@@ -149,6 +130,36 @@ def test_loss_trace_on_planted_dataset_decreases():
     assert len(losses) == 10
     assert all(np.isfinite(losses))
     assert losses[9] < losses[0]
+
+
+class EarlyStopper:
+    """Stop after `patience` consecutive epochs without strict improvement.
+
+    The stopper `train` ran before it read its stop from the validation
+    trace, kept as the oracle loop's stopper.
+    """
+
+    def __init__(self, patience: int):
+        self.patience = patience
+        self.best = -np.inf
+        self.best_epoch = 0
+        self.bad = 0
+        self.epoch = 0
+
+    def update(self, metric: float) -> bool:
+        """Record one epoch's metric; True iff it improved on the best."""
+        self.epoch += 1
+        if metric > self.best:
+            self.best = metric
+            self.best_epoch = self.epoch
+            self.bad = 0
+            return True
+        self.bad += 1
+        return False
+
+    @property
+    def should_stop(self) -> bool:
+        return self.bad >= self.patience
 
 
 def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
@@ -167,8 +178,8 @@ def two_pass_train(g, cache, params, train_index, labels, val_set, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         params.zero_grad()
         with Tape() as tape:
-            out = forward(cache, params, train_index)
-            loss = loss_fn(out.scores, labels, cfg.gamma)
+            _, scores = forward_scores(cache, params, train_index)
+            loss = loss_fn(scores, labels, cfg.gamma)
             value = loss.item()
             if not np.isfinite(value):
                 raise RuntimeError(f"train: non-finite loss at epoch {epoch}")
@@ -234,6 +245,37 @@ def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patie
     assert len(calls) == report.epochs_run + 1
 
 
+@pytest.mark.parametrize("patience, trace, best_epoch", [
+    (1, [0.5, 0.4], 1),
+    (2, [0.1, 0.05, 0.2, 0.15, 0.1], 3),
+    (1, [0.3, 0.3], 1),
+    (3, [0.2, 0.5, 0.5, 0.1, 0.5], 2),
+    (2, [0.3, np.nan, 0.2], 1),
+], ids=["patience-1-worsening", "improvement-resets-patience", "tie-is-no-improvement",
+        "best-is-the-first-maximum", "nan-is-never-best"])
+def test_early_stopping_reads_the_validation_trace(monkeypatch, patience, trace, best_epoch):
+    """Each validation's metric comes from `trace`; train stops `patience` after the best."""
+    g, cache, index, labels, val_set = train_inputs("full")
+    metrics = iter(trace)
+    monkeypatch.setattr(training, "rank_metrics", lambda ranks: {"mrr": next(metrics)})
+    params = init_params(cache, ModelConfig(**SMALL_MODEL), 4)
+    report = train(g, cache, params, index, labels, val_set,
+                   TrainConfig(lr=0.05, max_epochs=50, patience=patience))
+    assert np.array_equal(report.val_trace, trace, equal_nan=True)
+    assert report.best_epoch == best_epoch
+    assert report.best_metric == trace[best_epoch - 1]
+    # validation v runs before epoch v + 1's step, so the stop leaves one step per entry
+    assert report.epochs_run == len(trace)
+    # the oracle stopper, fed the same trace, stops at its last entry with the same best
+    stopper = EarlyStopper(patience)
+    stops = []
+    for metric in trace:
+        stopper.update(metric)
+        stops.append(stopper.should_stop)
+    assert stops == [False] * (len(trace) - 1) + [True]
+    assert stopper.best_epoch == best_epoch
+
+
 def test_backward_frees_the_tape_of_a_training_epoch():
     """After the sweep only leaf grads and the forward's outputs stay live, not the tape."""
     _, cache, index, labels, _ = train_inputs("full")
@@ -241,15 +283,15 @@ def test_backward_frees_the_tape_of_a_training_epoch():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            out = forward(cache, params, index)
-            loss = loss_fn(out.scores, labels, 0.7)
+            out, scores = forward_scores(cache, params, index)
+            loss = loss_fn(scores, labels, 0.7)
         after_forward = tracemalloc.get_traced_memory()[0]
         tape.backward(loss)
         after_backward = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert after_backward < after_forward / 2
-    assert out.scores.grad is None
+    assert scores.grad is None
     assert all(p.grad is not None for p in params.tensors.values())
 
 
@@ -400,7 +442,7 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
     cache = ModelCache(g, "full")
     params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
     ranks, _ = score_ranking_set(g, cache, params, rset)
-    scores = forward(cache, params, rset.index).scores.data.reshape(4, 6)
+    scores = forward_scores(cache, params, rset.index)[1].data.reshape(4, 6)
     assert ranks.tolist() == [resolve_rank(s, ids) for s, ids in zip(scores, rset.candidate_ids)]
 
 
@@ -445,7 +487,7 @@ def test_run_test_with_uniform_scores_follows_tie_rule():
         params.tensors[name].data[:] = 0.0
     ranks, test_set, _ = run_test(g, resolve_split(g, plan, "split"), cache, params, seed=77)
     assert len(ranks) == len(plan.test)
-    assert np.allclose(forward(cache, params, test_set.index).scores.data, 0.5)
+    assert np.allclose(forward_scores(cache, params, test_set.index)[1].data, 0.5)
     for rank, ids in zip(ranks, test_set.candidate_ids):
         # rank equals the positive's position in ascending id order
         assert rank == 1 + sum(1 for cid in ids[1:] if cid < ids[0])
