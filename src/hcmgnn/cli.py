@@ -22,8 +22,8 @@ from .evaluation import (default_thresholds, export_embeddings, rank_metrics,
 from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, SplitConfig, SplitPlan,
                     avg_node_degree, derive_positive_triplets, load_edges, load_json,
                     make_split, positives_by_id)
-from .metapath import causal_metapaths, dump_instances
-from .model import VARIANTS, ModelCache, ModelConfig, ModelParams
+from .metapath import dump_instances
+from .model import VARIANTS, ModelCache, ModelConfig, ModelParams, check_pair_bound, family_paths
 from .seeding import derive_seed
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import (Split, TrainConfig, resolve_split, run_cv, run_test, thread_map,
@@ -244,7 +244,7 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
     params = ModelParams.load(checkpoint_path)
     g = build_graph(cfg)
     split = build_split(cfg, g)
-    cache = ModelCache(g, params.config.variant)
+    cache = ModelCache(g, params.config)
     ranks = run_test(g, split, cache, params, cfg.seed)[0]
     degrees = avg_node_degree(g, split.test_positives)
     reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
@@ -259,8 +259,9 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
 
 def cmd_instances(cfg: RunConfig) -> str:
     g = build_graph(cfg)
+    check_pair_bound(g, cfg.model)
     path = os.path.join(cfg.out, "exports", "instances.tsv")
-    dump_instances(path, g, causal_metapaths())
+    dump_instances(path, g, family_paths(cfg.model.variant))
     print(f"wrote instance dump to {path}")
     return path
 

@@ -40,10 +40,6 @@ RELATIONS: list[tuple[EntityType, EntityType]] = [
 PAIR_KINDS = [(GENE, MICROBE), (GENE, DISEASE), (MICROBE, DISEASE)]
 
 
-class InstanceExplosion(RuntimeError):
-    """A join would give more rows than its limit."""
-
-
 class HetGraph:
     """Immutable after construction; safe for shared reads.
 
@@ -198,20 +194,16 @@ def load_edges(gene_microbe_path, gene_disease_path, microbe_disease_path,
     return HetGraph(node_ids, undirected, features)
 
 
-def join_rows(left: np.ndarray, right: np.ndarray, limit: int | None = None) -> np.ndarray:
+def join_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Each row of `left` extended by every `right` row that starts at its last node.
 
     The shared node appears once.  `right` must be sorted by its first
-    column; lexsorted inputs give a lexsorted output.  A join that would
-    give more than `limit` rows raises InstanceExplosion before any row is
-    built.
+    column; lexsorted inputs give a lexsorted output.
     """
     lo = np.searchsorted(right[:, 0], left[:, -1], side="left")
     hi = np.searchsorted(right[:, 0], left[:, -1], side="right")
     counts = hi - lo
     total = int(counts.sum())
-    if limit is not None and total > limit:
-        raise InstanceExplosion(f"a join of {total} rows exceeds the limit of {limit}")
     # output row k of left row i takes right row lo[i] + (k - first output row of i)
     ri = np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return np.concatenate([left[np.repeat(np.arange(left.shape[0]), counts)],

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (DISEASE, GENE, MICROBE, EntityType, HetGraph, InstanceExplosion,
-                    join_rows)
-
-MAX_INSTANCES = 10_000_000
+from .graph import DISEASE, GENE, MICROBE, EntityType, HetGraph, join_rows
 
 _LETTER = {GENE: "G", MICROBE: "M", DISEASE: "D"}
 _BY_LETTER = {v: k for k, v in _LETTER.items()}
@@ -62,8 +59,7 @@ def _walks(g: HetGraph, types) -> np.ndarray:
     if len(types) == 2:
         return g.edge_rows[types]
     mid = len(types) // 2
-    return join_rows(_walks(g, types[:mid + 1]), _walks(g, types[mid:]),
-                     limit=MAX_INSTANCES)
+    return join_rows(_walks(g, types[:mid + 1]), _walks(g, types[mid:]))
 
 
 def enumerate_instance_rows(g: HetGraph, p: Metapath) -> np.ndarray:
@@ -74,10 +70,17 @@ def enumerate_instance_rows(g: HetGraph, p: Metapath) -> np.ndarray:
     halves at the middle type: length 3 joins two edge sets, length 5 two
     length-3 halves.  Node revisits are allowed.
     """
-    try:
-        return _walks(g, p.types)
-    except InstanceExplosion as exc:
-        raise InstanceExplosion(f"{p.name}: {exc}") from None
+    return _walks(g, p.types)
+
+
+def count_instances(g: HetGraph, p: Metapath) -> int:
+    """How many instances p has, counted per end node along the path, building none."""
+    walks = np.ones(g.num_nodes(p.types[0]))
+    for rel in p.relations:
+        rows = g.edge_rows[rel]
+        walks = np.bincount(rows[:, 1], weights=walks[rows[:, 0]],
+                            minlength=g.num_nodes(rel[1]))
+    return int(walks.sum())
 
 
 def dump_instances(path, g: HetGraph, metapaths: list[Metapath]):

@@ -20,12 +20,18 @@ from . import tensor as T
 from .config import check_at_least, check_field_types, config_block
 from .graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                     load_json)
-from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
+from .metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath, count_instances,
                        enumerate_instance_rows, metapaths)
 from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
 CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v2"
+# The most memory a taped pass may need for its delivery pairs (see `pair_bytes`)
+PAIR_MEMORY_BOUND = 4 * 2 ** 30
+
+
+class InstanceExplosion(RuntimeError):
+    """A graph has more delivery pairs than a taped pass can hold."""
 
 
 @dataclass(frozen=True)
@@ -64,19 +70,52 @@ def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
     return tuple(range(length))
 
 
+def pair_bytes(config: ModelConfig) -> int:
+    """Bytes a delivery pair takes at the peak of one taped forward and backward.
+
+    Five pairs x F arrays live in `T.attend`'s backward, and about twelve
+    floats per pair and head in the logits, the softmax, their grads and
+    each instance's logits for every path (F = proj_dim, H = heads).
+    `tracemalloc` peaks at 130k to 400k pairs came within -17% and +16% of
+    this; woMP-i, with one pair per instance, runs above it.
+    """
+    return 8 * (5 * config.proj_dim + 12 * config.heads)
+
+
+def check_pair_bound(graph: HetGraph, config: ModelConfig):
+    """Reject a graph whose delivery pairs would outgrow `PAIR_MEMORY_BOUND`.
+
+    The instances are counted, not built, so nothing large exists before the
+    check; each delivers a pair per delivery position, or fewer on a revisit.
+    """
+    paths = family_paths(config.variant)
+    n_inst = sum(count_instances(graph, p) for p in paths)
+    n_pairs = n_inst * len(delivery_positions(config.variant, len(paths[0].types)))
+    need = n_pairs * pair_bytes(config)
+    if need > PAIR_MEMORY_BOUND:
+        raise InstanceExplosion(
+            f"variant {config.variant!r}: {n_inst:,} metapath instances deliver up to "
+            f"{n_pairs:,} pairs, about {need / 2 ** 30:.2f} GiB for a taped pass at "
+            f"{pair_bytes(config):,} bytes per pair, over the bound of "
+            f"{PAIR_MEMORY_BOUND / 2 ** 30:.2f} GiB")
+
+
 class ModelCache:
     """Per-graph immutable tables: stacked instances and delivery pairs.
 
     Enumeration is the hot path, so it runs once here and forward passes
-    only gather.  Every path's instances (global node ids, and each step's
-    index into `RELATIONS`) and delivery pairs (node, global instance, path)
-    are stacked in path order; `pairs` maps each name to its slice.  A cache
-    is tied to one variant: the family and delivery positions depend on it.
+    only gather.  Every path's instances (global node ids), each path's
+    relations (indices into `RELATIONS`) and the delivery pairs (node,
+    global instance, path) are stacked in path order; `pairs` maps each
+    name to its slice.  A cache is tied to one variant: the family and
+    delivery positions depend on it.  `model` is the model's config, or only
+    its variant, whose default sizes then go into `check_pair_bound`.
     """
 
-    def __init__(self, graph: HetGraph, variant: str = "full"):
-        ModelConfig(variant=variant)  # rejects an unknown variant
-        self.variant = variant
+    def __init__(self, graph: HetGraph, model: ModelConfig | str = "full"):
+        config = model if isinstance(model, ModelConfig) else ModelConfig(variant=model)
+        check_pair_bound(graph, config)
+        self.variant = variant = config.variant
         self.metapaths = family_paths(variant)
 
         n_g, n_m, n_d = graph.sizes
@@ -97,13 +136,15 @@ class ModelCache:
                 for p in self.metapaths]
         inst_paths = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
         self.instances = np.concatenate(rows)
-        self.instance_relations = np.array([[RELATIONS.index(r) for r in p.relations]
-                                            for p in self.metapaths])[inst_paths]
+        self.path_relations = np.array([[RELATIONS.index(r) for r in p.relations]
+                                        for p in self.metapaths])
         s, v = self.instances.shape[0], self.total_nodes
+        # per position, row path * V + node: the table row of each message term
+        self.message_rows = inst_paths * v + self.instances.T
         # a node revisited inside one instance receives its message once: keys
         # (path * V + node) * S + inst, sorted and deduped (np.unique hashes, 20x slower)
         keys = np.sort(np.concatenate(
-            [(inst_paths * v + self.instances[:, pos]) * s + np.arange(s)
+            [self.message_rows[pos] * s + np.arange(s)
              for pos in delivery_positions(variant, self.instances.shape[1])]))
         keys = keys[np.diff(keys, prepend=-1) != 0]
         self.pair_nodes, self.pair_insts, self.pair_paths = keys // s % v, keys % s, keys // s // v
@@ -312,13 +353,7 @@ def instance_attention(h_nodes: Tensor, messages: Tensor, attn: Tensor, pairs,
     logits = T.add(half_logits(h_nodes, np.arange(f), nodes),
                    half_logits(messages, np.arange(f, 2 * f), insts))
     alpha = T.segment_softmax(T.leaky_relu(logits, slope), segments, num_segments)
-    m_pair = T.gather_rows(messages, insts)
-    # one head at a time: a pairs x (H * F) array would be H times larger
-    alpha_flat = T.reshape(alpha, alpha.shape[0] * heads, 1)
-    head_outs = [T.segment_sum(T.hadamard(m_pair, T.gather_rows(
-        alpha_flat, np.arange(k, alpha_flat.shape[0], heads))), segments, num_segments)
-        for k in range(heads)]
-    return T.elu(T.concat_cols(head_outs)), alpha
+    return T.elu(T.attend(messages, alpha, insts, segments, num_segments)), alpha
 
 
 def multi_head_aggregate(head_outputs: list[Tensor]) -> Tensor:
@@ -342,11 +377,17 @@ def predict(tables: list[Tensor], index, w1: Tensor, b1: Tensor, w2: Tensor,
     """MLP + sigmoid over each triplet's z_g || z_m || z_d.
 
     `tables` are the gene, microbe and disease node tables and `index` the
-    triple (genes, microbes, diseases) of row indices.  The first layer is
-    linear, so W1 [z_g; z_m; z_d] + b1 is the sum of each node's row times
-    its table's column block of W1, with b1 added to the gene rows: the
-    products and the bias run once per node, and only the gathered sum
-    runs once per triplet.
+    triple (genes, microbes, diseases) of row indices.
+    """
+    return _mlp_readout(_mlp_first_layer(tables, w1, b1), index, w2, b2)
+
+
+def _mlp_first_layer(tables: list[Tensor], w1: Tensor, b1: Tensor) -> list[Tensor]:
+    """W1 [z_g; z_m; z_d] + b1 split per node, as it is linear.
+
+    Each table is multiplied by its column block of W1, and b1 is added to
+    the gene rows, so this runs once per node; `_mlp_readout` sums one row
+    of each table per triplet.
     """
     w1t = T.transpose(w1)
     bounds = np.cumsum([0] + [t.shape[1] for t in tables])
@@ -355,6 +396,10 @@ def predict(tables: list[Tensor], index, w1: Tensor, b1: Tensor, w2: Tensor,
     prods = [T.matmul(t, T.gather_rows(w1t, np.arange(lo, hi)))
              for t, lo, hi in zip(tables, bounds, bounds[1:])]
     prods[0] = T.add(prods[0], b1)
+    return prods
+
+
+def _mlp_readout(prods: list[Tensor], index, w2: Tensor, b2: Tensor) -> Tensor:
     hidden = T.elu(T.gather_sum(prods, index))
     logit = T.add(T.matmul(hidden, T.transpose(w2)), b2)
     return T.sigmoid(logit)
@@ -369,13 +414,26 @@ class ForwardOutput:
 
 
 def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) -> Tensor:
-    """One message per stacked instance; woMP-i passes the tail embedding."""
-    rows = cache.instances
+    """One message per stacked instance; woMP-i passes the tail embedding.
+
+    `encode_walk`'s fold ((h0 ⊙ r1 + h1) ⊙ r2 + h2) / L is linear in the
+    node rows: position j's row is scaled by the product of the relations
+    after it, over L.  That factor is fixed per (path, position), so each
+    position gets a (P * V) x F table whose row p * V + v is h_all[v] times
+    path p's factor, and the messages are one gather of L rows per instance.
+    """
     if cache.variant == "woMP-i":
-        return T.gather_rows(h_all, rows[:, -1])
-    return encode_walk([T.gather_rows(h_all, col) for col in rows.T],
-                       [T.gather_rows(params.tensors["rel"], ids)
-                        for ids in cache.instance_relations.T])
+        return T.gather_rows(h_all, cache.instances[:, -1])
+    (n_paths, steps), v = cache.path_relations.shape, cache.total_nodes
+    h_tiled = T.gather_rows(h_all, np.tile(np.arange(v), n_paths))
+    path_of_row = np.repeat(np.arange(n_paths), v)
+    rel = params.tensors["rel"]
+    tables, factor = [h_tiled], None
+    for ids in cache.path_relations.T[::-1]:   # the relations from the last one back
+        r = T.gather_rows(rel, ids)
+        factor = r if factor is None else T.hadamard(r, factor)
+        tables.insert(0, T.hadamard(h_tiled, T.gather_rows(factor, path_of_row)))
+    return T.smul(T.gather_sum(tables, cache.message_rows), 1.0 / (steps + 1))
 
 
 def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
@@ -424,6 +482,10 @@ def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
     return ForwardOutput(embeddings, subgraph_embeds, fusion_weights, attention)
 
 
+def _mlp_tensors(params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    return tuple(params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2"))
+
+
 def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
                    index) -> Tensor:
     """The MLP head alone: score the triplets of `index` from fused embeddings.
@@ -431,5 +493,19 @@ def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
     `embeddings` are `forward`'s per-type outputs; `index` is the triple
     (genes, microbes, diseases) of int64 node-index arrays.
     """
-    return predict([embeddings[t] for t in EntityType], index,
-                   *(params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2")))
+    return predict([embeddings[t] for t in EntityType], index, *_mlp_tensors(params))
+
+
+def score_in_blocks(embeddings: dict[EntityType, Tensor], params: ModelParams,
+                    index: np.ndarray, block: int) -> np.ndarray:
+    """`score_triplets`' scores of the 3 x N `index`, bit for bit, as a flat array.
+
+    The first layer runs once per node, and the triplets go through the rest
+    `block` at a time, so each per-triplet array is block x hidden: small
+    enough that the allocator reuses its memory from call to call instead
+    of mapping and faulting in fresh pages.  Not for use under a tape.
+    """
+    w1, b1, w2, b2 = _mlp_tensors(params)
+    prods = _mlp_first_layer([embeddings[t] for t in EntityType], w1, b1)
+    return np.concatenate([_mlp_readout(prods, index[:, lo:lo + block], w2, b2).data[:, 0]
+                           for lo in range(0, index.shape[1], block)])

@@ -23,7 +23,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "TapeError",
     "tensor", "constant", "zeros", "ones",
     "matmul", "transpose", "reshape", "add", "hadamard", "smul",
-    "concat_cols", "concat_rows", "gather_rows", "gather_sum",
+    "concat_cols", "concat_rows", "gather_rows", "gather_sum", "attend",
     "segment_sum", "segment_mean", "mean_rows",
     "row_softmax", "segment_softmax",
     "leaky_relu", "elu", "tanh", "sigmoid", "sum_sq",
@@ -343,6 +343,48 @@ def gather_sum(tables: list[Tensor], indices) -> Tensor:
             _accumulate(t, _scatter_add(idx, g, t.shape[0]), fresh=True)
 
     return _record(Tensor(out), tuple(tables), rule)
+
+
+def attend(messages: Tensor, alpha: Tensor, insts, segments, num_segments: int) -> Tensor:
+    """Every head's alpha-weighted sum of messages per segment, heads side by side.
+
+    Pair i carries message row insts[i] into segment segments[i], weighted
+    by alpha[i, k] in head k; column block k of the num_segments x (H * F)
+    output is head k's sums.  Bit for bit as a `gather_rows` of the
+    messages and, per head, a `hadamard` with alpha's column, a
+    `segment_sum` and at the end `concat_cols`, in grads too: the backward
+    visits the heads last to first, as that chain's does, and sums them
+    into one buffer.  No pairs x F array is kept between the two passes.
+    """
+    insts = _row_index(insts, messages.shape[0], "attend")
+    seg = np.asarray(segments, dtype=np.int64)
+    _check_segments(seg, alpha.shape[0], num_segments, "attend")
+    if insts.size != seg.size:
+        raise ShapeError(f"attend: {insts.size} message rows for {seg.size} pairs")
+    f, heads = messages.shape[1], alpha.shape[1]
+    m_pair = messages.data[insts]
+    out = np.empty((num_segments, heads * f))
+    for k in range(heads):
+        out[:, k * f:(k + 1) * f] = _scatter_add(seg, m_pair * alpha.data[:, k:k + 1],
+                                                 num_segments)
+
+    def rule(g):
+        m_pair = messages.data[insts]
+        g_alpha = np.empty(alpha.shape)
+        g_pair = None
+        for k in reversed(range(heads)):
+            gk = g[seg, k * f:(k + 1) * f]
+            g_alpha[:, k] = (gk * m_pair).sum(axis=1)
+            gk *= alpha.data[:, k:k + 1]
+            if g_pair is None:
+                g_pair = gk
+            else:
+                g_pair += gk
+        del m_pair   # before the scatter's flat index is built
+        _accumulate(alpha, g_alpha, fresh=True)
+        _accumulate(messages, _scatter_add(insts, g_pair, messages.shape[0]), fresh=True)
+
+    return _record(Tensor(out), (messages, alpha), rule)
 
 
 def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

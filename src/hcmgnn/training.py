@@ -14,7 +14,7 @@ from .evaluation import METRIC_KEYS, rank_metrics, rank_pools
 from .graph import (EntityType, HetGraph, SplitPlan, positives_by_id, sample_negatives,
                     sample_training_negatives)
 from .model import (ModelCache, ModelConfig, ModelParams, forward, init_params,
-                    score_triplets)
+                    score_in_blocks, score_triplets)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -23,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 # Negatives sampled into each validation and test pool, beside its positive.
 RANK_NEGATIVES = 30
+# Candidates scored at a time in ranking: a multiple of every BLAS kernel width,
+# so each score comes out bit for bit as in one single-threaded call over all
+RANK_BLOCK = 256
 
 
 @dataclass
@@ -89,16 +92,18 @@ def build_ranking_set(g: HetGraph, positives: np.ndarray, n_negatives: int, seed
 def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
                       rset: RankingSet, embeddings: dict[EntityType, Tensor] | None = None
                       ) -> tuple[np.ndarray, dict[EntityType, Tensor]]:
-    """Score every candidate pool in one batch, then rank every pool at once.
+    """Score every candidate pool, then rank every pool at once.
 
     `embeddings`, when given, are `forward`'s per-type outputs at `params`;
     otherwise one `forward` computes them.  The MLP head scores the pools
-    from them.  Returns each pool's 1-based rank of its positive, in pool
-    order, and the embeddings they were scored from.
+    from them, `RANK_BLOCK` candidates at a time.  Returns each pool's
+    1-based rank of its positive, in pool order, and the embeddings they
+    were scored from.
     """
     if embeddings is None:
         embeddings = forward(cache, params).embeddings
-    scores = score_triplets(embeddings, params, rset.index).data.reshape(rset.before.shape)
+    scores = score_in_blocks(embeddings, params, rset.index,
+                             RANK_BLOCK).reshape(rset.before.shape)
     finite = np.isfinite(scores).all(axis=1)
     if not finite.all():
         pool = int(np.argmin(finite))
@@ -299,7 +304,7 @@ def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
 def run_cv(g: HetGraph, split: Split, model_cfg: ModelConfig,
            train_cfg: TrainConfig, max_workers: int = 1) -> CVResult:
     """5-fold CV: train on 4 folds plus equal negatives, rank the held-out fold."""
-    cache = ModelCache(g, model_cfg.variant)
+    cache = ModelCache(g, model_cfg)
 
     def run_fold(k: int) -> FoldResult:
         params, report, n_pos, n_neg = _fit(g, cache, split, k, f"fold{k}",
@@ -327,7 +332,7 @@ def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
     positives are never visible here (audited).
     """
     _require_test_positives(split, "train_for_test")
-    cache = ModelCache(g, model_cfg.variant)
+    cache = ModelCache(g, model_cfg)
     params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg)
     return params, report, cache
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import load_embeddings
-from hcmgnn import cli, training
+from hcmgnn import cli, model, training
 from hcmgnn.cli import RunConfig, build_graph, build_split, load_config, main
 from hcmgnn.config import block_doc, settable_fields
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, derive_positive_triplets,
@@ -180,6 +180,23 @@ def test_instances_dump(tmp_path):
     lines = Path(out, "exports", "instances.tsv").read_text(encoding="utf-8").strip().split("\n")
     names = {line.split("\t")[0] for line in lines}
     assert names == {"G-M-D", "G-D-M", "D-M-G", "D-G-M", "M-D-G", "M-G-D"}
+
+
+def test_instances_dump_follows_the_variant(tmp_path):
+    cfg, out = write_config(tmp_path)
+    assert main(["instances", "--config", cfg, "--variant", "woTM"]) == 0
+    lines = Path(out, "exports", "instances.tsv").read_text(encoding="utf-8").strip().split("\n")
+    names = [line.split("\t")[0] for line in lines]
+    assert list(dict.fromkeys(names)) == ["G-M", "M-G", "G-D", "D-G", "M-D", "D-M"]
+    assert all(len(line.split("\t")) == 3 for line in lines)
+
+
+def test_instances_dump_checks_the_pair_bound(tmp_path, monkeypatch, capsys):
+    cfg, out = write_config(tmp_path)
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", 1)
+    assert main(["instances", "--config", cfg, "--variant", "woMP-iii"]) == 1
+    assert "error: variant 'woMP-iii': " in capsys.readouterr().err
+    assert not Path(out, "exports", "instances.tsv").exists()
 
 
 def test_variant_and_seed_overrides(tmp_path):

@@ -31,18 +31,23 @@ GOLDEN = {
     # embeddings run in a new order, and the last bits of the trained
     # tensors moved (by at most 2e-16 of a tensor's largest entry in
     # `checkpoints/test.json`); every metric and export file kept its hash.
+    # Each instance's message is then built from per-node tables: position
+    # j's row times the product of the relations after it, the L rows summed
+    # per instance, then times 1/L.  That sums in another order than the
+    # walk's fold, so the checkpoints and `exports/test_embeddings.tsv`
+    # moved in their last bits; every metric file kept its hash.
     "checkpoints/fold0.json":
-        "21d561cbd62fc1253e1831a252a6084d509f9059bae5377f7f922e20ab05b742",
+        "412dbffd203b317c174b77c52917fac1825e7a0641afa730417707c611c4342c",
     "checkpoints/fold1.json":
-        "350dce446a73c54618ab66165e17bf9620d1b2886ee7203a0ac6fd8935b024fb",
+        "f46578c4a9f82e948d7f56ea7c7755cbd878a0d04ef2323ca59e81b6e58167b7",
     "checkpoints/fold2.json":
-        "593386d5f569dfb0c8a012aa115ee2d3262e219892efc0e1e8abb52a95425832",
+        "a6c50dba263bc04ad22531ba11443443a9d678691eb68facc443e12ddc2304b9",
     "checkpoints/fold3.json":
-        "8bb37764c6ba94df77f97943f226900d1adb09c96acb5cbdb869f7ed395207ba",
+        "cdc14f026d8efec8285b03634f82d145823269f86bf8dfa6eb900b678fc1b80a",
     "checkpoints/fold4.json":
-        "02fb663d70e23ad2ae700eaa7c60c9a90e4322a2eb469eac52aa7c4e1b00c6ac",
+        "e109d8612340fafeb9af8c5fc63bb2d8d4b050eff8ecc6ffbf6ff0ec5ffb0116",
     "checkpoints/test.json":
-        "58d127356554db8f4aacc4f0788461016b63db10cd0096ffd37645a67c434bec",
+        "3c178a59c42c457b435aae60acb0583241d92b2c81d7a361096ad44b6697c7ee",
     "data/edges_gene_disease.tsv":
         "f2890fc1c474d40975bd0849e4feb551883fba224d03ecbdbacea5d3084c2e52",
     "data/edges_gene_microbe.tsv":
@@ -60,7 +65,7 @@ GOLDEN = {
     "exports/instances.tsv":
         "c6ee4379bfff415e0cb3da75a27f68da5fe6534b8db0ebb86a7f9318f2fa18ec",
     "exports/test_embeddings.tsv":
-        "6fa192b072af96aa2b7acdf9b06b616c1b9630467cdeada8ef3594e97298c442",
+        "5aebed3f67a2f213926b599f9af65580247a69fb0c7118586d3af42dab01bfe3",
     "metrics/ablation.json":
         "a87d86358f38fc7edc1a3f41aac74c34b4543315feb78888445f961f8f610272",
     "metrics/cv.json":

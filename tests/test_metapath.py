@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-import hcmgnn.metapath as mp
+import hcmgnn.model as model
 from conftest import edge_set, random_graph, toy_graph
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph, derive_positive_triplets
-from hcmgnn.metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, InstanceExplosion,
-                             Metapath, causal_metapaths, dump_instances,
+from hcmgnn.metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
+                             causal_metapaths, count_instances, dump_instances,
                              enumerate_instance_rows, metapaths)
-from hcmgnn.model import VARIANTS, family_paths
+from hcmgnn.model import (VARIANTS, InstanceExplosion, ModelCache, ModelConfig,
+                          family_paths, pair_bytes)
 
 
 def involving(rows, p, t, v):
@@ -218,28 +219,48 @@ def test_symmetric5_matches_walk_oracle():
     assert got == sorted(expect)
 
 
+def test_instance_counts_match_enumeration():
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        g = random_graph(rng, 7, 6, 5, p=0.4)
+        for p in metapaths(CAUSAL_3 + SYMMETRIC_5 + PAIRWISE_2):
+            assert count_instances(g, p) == enumerate_instance_rows(g, p).shape[0], p
+
+
 def test_instance_explosion_guard(monkeypatch):
     rng = np.random.default_rng(1)
     g = random_graph(rng, 10, 10, 10, p=0.8)
-    monkeypatch.setattr(mp, "MAX_INSTANCES", 10)
-    with pytest.raises(InstanceExplosion):
-        enumerate_instance_rows(g, causal_metapaths()[0])
+    cfg = ModelConfig(proj_dim=16, heads=4)
+    n_inst = sum(enumerate_instance_rows(g, p).shape[0] for p in causal_metapaths())
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", 10 * pair_bytes(cfg))
+
+    def no_enumeration(*args):
+        raise AssertionError("instances enumerated before the pair bound was checked")
+
+    monkeypatch.setattr(model, "enumerate_instance_rows", no_enumeration)
+    with pytest.raises(InstanceExplosion) as exc:
+        ModelCache(g, cfg)
+    gib = 3 * n_inst * pair_bytes(cfg) / 2 ** 30
+    for part in ("'full'", f"{n_inst:,} metapath instances", f"{3 * n_inst:,} pairs",
+                 f"{gib:.2f} GiB", f"{pair_bytes(cfg):,} bytes per pair"):
+        assert part in str(exc.value), (part, str(exc.value))
 
 
 def test_symmetric_five_join_has_its_own_explosion_guard(monkeypatch):
     rng = np.random.default_rng(1)
     g = random_graph(rng, 10, 10, 10, p=0.5)
-    p = metapaths(SYMMETRIC_5)[0]  # G-M-D-M-G
-    halves = [enumerate_instance_rows(g, Metapath(p.types[:3])).shape[0],
-              enumerate_instance_rows(g, Metapath(p.types[2:])).shape[0]]
-    full = enumerate_instance_rows(g, p).shape[0]
-    assert max(halves) < full
-    # both causal-3 halves fit, only the five-node join is over the limit
-    monkeypatch.setattr(mp, "MAX_INSTANCES", max(halves))
-    with pytest.raises(InstanceExplosion, match="G-M-D-M-G"):
-        enumerate_instance_rows(g, p)
-    monkeypatch.setattr(mp, "MAX_INSTANCES", full)
-    assert enumerate_instance_rows(g, p).shape[0] == full
+    cfg = ModelConfig(proj_dim=16, heads=4, variant="woMP-iii")
+    full_pairs = 3 * sum(count_instances(g, p) for p in causal_metapaths())
+    five_pairs = 2 * sum(count_instances(g, p) for p in metapaths(SYMMETRIC_5))
+    assert full_pairs < five_pairs
+    # the causal family fits, only the five-node family's pairs are over the bound
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", (five_pairs - 1) * pair_bytes(cfg))
+    ModelCache(g, ModelConfig(proj_dim=16, heads=4))
+    with pytest.raises(InstanceExplosion, match="woMP-iii"):
+        ModelCache(g, cfg)
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", five_pairs * pair_bytes(cfg))
+    # the bound counts two pairs per instance; a walk back to its first node has one
+    assert 0 < ModelCache(g, cfg).pair_nodes.size <= five_pairs
 
 
 def test_instance_dump_format(tmp_path, tiny_graph):

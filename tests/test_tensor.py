@@ -429,6 +429,53 @@ def test_gather_sum_bit_identical_to_gather_rows_and_add(layout):
         assert_same_bits(g, r)
 
 
+def attend_chain(messages, alpha, insts, segments, n):
+    """`T.attend` as the ops it replaces: the pair messages, then per head a
+    column of alpha, a product and a segment sum, the heads side by side."""
+    heads = alpha.shape[1]
+    m_pair = T.gather_rows(messages, insts)
+    alpha_flat = T.reshape(alpha, alpha.shape[0] * heads, 1)
+    return T.concat_cols([T.segment_sum(T.hadamard(m_pair, T.gather_rows(
+        alpha_flat, np.arange(k, alpha_flat.shape[0], heads))), segments, n)
+        for k in range(heads)])
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("layout", ID_LAYOUTS)
+def test_attend_bit_identical_to_the_chain(layout, heads):
+    ids, _, n = scatter_case(layout, 1, seed=3)
+    rng = np.random.default_rng(4)
+    messages = rng.normal(size=(7, 16)) * 10.0 ** rng.uniform(-3, 3, size=(7, 16))
+    messages[rng.integers(0, 7, size=4), rng.integers(0, 16, size=4)] = -0.0
+    alpha = rng.uniform(size=(ids.size, heads))
+    alpha[: ids.size // 4, 0] = 0.0
+    insts = rng.integers(0, 7, size=ids.size)
+    w = rng.normal(size=(n, 16 * heads))
+    w[rng.integers(0, n, size=6), rng.integers(0, 16 * heads, size=6)] = -0.0
+
+    def run(op):
+        m, a = Tensor(messages.copy(), requires_grad=True), Tensor(alpha.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = op(m, a, insts, ids, n)
+            tape.backward(upstream(out, w))
+        return out.data, m.grad, a.grad
+
+    for got, ref in zip(run(T.attend), run(attend_chain)):
+        assert_same_bits(got, ref)
+
+
+def test_attend_rejects_bad_pairs():
+    m, a = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
+    with pytest.raises(ShapeError, match="attend: index out of range"):
+        T.attend(m, a, [0, 3], [0, 1], 2)
+    with pytest.raises(ShapeError, match="attend: segment id out of range"):
+        T.attend(m, a, [0, 1], [0, 2], 2)
+    with pytest.raises(ShapeError, match="attend: need one segment id per row"):
+        T.attend(m, a, [0, 1], [0], 2)
+    with pytest.raises(ShapeError, match="attend: 3 message rows for 2 pairs"):
+        T.attend(m, a, [0, 1, 2], [0, 1], 2)
+
+
 @pytest.mark.parametrize("indices", [
     [[0, 3], [0, 1]], [[0, -1], [0, 1]], [[0, 1], [0, 4]],
     [[0, 1], [0]], [[0, 1]], [[[0, 1]], [[0, 1]]],

@@ -12,11 +12,12 @@ from hcmgnn import tensor as T
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, SplitPlan,
                           derive_positive_triplets, make_split, positives_by_id,
                           sample_negatives, sample_training_negatives)
-from hcmgnn.model import ModelCache, ModelConfig, init_params
+from hcmgnn.model import (ModelCache, ModelConfig, forward, init_params, score_in_blocks,
+                          score_triplets)
 from hcmgnn.optim import Adam
 from hcmgnn.synthetic import SyntheticConfig, generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
-from hcmgnn.training import (TrainConfig, audit_no_leakage,
+from hcmgnn.training import (RANK_BLOCK, TrainConfig, audit_no_leakage,
                              build_ranking_set, loss_fn, resolve_split, run_cv,
                              run_test, score_ranking_set, train, train_for_test)
 
@@ -461,6 +462,38 @@ def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
     ranks, _ = score_ranking_set(g, cache, params, rset)
     assert ranks.shape == (6,)
     assert rset.before.shape == (6, 31)
+
+
+HEAD_MODEL = dict(proj_dim=16, heads=4, fusion_dim=32, mlp_hidden=128)
+
+
+@pytest.mark.parametrize("n", [100, 2 * RANK_BLOCK, 3 * RANK_BLOCK - 68],
+                         ids=["below-a-block", "two-blocks", "remainder"])
+def test_blocked_scores_bit_identical_to_one_call(n):
+    g = small_planted()
+    cache = ModelCache(g, "full")
+    params = init_params(cache, ModelConfig(**HEAD_MODEL), 5)
+    embeddings = forward(cache, params).embeddings
+    rng = np.random.default_rng(n)
+    index = np.stack([rng.integers(0, size, n) for size in g.sizes])
+    one_call = score_triplets(embeddings, params, index).data[:, 0]
+    blocked = score_in_blocks(embeddings, params, index, RANK_BLOCK)
+    assert blocked.shape == (n,)
+    assert blocked.tobytes() == one_call.tobytes()
+
+
+def test_score_ranking_set_scores_bit_identical_to_one_call(monkeypatch):
+    g = small_planted()
+    pos = derive_positive_triplets(g)
+    rset = build_ranking_set(g, pos[:10], 30, 3, keys(pos))   # 310 candidates: 2 blocks
+    cache = ModelCache(g, "full")
+    params = init_params(cache, ModelConfig(**HEAD_MODEL), 6)
+    seen = []
+    ranked = training.rank_pools
+    monkeypatch.setattr(training, "rank_pools", lambda s, b: seen.append(s) or ranked(s, b))
+    _, embeddings = score_ranking_set(g, cache, params, rset)
+    one_call = score_triplets(embeddings, params, rset.index).data.reshape(10, 31)
+    assert seen[0].tobytes() == one_call.tobytes()
 
 
 def test_score_ranking_set_names_the_positive_of_a_non_finite_pool():
