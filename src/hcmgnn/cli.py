@@ -247,7 +247,7 @@ def cmd_stratify(cfg: RunConfig, checkpoint_path=None) -> str:
     cache = ModelCache(g, params.config)
     ranks = run_test(g, split, cache, params, cfg.seed)[0]
     degrees = avg_node_degree(g, split.test_positives)
-    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
+    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees))
     path = os.path.join(cfg.out, "metrics", "strata.tsv")
     with open(path, "w", encoding="utf-8") as fh:
         for r in reports:

@@ -66,15 +66,19 @@ class StratumReport:
     hit1: float | None
 
 
-def default_thresholds(degrees, k: int = 12) -> list[float]:
-    """k cumulative thresholds at the empirical avg-degree quantiles.
+# Cumulative degree strata in `default_thresholds`
+STRATA = 12
+
+
+def default_thresholds(degrees) -> list[float]:
+    """`STRATA` cumulative thresholds at the empirical avg-degree quantiles.
 
     Coincident quantiles are nudged so the list is strictly increasing and
-    always has k entries.
+    always has `STRATA` entries.
     """
-    qs = np.arange(1, k + 1) / k
+    qs = np.arange(1, STRATA + 1) / STRATA
     out = [float(x) for x in np.quantile(np.asarray(degrees, dtype=np.float64), qs)]
-    for i in range(1, k):
+    for i in range(1, STRATA):
         if out[i] <= out[i - 1]:
             out[i] = out[i - 1] + 1e-9
     return out

@@ -28,6 +28,11 @@ VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
 CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v2"
 # The most memory a taped pass may need for its delivery pairs (see `pair_bytes`)
 PAIR_MEMORY_BOUND = 4 * 2 ** 30
+# Triplets the head reads out at a time without a tape: a multiple of every BLAS
+# kernel width, so each score comes out bit for bit as in one single-threaded
+# call over all, and small enough that the allocator reuses the per-triplet
+# arrays' memory from block to block instead of faulting in fresh pages
+SCORE_BLOCK = 256
 
 
 class InstanceExplosion(RuntimeError):
@@ -108,12 +113,10 @@ class ModelCache:
     relations (indices into `RELATIONS`) and the delivery pairs (node,
     global instance, path) are stacked in path order; `pairs` maps each
     name to its slice.  A cache is tied to one variant: the family and
-    delivery positions depend on it.  `model` is the model's config, or only
-    its variant, whose default sizes then go into `check_pair_bound`.
+    delivery positions depend on it.  `config`'s sizes go into `check_pair_bound`.
     """
 
-    def __init__(self, graph: HetGraph, model: ModelConfig | str = "full"):
-        config = model if isinstance(model, ModelConfig) else ModelConfig(variant=model)
+    def __init__(self, graph: HetGraph, config: ModelConfig):
         check_pair_bound(graph, config)
         self.variant = variant = config.variant
         self.metapaths = family_paths(variant)
@@ -377,18 +380,13 @@ def predict(tables: list[Tensor], index, w1: Tensor, b1: Tensor, w2: Tensor,
     """MLP + sigmoid over each triplet's z_g || z_m || z_d.
 
     `tables` are the gene, microbe and disease node tables and `index` the
-    triple (genes, microbes, diseases) of row indices.
+    triple (genes, microbes, diseases) of row indices.  W1 [z_g; z_m; z_d] + b1
+    is linear, so each table is multiplied by its column block of W1 once per
+    node, with b1 added to the gene rows, and the readout sums one row of each
+    per triplet.  Under a tape the readout takes every triplet at once;
+    without one it takes `SCORE_BLOCK` at a time, to the same scores.
     """
-    return _mlp_readout(_mlp_first_layer(tables, w1, b1), index, w2, b2)
-
-
-def _mlp_first_layer(tables: list[Tensor], w1: Tensor, b1: Tensor) -> list[Tensor]:
-    """W1 [z_g; z_m; z_d] + b1 split per node, as it is linear.
-
-    Each table is multiplied by its column block of W1, and b1 is added to
-    the gene rows, so this runs once per node; `_mlp_readout` sums one row
-    of each table per triplet.
-    """
+    index = np.asarray(index)
     w1t = T.transpose(w1)
     bounds = np.cumsum([0] + [t.shape[1] for t in tables])
     if bounds[-1] != w1t.shape[0]:
@@ -396,13 +394,15 @@ def _mlp_first_layer(tables: list[Tensor], w1: Tensor, b1: Tensor) -> list[Tenso
     prods = [T.matmul(t, T.gather_rows(w1t, np.arange(lo, hi)))
              for t, lo, hi in zip(tables, bounds, bounds[1:])]
     prods[0] = T.add(prods[0], b1)
-    return prods
 
+    def readout(idx):
+        hidden = T.elu(T.gather_sum(prods, idx))
+        return T.sigmoid(T.add(T.matmul(hidden, T.transpose(w2)), b2))
 
-def _mlp_readout(prods: list[Tensor], index, w2: Tensor, b2: Tensor) -> Tensor:
-    hidden = T.elu(T.gather_sum(prods, index))
-    logit = T.add(T.matmul(hidden, T.transpose(w2)), b2)
-    return T.sigmoid(logit)
+    if T.active_tape() is not None or index.shape[1] <= SCORE_BLOCK:
+        return readout(index)
+    return T.constant(np.concatenate([readout(index[:, lo:lo + SCORE_BLOCK]).data
+                                      for lo in range(0, index.shape[1], SCORE_BLOCK)]))
 
 
 @dataclass
@@ -482,10 +482,6 @@ def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
     return ForwardOutput(embeddings, subgraph_embeds, fusion_weights, attention)
 
 
-def _mlp_tensors(params: ModelParams) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    return tuple(params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2"))
-
-
 def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
                    index) -> Tensor:
     """The MLP head alone: score the triplets of `index` from fused embeddings.
@@ -493,19 +489,5 @@ def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,
     `embeddings` are `forward`'s per-type outputs; `index` is the triple
     (genes, microbes, diseases) of int64 node-index arrays.
     """
-    return predict([embeddings[t] for t in EntityType], index, *_mlp_tensors(params))
-
-
-def score_in_blocks(embeddings: dict[EntityType, Tensor], params: ModelParams,
-                    index: np.ndarray, block: int) -> np.ndarray:
-    """`score_triplets`' scores of the 3 x N `index`, bit for bit, as a flat array.
-
-    The first layer runs once per node, and the triplets go through the rest
-    `block` at a time, so each per-triplet array is block x hidden: small
-    enough that the allocator reuses its memory from call to call instead
-    of mapping and faulting in fresh pages.  Not for use under a tape.
-    """
-    w1, b1, w2, b2 = _mlp_tensors(params)
-    prods = _mlp_first_layer([embeddings[t] for t in EntityType], w1, b1)
-    return np.concatenate([_mlp_readout(prods, index[:, lo:lo + block], w2, b2).data[:, 0]
-                           for lo in range(0, index.shape[1], block)])
+    return predict([embeddings[t] for t in EntityType], index,
+                   *(params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2")))

@@ -250,20 +250,9 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def smul(a: Tensor, s) -> Tensor:
-    """Scale by a python float or a differentiable 1x1 tensor."""
-    if isinstance(s, Tensor):
-        if s.shape != (1, 1):
-            raise ShapeError(f"smul: scalar operand must be 1x1, got {s.shape}")
-        out = Tensor(a.data * s.data[0, 0])
-
-        def rule(g):
-            _accumulate(a, g * s.data[0, 0], fresh=True)
-            _accumulate(s, np.array([[float((g * a.data).sum())]]), fresh=True)
-
-        return _record(out, (a, s), rule)
-
-    c = float(s)
+def smul(a: Tensor, c: float) -> Tensor:
+    """Scale by a python float."""
+    c = float(c)
     out = Tensor(a.data * c)
 
     def rule(g):

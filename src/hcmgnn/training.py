@@ -14,7 +14,7 @@ from .evaluation import METRIC_KEYS, rank_metrics, rank_pools
 from .graph import (EntityType, HetGraph, SplitPlan, positives_by_id, sample_negatives,
                     sample_training_negatives)
 from .model import (ModelCache, ModelConfig, ModelParams, forward, init_params,
-                    score_in_blocks, score_triplets)
+                    score_triplets)
 from .optim import Adam
 from .seeding import derive_seed
 from .tensor import ShapeError, Tape, Tensor
@@ -23,9 +23,6 @@ logger = logging.getLogger(__name__)
 
 # Negatives sampled into each validation and test pool, beside its positive.
 RANK_NEGATIVES = 30
-# Candidates scored at a time in ranking: a multiple of every BLAS kernel width,
-# so each score comes out bit for bit as in one single-threaded call over all
-RANK_BLOCK = 256
 
 
 @dataclass
@@ -96,14 +93,12 @@ def score_ranking_set(g: HetGraph, cache: ModelCache, params: ModelParams,
 
     `embeddings`, when given, are `forward`'s per-type outputs at `params`;
     otherwise one `forward` computes them.  The MLP head scores the pools
-    from them, `RANK_BLOCK` candidates at a time.  Returns each pool's
-    1-based rank of its positive, in pool order, and the embeddings they
-    were scored from.
+    from them.  Returns each pool's 1-based rank of its positive, in pool
+    order, and the embeddings they were scored from.
     """
     if embeddings is None:
         embeddings = forward(cache, params).embeddings
-    scores = score_in_blocks(embeddings, params, rset.index,
-                             RANK_BLOCK).reshape(rset.before.shape)
+    scores = score_triplets(embeddings, params, rset.index).data.reshape(rset.before.shape)
     finite = np.isfinite(scores).all(axis=1)
     if not finite.all():
         pool = int(np.argmin(finite))
@@ -118,8 +113,7 @@ class TrainReport:
     val_trace: list[float]
     best_epoch: int
     best_metric: float
-    best_state: dict
-    best_ranks: np.ndarray   # the validation pools' ranks at best_state
+    best_ranks: np.ndarray   # the validation pools' ranks at the best state
     epochs_run: int
 
 
@@ -133,7 +127,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     `train_index` is the training triplets' 3 x N (genes, microbes,
     diseases) rows and `labels` their 0/1 labels.  Each epoch's step is
     validated, and the best-validated state is kept.  On return `params`
-    holds that checkpoint, which is also in `report.best_state`.
+    holds that checkpoint.
 
     One graph pass serves each parameter state: the taped pass of epoch
     e runs at the state epoch e-1's step produced, so its embeddings also
@@ -184,8 +178,7 @@ def train(g: HetGraph, cache: ModelCache, params: ModelParams,
     params.load_state(best_state)
     return TrainReport(train_losses=losses, val_trace=val_trace,
                        best_epoch=best_epoch, best_metric=float(best_metric),
-                       best_state=best_state, best_ranks=best_ranks,
-                       epochs_run=len(losses))
+                       best_ranks=best_ranks, epochs_run=len(losses))
 
 
 def thread_map(fn, items, workers: int) -> list:

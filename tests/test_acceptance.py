@@ -49,7 +49,7 @@ def test_criterion_1_gradient_oracle():
     samples = np.concatenate([pos, neg])
     labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
-    cache = ModelCache(g, cfg.variant)
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 1)
     tensors = list(params.tensors.values())
     index = index_of(samples)
@@ -115,7 +115,7 @@ def test_criterion_2_enumeration_oracle():
 def test_criterion_3_normalization_suite():
     g = toy_graph(seed=1)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
-    cache = ModelCache(g, cfg.variant)
+    cache = ModelCache(g, cfg)
     worst = 0.0
     for seed in range(100):
         params = init_params(cache, cfg, seed)

@@ -168,8 +168,8 @@ def test_stratify_requires_checkpoint(tmp_path):
 def test_stratify_on_a_split_with_no_test_positives_names_it(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, split={"test_fraction": 0.0})
     checkpoint = str(tmp_path / "ckpt.json")
-    cache = ModelCache(build_graph(load_config(cfg)), "full")
-    init_params(cache, ModelConfig(**SMALL_MODEL), 0).save(checkpoint)
+    mc = ModelConfig(**SMALL_MODEL)
+    init_params(ModelCache(build_graph(load_config(cfg)), mc), mc, 0).save(checkpoint)
     assert main(["stratify", "--config", cfg, "--checkpoint", checkpoint]) == 1
     assert "the split holds no test positives" in capsys.readouterr().err
 

@@ -140,7 +140,7 @@ def test_strata_counts_nondecreasing():
     rng = np.random.default_rng(1)
     degrees = rng.uniform(1, 20, size=60)
     ranks = rng.integers(1, 31, size=60)
-    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees, k=12))
+    reports = stratify_by_degree(degrees, ranks, default_thresholds(degrees))
     assert len(reports) == 12
     counts = [r.count for r in reports]
     assert counts == sorted(counts)
@@ -148,7 +148,7 @@ def test_strata_counts_nondecreasing():
 
 
 def test_default_thresholds_always_twelve_even_with_ties():
-    thresholds = default_thresholds([3.0] * 20, k=12)
+    thresholds = default_thresholds([3.0] * 20)
     assert len(thresholds) == 12
     assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
 

@@ -239,7 +239,7 @@ def test_per_node_head_matches_the_concat_head(variant):
     labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
     index = index_of(np.concatenate([pos, neg]))
     cfg = ModelConfig(proj_dim=3, heads=2, fusion_dim=4, mlp_hidden=7, variant=variant)
-    cache = ModelCache(g, variant)
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 13)
     mlp = [params.tensors[f"mlp_{k}"] for k in ("W1", "b1", "W2", "b2")]
 
@@ -261,7 +261,7 @@ def test_per_node_head_matches_the_concat_head(variant):
 
 def test_forward_scores_in_unit_interval_and_beta_normalized(tiny_graph):
     cfg = small_config()
-    cache = ModelCache(tiny_graph, cfg.variant)
+    cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 0)
     out, scores = forward_scores(cache, params, some_samples(tiny_graph))
     assert ((scores.data > 0) & (scores.data < 1)).all()
@@ -281,7 +281,7 @@ def attention_sums(cache, alpha):
 
 def test_forward_attention_rows_normalized_over_seeds(tiny_graph):
     cfg = small_config()
-    cache = ModelCache(tiny_graph, cfg.variant)
+    cache = ModelCache(tiny_graph, cfg)
     for seed in range(10):
         params = init_params(cache, cfg, seed)
         out = forward(cache, params)
@@ -295,7 +295,7 @@ def test_empty_instance_set_yields_zero_view():
                   (MICROBE, DISEASE): [(0, 0)]},
                  {GENE: np.eye(2), MICROBE: np.eye(1), DISEASE: np.eye(1)})
     cfg = small_config()
-    cache = ModelCache(g, cfg.variant)
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 1)
     out = forward(cache, params)
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
@@ -312,7 +312,7 @@ def test_full_equals_woaf_when_all_views_equal():
     outs = {}
     for variant in ("full", "woAF"):
         cfg = small_config(variant)
-        cache = ModelCache(g, variant)
+        cache = ModelCache(g, cfg)
         params = init_params(cache, cfg, 7)
         outs[variant] = forward(cache, params)
     for t in (GENE, MICROBE, DISEASE):
@@ -329,10 +329,10 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     cfg_full = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6)
     cfg_ii = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6,
                          variant="woMP-ii")
-    out_full = forward(ModelCache(g, "full"),
-                       init_params(ModelCache(g, "full"), cfg_full, 3))
-    out_ii = forward(ModelCache(g, "woMP-ii"),
-                     init_params(ModelCache(g, "woMP-ii"), cfg_ii, 3))
+    out_full = forward(ModelCache(g, cfg_full),
+                       init_params(ModelCache(g, cfg_full), cfg_full, 3))
+    out_ii = forward(ModelCache(g, cfg_ii),
+                     init_params(ModelCache(g, cfg_ii), cfg_ii, 3))
     # head is row 0 (gene), tail is row 2 (disease) for G-M-D
     h_full = out_full.subgraph_embeddings["G-M-D"]
     h_ii = out_ii.subgraph_embeddings["G-M-D"]
@@ -343,7 +343,7 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
 
 def test_mirror_metapaths_differ_for_some_node(tiny_graph):
     cfg = small_config()
-    cache = ModelCache(tiny_graph, cfg.variant)
+    cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 5)
     out = forward(cache, params)
     fwd = out.subgraph_embeddings["G-M-D"]
@@ -376,7 +376,7 @@ def test_permutation_equivariance():
     g = random_graph(rng, 6, 5, 5, p=0.4)
     g2, perms = permute_graph(g, rng)
     cfg = small_config()
-    cache1, cache2 = ModelCache(g, cfg.variant), ModelCache(g2, cfg.variant)
+    cache1, cache2 = ModelCache(g, cfg), ModelCache(g2, cfg)
     params = init_params(cache1, cfg, 2)
     samples1 = np.array([(1, 2, 3), (4, 0, 2)])
     samples2 = np.stack([perms[t][samples1[:, k]] for k, t in enumerate((GENE, MICROBE, DISEASE))],
@@ -393,7 +393,7 @@ def test_permutation_equivariance():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_variant_runs_and_normalizes(tiny_graph, variant):
     cfg = small_config(variant)
-    cache = ModelCache(tiny_graph, variant)
+    cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 4)
     out, scores = forward_scores(cache, params, some_samples(tiny_graph))
     assert scores.shape == (2, 1)
@@ -432,8 +432,9 @@ def test_full_loss_gradients_match_finite_differences(variant):
     neg = [(0, 1, 0), (0, 1, 1), (1, 1, 0)]
     labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
     index = index_of(np.concatenate([pos, neg]))
-    cache = ModelCache(g, variant)
-    params = init_params(cache, small_config(variant), 1)
+    cfg = small_config(variant)
+    cache = ModelCache(g, cfg)
+    params = init_params(cache, cfg, 1)
 
     def full_loss(*_):
         return loss_fn(forward_scores(cache, params, index)[1], labels, 0.7)
@@ -447,7 +448,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
     g = single_triangle_graph()
     cfg = ModelConfig(proj_dim=3, heads=1, fusion_dim=4, mlp_hidden=5,
                       variant="woMP-i")
-    cache = ModelCache(g, "woMP-i")
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 6)
     out = forward(cache, params)
     h = out.subgraph_embeddings["G-M-D"]
@@ -461,7 +462,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
     g = single_triangle_graph()
     cfg = ModelConfig(proj_dim=3, heads=1, fusion_dim=4, mlp_hidden=5,
                       variant="woTM")
-    cache = ModelCache(g, "woTM")
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 8)
     out = forward(cache, params)
     h = out.subgraph_embeddings["G-M"]
@@ -478,7 +479,7 @@ def test_womp3_five_node_fold_formula():
     g = single_triangle_graph()
     cfg = ModelConfig(proj_dim=3, heads=1, fusion_dim=4, mlp_hidden=5,
                       variant="woMP-iii")
-    cache = ModelCache(g, "woMP-iii")
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 9)
     out = forward(cache, params)
     h = out.subgraph_embeddings["G-M-D-M-G"]
@@ -498,7 +499,7 @@ def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
     g = random_graph(rng, 6, 5, 5, p=0.5)
     revisits = 0
     for variant in VARIANTS:
-        cache = ModelCache(g, variant)
+        cache = ModelCache(g, ModelConfig(variant=variant))
         start = 0
         for i, p in enumerate(cache.metapaths):
             off = np.array([cache.offsets[t] for t in p.types])
@@ -527,7 +528,7 @@ def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
 def test_relation_embeddings_shared_across_paths_and_heads(tiny_graph):
     for variant in VARIANTS:
         cfg = small_config(variant)
-        params = init_params(ModelCache(tiny_graph, variant), cfg, 0)
+        params = init_params(ModelCache(tiny_graph, cfg), cfg, 0)
         assert params.tensors["rel"].shape == (len(RELATIONS), cfg.proj_dim)
         assert params.tensors["attn"].shape == (2 * cfg.proj_dim, 6 * cfg.heads)
         for heads in (1, 4):
@@ -545,23 +546,23 @@ def test_relation_embeddings_shared_across_paths_and_heads(tiny_graph):
 
 
 def test_wobf_uses_one_hot_inputs(tiny_graph):
-    cache = ModelCache(tiny_graph, "woBF")
+    cache = ModelCache(tiny_graph, ModelConfig(variant="woBF"))
     for t in (GENE, MICROBE, DISEASE):
         assert np.array_equal(cache.features[t], np.eye(tiny_graph.num_nodes(t)))
         assert cache.feature_dims[t] == tiny_graph.num_nodes(t)
 
 
 def test_forward_rejects_variant_mismatch(tiny_graph):
-    cache_full = ModelCache(tiny_graph, "full")
+    cache_full = ModelCache(tiny_graph, small_config())
     cfg_wo = small_config("woTM")
-    params = init_params(ModelCache(tiny_graph, "woTM"), cfg_wo, 0)
+    params = init_params(ModelCache(tiny_graph, cfg_wo), cfg_wo, 0)
     with pytest.raises(ValueError, match="variant|instance tables"):
         forward(cache_full, params)
 
 
 def test_forward_rejects_unseen_entities(tiny_graph):
     cfg = small_config()
-    cache = ModelCache(tiny_graph, cfg.variant)
+    cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 0)
     ghost = index_of([(99, 0, 0)])
     with pytest.raises(ShapeError):
@@ -570,7 +571,7 @@ def test_forward_rejects_unseen_entities(tiny_graph):
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path, tiny_graph):
     cfg = small_config()
-    cache = ModelCache(tiny_graph, cfg.variant)
+    cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 9)
     path = tmp_path / "ckpt.json"
     params.save(path)
@@ -620,7 +621,7 @@ def transpose_entry(entry):
         "format-v1"])
 def test_malformed_checkpoint_rejected_at_load(tmp_path, tiny_graph, capsys, tamper, key):
     path = tmp_path / "ckpt.json"
-    init_params(ModelCache(tiny_graph, "full"), small_config(), 0).save(path)
+    init_params(ModelCache(tiny_graph, small_config()), small_config(), 0).save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     tamper(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -692,9 +693,10 @@ def reference_forward(g, cache, params, index):
                   for view in per_path]
         beta = T.row_softmax(T.concat_cols(coeffs))
         beta_col = T.transpose(beta)
-        z = T.smul(per_path[0], T.gather_rows(beta_col, [0]))
+        n = per_path[0].shape[0]
+        z = T.hadamard(per_path[0], T.gather_rows(beta_col, np.zeros(n, dtype=np.int64)))
         for i, view in enumerate(per_path[1:], start=1):
-            z = T.add(z, T.smul(view, T.gather_rows(beta_col, [i])))
+            z = T.add(z, T.hadamard(view, T.gather_rows(beta_col, np.full(n, i))))
         embeddings[t] = z
         betas[t] = beta.data[0]
     return (score_triplets(embeddings, params, index), embeddings, betas,
@@ -728,7 +730,7 @@ def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
     index = index_of(np.concatenate([pos, neg]))
     cfg = ModelConfig(proj_dim=3, heads=3, fusion_dim=4, mlp_hidden=5, variant=variant)
-    cache = ModelCache(g, variant)
+    cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 11)
 
     def stacked():
@@ -770,9 +772,9 @@ def walk_messages(cache, params, h_all):
 def test_table_messages_match_the_walk_fold(variant):
     rng = np.random.default_rng(31)
     g = random_graph(rng, 6, 5, 5, p=0.45)
-    cache = ModelCache(g, variant)
-    params = init_params(cache, ModelConfig(proj_dim=3, heads=2, fusion_dim=4, mlp_hidden=5,
-                                            variant=variant), 12)
+    cfg = ModelConfig(proj_dim=3, heads=2, fusion_dim=4, mlp_hidden=5, variant=variant)
+    cache = ModelCache(g, cfg)
+    params = init_params(cache, cfg, 12)
     params.tensors["rel"].data = rng.normal(size=params.tensors["rel"].shape)
     readout = rng.normal(size=(cache.instances.shape[0], 3))
 

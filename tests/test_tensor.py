@@ -292,16 +292,6 @@ def test_concat_split_gradients():
     assert np.allclose(b.grad, 2.0 * b.data)
 
 
-def test_smul_by_tensor_scalar_grads():
-    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-    s = Tensor([[3.0]], requires_grad=True)
-    with Tape() as tape:
-        tape.backward(T.sum_sq(T.smul(x, s)))
-    # d/ds sum((s*x)^2) = 2*s*sum(x^2)
-    assert s.grad[0, 0] == pytest.approx(2 * 3.0 * 5.0)
-    assert np.allclose(x.grad, 2 * 9.0 * x.data)
-
-
 def test_ops_without_tape_do_not_track():
     x = Tensor([[1.0]], requires_grad=True)
     y = T.tanh(x)

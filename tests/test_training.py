@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from hcmgnn import tensor as T
 from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, SplitPlan,
                           derive_positive_triplets, make_split, positives_by_id,
                           sample_negatives, sample_training_negatives)
-from hcmgnn.model import (ModelCache, ModelConfig, forward, init_params, score_in_blocks,
+from hcmgnn.model import (SCORE_BLOCK, ModelCache, ModelConfig, forward, init_params,
                           score_triplets)
 from hcmgnn.optim import Adam
 from hcmgnn.synthetic import SyntheticConfig, generate_synthetic
 from hcmgnn.tensor import ShapeError, Tape, Tensor
-from hcmgnn.training import (RANK_BLOCK, TrainConfig, audit_no_leakage,
+from hcmgnn.training import (TrainConfig, audit_no_leakage,
                              build_ranking_set, loss_fn, resolve_split, run_cv,
                              run_test, score_ranking_set, train, train_for_test)
 
@@ -99,8 +100,8 @@ def test_train_is_deterministic():
 def test_train_rejects_empty_training_set():
     g = small_planted()
     pos = derive_positive_triplets(g)
-    cache = ModelCache(g, "full")
     mc = ModelConfig(**SMALL_MODEL)
+    cache = ModelCache(g, mc)
     params = init_params(cache, mc, 0)
     val = build_ranking_set(g, pos[:3], 5, 0, keys(pos))
     with pytest.raises(ValueError, match="empty"):
@@ -115,7 +116,9 @@ def test_train_returns_best_checkpoint():
     params, report, cache = train_for_test(g, split, mc, tc)
     assert report.best_metric == max(report.val_trace)
     assert report.val_trace[report.best_epoch - 1] == report.best_metric
-    for name, arr in report.best_state.items():
+    # the best epoch's state: a run stopped there ends in it
+    rerun, _, _ = train_for_test(g, split, mc, replace(tc, max_epochs=report.best_epoch))
+    for name, arr in rerun.state().items():
         assert np.array_equal(params.tensors[name].data, arr)
     assert report.epochs_run - report.best_epoch <= tc.patience
 
@@ -210,7 +213,7 @@ def train_inputs(variant):
     train_pos = pos[8:]
     train_neg = sample_training_negatives(train_pos, 2, g.sizes, known_positives=known)
     labels = np.repeat([1.0, 0.0], [len(train_pos), len(train_neg)])
-    return (g, ModelCache(g, variant), index_of(np.concatenate([train_pos, train_neg])),
+    return (g, ModelCache(g, ModelConfig(variant=variant)), index_of(np.concatenate([train_pos, train_neg])),
             labels, val_set)
 
 
@@ -237,10 +240,10 @@ def test_train_matches_the_two_pass_loop(monkeypatch, variant, max_epochs, patie
     assert np.array_equal(report.val_trace, val_trace)
     assert report.best_epoch == best_epoch
     assert report.epochs_run == len(losses)
-    assert sorted(report.best_state) == sorted(best_state)
+    state = params.state()
+    assert sorted(state) == sorted(best_state)
     for name, arr in best_state.items():
-        assert np.array_equal(report.best_state[name], arr)
-        assert np.array_equal(params.tensors[name].data, arr)
+        assert np.array_equal(state[name], arr)
     assert np.array_equal(report.best_ranks, ranks)
     # one graph pass per parameter state: the taped pass of each epoch, plus the last
     assert len(calls) == report.epochs_run + 1
@@ -440,8 +443,9 @@ def test_ranking_set_ids_built_once_and_reused(monkeypatch):
         raise AssertionError("scoring rebuilt a triplet id")
 
     monkeypatch.setattr(HetGraph, "triplet_id", no_ids)
-    cache = ModelCache(g, "full")
-    params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
+    mc = ModelConfig(**SMALL_MODEL)
+    cache = ModelCache(g, mc)
+    params = init_params(cache, mc, 0)
     ranks, _ = score_ranking_set(g, cache, params, rset)
     scores = forward_scores(cache, params, rset.index)[1].data.reshape(4, 6)
     assert ranks.tolist() == [resolve_rank(s, ids) for s, ids in zip(scores, rset.candidate_ids)]
@@ -457,8 +461,9 @@ def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
 
     for module in (evaluation, training):
         monkeypatch.setattr(module, "make_case", per_pool, raising=False)
-    cache = ModelCache(g, "full")
-    params = init_params(cache, ModelConfig(**SMALL_MODEL), 1)
+    mc = ModelConfig(**SMALL_MODEL)
+    cache = ModelCache(g, mc)
+    params = init_params(cache, mc, 1)
     ranks, _ = score_ranking_set(g, cache, params, rset)
     assert ranks.shape == (6,)
     assert rset.before.shape == (6, 31)
@@ -467,17 +472,20 @@ def test_score_ranking_set_ranks_without_a_per_pool_call(monkeypatch):
 HEAD_MODEL = dict(proj_dim=16, heads=4, fusion_dim=32, mlp_hidden=128)
 
 
-@pytest.mark.parametrize("n", [100, 2 * RANK_BLOCK, 3 * RANK_BLOCK - 68],
+@pytest.mark.parametrize("n", [100, 2 * SCORE_BLOCK, 3 * SCORE_BLOCK - 68],
                          ids=["below-a-block", "two-blocks", "remainder"])
 def test_blocked_scores_bit_identical_to_one_call(n):
+    """Untaped, the head reads out `SCORE_BLOCK` triplets at a time; taped, all at once."""
     g = small_planted()
-    cache = ModelCache(g, "full")
-    params = init_params(cache, ModelConfig(**HEAD_MODEL), 5)
+    mc = ModelConfig(**HEAD_MODEL)
+    cache = ModelCache(g, mc)
+    params = init_params(cache, mc, 5)
     embeddings = forward(cache, params).embeddings
     rng = np.random.default_rng(n)
     index = np.stack([rng.integers(0, size, n) for size in g.sizes])
-    one_call = score_triplets(embeddings, params, index).data[:, 0]
-    blocked = score_in_blocks(embeddings, params, index, RANK_BLOCK)
+    with Tape():
+        one_call = score_triplets(embeddings, params, index).data[:, 0]
+    blocked = score_triplets(embeddings, params, index).data[:, 0]
     assert blocked.shape == (n,)
     assert blocked.tobytes() == one_call.tobytes()
 
@@ -486,13 +494,15 @@ def test_score_ranking_set_scores_bit_identical_to_one_call(monkeypatch):
     g = small_planted()
     pos = derive_positive_triplets(g)
     rset = build_ranking_set(g, pos[:10], 30, 3, keys(pos))   # 310 candidates: 2 blocks
-    cache = ModelCache(g, "full")
-    params = init_params(cache, ModelConfig(**HEAD_MODEL), 6)
+    mc = ModelConfig(**HEAD_MODEL)
+    cache = ModelCache(g, mc)
+    params = init_params(cache, mc, 6)
     seen = []
     ranked = training.rank_pools
     monkeypatch.setattr(training, "rank_pools", lambda s, b: seen.append(s) or ranked(s, b))
     _, embeddings = score_ranking_set(g, cache, params, rset)
-    one_call = score_triplets(embeddings, params, rset.index).data.reshape(10, 31)
+    with Tape():
+        one_call = score_triplets(embeddings, params, rset.index).data.reshape(10, 31)
     assert seen[0].tobytes() == one_call.tobytes()
 
 
@@ -500,8 +510,9 @@ def test_score_ranking_set_names_the_positive_of_a_non_finite_pool():
     g = small_planted()
     pos = derive_positive_triplets(g)
     rset = build_ranking_set(g, pos[:3], 5, 0, keys(pos))
-    cache = ModelCache(g, "full")
-    params = init_params(cache, ModelConfig(**SMALL_MODEL), 0)
+    mc = ModelConfig(**SMALL_MODEL)
+    cache = ModelCache(g, mc)
+    params = init_params(cache, mc, 0)
     params.tensors["mlp_b2"].data[:] = np.nan
     with pytest.raises(ValueError, match=re.escape(
             f"non-finite score among the candidates of {rset.candidate_ids[0][0]}")):
@@ -514,7 +525,7 @@ def test_run_test_with_uniform_scores_follows_tie_rule():
     g = small_planted()
     _, plan = fold_fixture(g, seed=4)
     mc = ModelConfig(**SMALL_MODEL)
-    cache = ModelCache(g, "full")
+    cache = ModelCache(g, mc)
     params = init_params(cache, mc, 0)
     for name in ("mlp_W1", "mlp_b1", "mlp_W2", "mlp_b2"):
         params.tensors[name].data[:] = 0.0
