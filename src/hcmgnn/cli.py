@@ -8,6 +8,9 @@ its outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -53,7 +56,7 @@ class DatasetConfig:
         check_field_types(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """A whole run config: the top-level keys, and a checked dataclass per block."""
     seed: int = 0
@@ -74,7 +77,6 @@ class RunConfig:
         if self.split_file is not None and self.split != SplitConfig():
             raise ValueError(f"'split' must be left out beside 'split_file': the split "
                              f"file {self.split_file} fixes the test slice and the folds")
-        self.train = replace(self.train, seed=self.seed)  # the top-level seed sets it
 
 
 def load_config(path, seed_override=None, out_override=None,
@@ -138,6 +140,24 @@ def _threads() -> int:
     return int(value)
 
 
+@functools.cache
+def blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None.
+
+    numpy's wheels bundle OpenBLAS under `numpy.libs`; a build that links
+    another BLAS, or keeps it elsewhere, has no setter here.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                return fn
+    return None
+
+
 def cmd_synth(cfg: RunConfig) -> str:
     if cfg.synthetic is None:
         raise ValueError("synth needs a 'synthetic' block in the config")
@@ -164,7 +184,7 @@ def cmd_synth(cfg: RunConfig) -> str:
 def cmd_cv(cfg: RunConfig) -> str:
     g = build_graph(cfg)
     split = build_split(cfg, g)
-    result = run_cv(g, split, cfg.model, cfg.train, max_workers=_threads())
+    result = run_cv(g, split, cfg.model, cfg.train, cfg.seed, max_workers=_threads())
     doc = {"split_hash": split_hash(split), "seed": cfg.seed,
            "variant": cfg.model.variant,
            "folds": result.records, "mean": result.mean}
@@ -181,7 +201,7 @@ def cmd_cv(cfg: RunConfig) -> str:
 def cmd_test(cfg: RunConfig) -> str:
     g = build_graph(cfg)
     split = build_split(cfg, g)
-    params, report, cache = train_for_test(g, split, cfg.model, cfg.train)
+    params, report, cache = train_for_test(g, split, cfg.model, cfg.train, cfg.seed)
     ranks, test_set, embeddings = run_test(g, split, cache, params, cfg.seed)
     metrics = rank_metrics(ranks)
     params.save(os.path.join(cfg.out, "checkpoints", "test.json"))
@@ -217,7 +237,7 @@ def cmd_ablate(cfg: RunConfig) -> str:
         row = {"variant": variant, "split_hash": shash, "error": None}
         try:
             params, report, cache = train_for_test(
-                g, split, replace(cfg.model, variant=variant), cfg.train)
+                g, split, replace(cfg.model, variant=variant), cfg.train, cfg.seed)
             row.update(rank_metrics(run_test(g, split, cache, params, cfg.seed)[0]))
             row["best_epoch"] = report.best_epoch
             row["epochs"] = report.epochs_run
@@ -282,6 +302,10 @@ def main(argv=None) -> int:
                         help="checkpoint path (stratify)")
     args = parser.parse_args(argv)
 
+    # a product's last bits follow OpenBLAS's thread count; one thread makes
+    # the outputs a function of the config alone
+    if (set_blas_threads := blas_thread_setter()) is not None:
+        set_blas_threads(1)
     try:
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=args.out, variant_override=args.variant)

@@ -1,4 +1,4 @@
-"""One schema for every config block: a dataclass whose settable fields are the keys
+"""One schema for every config block: a frozen dataclass whose fields are the keys
 the block takes, and whose `__post_init__` checks the values."""
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def check_at_least(config, least, *names):
             raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
-def settable_fields(cls) -> list:
-    """The fields of `cls` that a config file sets; `settable: False` marks a derived one."""
-    return [f for f in fields(cls) if f.metadata.get("settable", True)]
-
-
 def config_block(cls, block, path, where: str = ""):
     """`cls` built from the JSON object `block` of file `path`, and its sub-blocks likewise.
 
@@ -47,11 +42,11 @@ def config_block(cls, block, path, where: str = ""):
     name = where.rstrip(".")
     if not isinstance(block, dict):
         raise ValueError(f"{path}: '{name or 'config'}' must be a JSON object")
-    settable = {f.name: f for f in settable_fields(cls)}
+    keys = {f.name: f for f in fields(cls)}
     for key in block:
-        if key not in settable:
+        if key not in keys:
             raise ValueError(f"{path}: unknown config key '{where}{key}'")
-    for key, f in settable.items():
+    for key, f in keys.items():
         if key not in block and f.default is MISSING and f.default_factory is MISSING:
             raise ValueError(f"{path}: missing config key '{where}{key}'")
     field_kinds = _field_kinds(cls)
@@ -66,9 +61,9 @@ def config_block(cls, block, path, where: str = ""):
 
 
 def block_doc(config) -> dict:
-    """The JSON object that `config_block` reads back into `config`: every set settable field."""
+    """The JSON object that `config_block` reads back into `config`: every set field."""
     doc = {}
-    for f in settable_fields(type(config)):
+    for f in fields(config):
         value = getattr(config, f.name)
         if value is not None:
             doc[f.name] = block_doc(value) if is_dataclass(value) else value

@@ -408,7 +408,6 @@ def predict(tables: list[Tensor], index, w1: Tensor, b1: Tensor, w2: Tensor,
 @dataclass
 class ForwardOutput:
     embeddings: dict[EntityType, Tensor]
-    subgraph_embeddings: dict[str, np.ndarray]   # each path's V x D views
     fusion_weights: dict[EntityType, np.ndarray]
     attention: np.ndarray   # pairs x heads, row-aligned with the cache's pairs
 
@@ -437,8 +436,8 @@ def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) ->
 
 
 def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
-    """Every node's fused embedding, with each path's views, the fusion weights
-    and the attention; `score_triplets` scores triplets from the embeddings."""
+    """Every node's fused embedding, with the fusion weights and the attention;
+    `score_triplets` scores triplets from the embeddings."""
     config = params.config
     if config.variant != cache.variant:
         raise ValueError(f"forward: cache holds {cache.variant!r} instance tables, "
@@ -476,10 +475,7 @@ def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
         else:
             embeddings[t], beta = fuse_subgraphs(stacked, n_paths, *params.fuse(t))
             fusion_weights[t] = beta.data[0]
-
-    subgraph_embeds = dict(zip([p.name for p in cache.metapaths],
-                               np.split(views.data, n_paths)))
-    return ForwardOutput(embeddings, subgraph_embeds, fusion_weights, attention)
+    return ForwardOutput(embeddings, fusion_weights, attention)
 
 
 def score_triplets(embeddings: dict[EntityType, Tensor], params: ModelParams,

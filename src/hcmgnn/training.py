@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +25,13 @@ logger = logging.getLogger(__name__)
 RANK_NEGATIVES = 30
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.7
     lr: float = 0.005
     max_epochs: int = 1000
     patience: int = 50
     val_metric: str = "mrr"
-    seed: int = field(default=0, metadata={"settable": False})  # the run's top-level seed
 
     def __post_init__(self):
         check_field_types(self)
@@ -276,12 +275,11 @@ def _mean_record(records: list[dict]) -> dict:
 
 
 def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
-         model_cfg: ModelConfig, train_cfg: TrainConfig):
+         model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int):
     """Train on every fold but k plus equal negatives, early-stopping on fold k.
 
     `label` ("fold{k}" or "test-model") names the run in its seed labels.
     """
-    seed = train_cfg.seed
     train_pos = np.concatenate([fold for i, fold in enumerate(split.fold_positives) if i != k])
     train_neg = sample_training_negatives(
         train_pos, derive_seed(seed, f"train-neg/{label}"), g.sizes,
@@ -295,13 +293,13 @@ def _fit(g: HetGraph, cache: ModelCache, split: Split, k: int, label: str,
 
 
 def run_cv(g: HetGraph, split: Split, model_cfg: ModelConfig,
-           train_cfg: TrainConfig, max_workers: int = 1) -> CVResult:
+           train_cfg: TrainConfig, seed: int, max_workers: int = 1) -> CVResult:
     """5-fold CV: train on 4 folds plus equal negatives, rank the held-out fold."""
     cache = ModelCache(g, model_cfg)
 
     def run_fold(k: int) -> FoldResult:
         params, report, n_pos, n_neg = _fit(g, cache, split, k, f"fold{k}",
-                                            model_cfg, train_cfg)
+                                            model_cfg, train_cfg, seed)
         return FoldResult(fold=k, metrics=rank_metrics(report.best_ranks),
                           report=report, params=params,
                           n_train_pos=n_pos, n_train_neg=n_neg)
@@ -316,8 +314,8 @@ def run_cv(g: HetGraph, split: Split, model_cfg: ModelConfig,
     return CVResult(folds=results, records=records, mean=_mean_record(records))
 
 
-def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
-                   train_cfg: TrainConfig) -> tuple[ModelParams, TrainReport, ModelCache]:
+def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig, train_cfg: TrainConfig,
+                   seed: int) -> tuple[ModelParams, TrainReport, ModelCache]:
     """Fit the model used against the independent test set.
 
     Fold 0 serves as the early-stopping validation set; the remaining
@@ -326,7 +324,7 @@ def train_for_test(g: HetGraph, split: Split, model_cfg: ModelConfig,
     """
     _require_test_positives(split, "train_for_test")
     cache = ModelCache(g, model_cfg)
-    params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg)
+    params, report, _, _ = _fit(g, cache, split, 0, "test-model", model_cfg, train_cfg, seed)
     return params, report, cache
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hcmgnn import model
 from hcmgnn.graph import DISEASE, GENE, MICROBE, HetGraph
 from hcmgnn.model import forward, score_triplets
 
@@ -14,6 +15,29 @@ def forward_scores(cache, params, index):
     """`forward`, then the MLP head on its embeddings: the output and the scores of `index`."""
     out = forward(cache, params)
     return out, score_triplets(out.embeddings, params, index)
+
+
+def forward_views(cache, params):
+    """`forward`'s output and each metapath's V x D views, by name.
+
+    The views are what `model.instance_attention` returns inside that forward,
+    split into one block of rows per path.
+    """
+    attend, views = model.instance_attention, []
+
+    def recorded(*args, **kwargs):
+        result = attend(*args, **kwargs)
+        views.append(result[0].data)
+        return result
+
+    model.instance_attention = recorded
+    try:
+        out = forward(cache, params)
+    finally:
+        model.instance_attention = attend
+    (stacked,) = views
+    return out, dict(zip([p.name for p in cache.metapaths],
+                         np.split(stacked, len(cache.metapaths))))
 
 
 def resolve_rank(scores, candidate_ids, positive_index: int = 0) -> int:

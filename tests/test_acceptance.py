@@ -166,9 +166,9 @@ def test_criterion_5_learnability(planted):
     results = {}
     for variant in ("full", "woTM"):
         cfg = ModelConfig(variant=variant, **ACCEPT_MODEL)
-        tcfg = TrainConfig(seed=TRAIN_SEED, max_epochs=800)
-        params, report, cache = train_for_test(g, split, cfg, tcfg)
-        ranks, _, _ = run_test(g, split, cache, params, tcfg.seed)
+        tcfg = TrainConfig(max_epochs=800)
+        params, report, cache = train_for_test(g, split, cfg, tcfg, TRAIN_SEED)
+        ranks, _, _ = run_test(g, split, cache, params, TRAIN_SEED)
         results[variant] = rank_metrics(ranks)["mrr"]
     elapsed = time.perf_counter() - start
     ok = results["full"] >= 0.39 and results["full"] > results["woTM"] \
@@ -184,7 +184,8 @@ def test_criterion_6_protocol_fidelity(monkeypatch):
     g = ds.graph
     plan = make_split(list(positives_by_id(g)), rng_seed=13)
     cfg = ModelConfig(proj_dim=4, heads=2, fusion_dim=5, mlp_hidden=6)
-    tcfg = TrainConfig(seed=21, max_epochs=3, patience=50)
+    tcfg = TrainConfig(max_epochs=3, patience=50)
+    seed = 21
     split = resolve_split(g, plan, "split")  # the leakage audit runs inside
     pool_shapes = []
     build = training.build_ranking_set
@@ -195,7 +196,7 @@ def test_criterion_6_protocol_fidelity(monkeypatch):
         return rset
 
     monkeypatch.setattr(training, "build_ranking_set", recorded_build)
-    result = run_cv(g, split, cfg, tcfg)
+    result = run_cv(g, split, cfg, tcfg, seed)
 
     assert len(result.folds) == 5
     assert sorted(pool_shapes) == sorted((len(f), 1 + 30) for f in split.fold_positives)
@@ -203,8 +204,8 @@ def test_criterion_6_protocol_fidelity(monkeypatch):
         assert fold.n_train_neg == fold.n_train_pos
         assert fold.report.best_ranks.shape == (len(positives),)
 
-    params, _, cache = train_for_test(g, split, cfg, tcfg)
-    ranks, test_set, _ = run_test(g, split, cache, params, tcfg.seed)
+    params, _, cache = train_for_test(g, split, cfg, tcfg, seed)
+    ranks, test_set, _ = run_test(g, split, cache, params, seed)
     assert test_set.before.shape == (len(split.test_positives), 1 + 30) == (len(ranks), 31)
     assert all(len(ids) == 31 for ids in test_set.candidate_ids)
 

@@ -2,7 +2,9 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import is_dataclass
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -11,11 +13,14 @@ import pytest
 
 from conftest import load_embeddings
 from hcmgnn import cli, model, training
-from hcmgnn.cli import RunConfig, build_graph, build_split, load_config, main
-from hcmgnn.config import block_doc, settable_fields
-from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, derive_positive_triplets,
-                          load_edges)
+from hcmgnn.cli import (DatasetConfig, FeaturesConfig, RunConfig, build_graph, build_split,
+                        load_config, main)
+from hcmgnn.config import block_doc
+from hcmgnn.graph import (GENE, MICROBE, DISEASE, HetGraph, SplitConfig,
+                          derive_positive_triplets, load_edges)
 from hcmgnn.model import ModelCache, ModelConfig, init_params
+from hcmgnn.synthetic import SyntheticConfig
+from hcmgnn.training import TrainConfig
 
 SMALL_MODEL = {"proj_dim": 4, "heads": 2, "fusion_dim": 5, "mlp_hidden": 6}
 DROP = object()   # an override that leaves the key out of the config
@@ -102,6 +107,31 @@ def test_cv_threads_env_does_not_change_results(tmp_path):
         del os.environ["HCMGNN_THREADS"]
     parallel = Path(out2, "metrics", "cv.json").read_bytes()
     assert serial == parallel
+
+
+@pytest.mark.skipif(cli.blas_thread_setter() is None,
+                    reason="numpy's OpenBLAS exports no thread-count setter for main to call")
+def test_test_outputs_do_not_follow_the_openblas_thread_count(tmp_path):
+    """With OpenBLAS's thread count left alone, this run's silhouette differed in its
+    last bit at 1 and at 2 threads."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in (1, 2):
+        cfg, out = write_config(
+            tmp_path, out_name=f"blas{threads}",
+            synthetic={"n_genes": 20, "n_microbes": 16, "n_diseases": 16,
+                       "latent_dim": 8, "edge_density": 0.2, "rng_seed": 7},
+            model={"proj_dim": 16, "heads": 4, "fusion_dim": 32, "mlp_hidden": 128},
+            train={"max_epochs": 2, "patience": 3})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "hcmgnn.cli", "test", "--config", cfg],
+                       env=env, check=True, capture_output=True)
+        outs.append({os.path.relpath(os.path.join(d, f), out): Path(d, f).read_bytes()
+                     for d, _, files in os.walk(out) for f in files if f != "run.json"})
+    assert sorted(outs[0]) == sorted(outs[1]) and len(outs[0]) == 3
+    for name, data in outs[0].items():
+        assert data == outs[1][name], name
 
 
 @pytest.mark.parametrize("command, value", [("cv", "abc"), ("cv", "0"), ("cv", "-2"),
@@ -513,21 +543,21 @@ def test_readme_example_configs_load(tmp_path):
         assert within(doc, block_doc(load_config(str(path))))
 
 
-def settable_keys(cls, where=""):
+def config_keys(cls, where=""):
     """The dotted keys a config file sets, each block's keys under its own name."""
     hints = get_type_hints(cls)
-    for f in settable_fields(cls):
+    for f in fields(cls):
         block = next((t for t in get_args(hints[f.name]) or (hints[f.name],)
                       if is_dataclass(t)), None)
         if block is None:
             yield where + f.name
         else:
-            yield from settable_keys(block, f"{where}{f.name}.")
+            yield from config_keys(block, f"{where}{f.name}.")
 
 
 def test_config_surface_is_pinned():
     """Adding or dropping a config key is an edit of this list."""
-    assert sorted(settable_keys(RunConfig)) == [
+    assert sorted(config_keys(RunConfig)) == [
         "dataset.features.disease", "dataset.features.gene", "dataset.features.microbe",
         "dataset.gene_disease", "dataset.gene_microbe", "dataset.microbe_disease",
         "model.fusion_dim", "model.heads", "model.leaky_slope", "model.mlp_hidden",
@@ -538,6 +568,16 @@ def test_config_surface_is_pinned():
         "synthetic.n_genes", "synthetic.n_microbes", "synthetic.rng_seed",
         "train.gamma", "train.lr", "train.max_epochs", "train.patience", "train.val_metric",
     ]
+
+
+@pytest.mark.parametrize("block", [
+    SyntheticConfig(20, 16, 16), FeaturesConfig(), DatasetConfig("gm.tsv", "gd.tsv", "md.tsv"),
+    ModelConfig(), TrainConfig(), SplitConfig(), RunConfig(synthetic=SyntheticConfig(20, 16, 16)),
+], ids=lambda block: type(block).__name__)
+def test_every_config_block_is_frozen(block):
+    for f in fields(block):
+        with pytest.raises(FrozenInstanceError):
+            setattr(block, f.name, getattr(block, f.name))
 
 
 def test_config_that_is_not_json_names_the_file(tmp_path, capsys):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hcmgnn.tensor as T
-from conftest import edge_set, forward_scores, index_of, random_graph, toy_graph
+from conftest import (edge_set, forward_scores, forward_views, index_of, random_graph,
+                      toy_graph)
 from gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                           derive_positive_triplets)
@@ -297,9 +298,8 @@ def test_empty_instance_set_yields_zero_view():
     cfg = small_config()
     cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 1)
-    out = forward(cache, params)
     # g_lonely has no G-M edge, so no instance of G-M-D involves it
-    h = out.subgraph_embeddings["G-M-D"]
+    h = forward_views(cache, params)[1]["G-M-D"]
     assert np.array_equal(h[1], np.zeros(cfg.embed_dim))
     assert not np.array_equal(h[0], np.zeros(cfg.embed_dim))
 
@@ -329,13 +329,13 @@ def test_womp2_matches_full_on_head_and_tail_with_single_instance():
     cfg_full = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6)
     cfg_ii = ModelConfig(proj_dim=4, heads=1, fusion_dim=5, mlp_hidden=6,
                          variant="woMP-ii")
-    out_full = forward(ModelCache(g, cfg_full),
-                       init_params(ModelCache(g, cfg_full), cfg_full, 3))
-    out_ii = forward(ModelCache(g, cfg_ii),
-                     init_params(ModelCache(g, cfg_ii), cfg_ii, 3))
+    _, views_full = forward_views(ModelCache(g, cfg_full),
+                                  init_params(ModelCache(g, cfg_full), cfg_full, 3))
+    _, views_ii = forward_views(ModelCache(g, cfg_ii),
+                                init_params(ModelCache(g, cfg_ii), cfg_ii, 3))
     # head is row 0 (gene), tail is row 2 (disease) for G-M-D
-    h_full = out_full.subgraph_embeddings["G-M-D"]
-    h_ii = out_ii.subgraph_embeddings["G-M-D"]
+    h_full = views_full["G-M-D"]
+    h_ii = views_ii["G-M-D"]
     assert np.allclose(h_full[0], h_ii[0], atol=1e-12)
     assert np.allclose(h_full[2], h_ii[2], atol=1e-12)
     assert not np.allclose(h_full[1], h_ii[1])  # intermediate differs
@@ -345,9 +345,9 @@ def test_mirror_metapaths_differ_for_some_node(tiny_graph):
     cfg = small_config()
     cache = ModelCache(tiny_graph, cfg)
     params = init_params(cache, cfg, 5)
-    out = forward(cache, params)
-    fwd = out.subgraph_embeddings["G-M-D"]
-    rev = out.subgraph_embeddings["D-M-G"]
+    _, views = forward_views(cache, params)
+    fwd = views["G-M-D"]
+    rev = views["D-M-G"]
     assert not np.allclose(fwd, rev)
 
 
@@ -450,8 +450,7 @@ def test_womp1_aggregates_tail_projections_for_heads_only():
                       variant="woMP-i")
     cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 6)
-    out = forward(cache, params)
-    h = out.subgraph_embeddings["G-M-D"]
+    h = forward_views(cache, params)[1]["G-M-D"]
     h_disease = params.proj(DISEASE).data @ g.features[DISEASE][0]
     assert np.allclose(h[0], elu_np(h_disease))  # head view = ELU(tail projection)
     assert np.array_equal(h[1], np.zeros(3))     # intermediate gets nothing
@@ -464,8 +463,7 @@ def test_wotm_pairwise_message_reaches_both_endpoints():
                       variant="woTM")
     cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 8)
-    out = forward(cache, params)
-    h = out.subgraph_embeddings["G-M"]
+    h = forward_views(cache, params)[1]["G-M"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
     r = rel_vector(params, (GENE, MICROBE)).data[0]
@@ -481,8 +479,7 @@ def test_womp3_five_node_fold_formula():
                       variant="woMP-iii")
     cache = ModelCache(g, cfg)
     params = init_params(cache, cfg, 9)
-    out = forward(cache, params)
-    h = out.subgraph_embeddings["G-M-D-M-G"]
+    h = forward_views(cache, params)[1]["G-M-D-M-G"]
     h_g = params.proj(GENE).data @ g.features[GENE][0]
     h_m = params.proj(MICROBE).data @ g.features[MICROBE][0]
     h_d = params.proj(DISEASE).data @ g.features[DISEASE][0]
@@ -734,9 +731,9 @@ def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     params = init_params(cache, cfg, 11)
 
     def stacked():
-        out, scores = forward_scores(cache, params, index)
-        return (scores, out.embeddings, out.fusion_weights,
-                out.subgraph_embeddings, out.attention)
+        out, views = forward_views(cache, params)
+        return (score_triplets(out.embeddings, params, index), out.embeddings,
+                out.fusion_weights, views, out.attention)
 
     (scores, emb, betas, views, alpha), grads = taped_grads(stacked, params, labels)
     (r_scores, r_emb, r_betas, r_views, r_alphas), r_grads = taped_grads(

@@ -90,8 +90,8 @@ def test_train_is_deterministic():
     g = small_planted()
     split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=5, max_epochs=8, patience=50)
-    reports = [train_for_test(g, split, mc, tc)[1] for _ in range(2)]
+    tc = TrainConfig(max_epochs=8, patience=50)
+    reports = [train_for_test(g, split, mc, tc, 5)[1] for _ in range(2)]
     assert reports[0].train_losses == reports[1].train_losses
     assert reports[0].val_trace == reports[1].val_trace
     assert reports[0].best_epoch == reports[1].best_epoch
@@ -112,12 +112,12 @@ def test_train_returns_best_checkpoint():
     g = small_planted()
     split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=1), "split")
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=5, max_epochs=10, patience=50)
-    params, report, cache = train_for_test(g, split, mc, tc)
+    tc = TrainConfig(max_epochs=10, patience=50)
+    params, report, cache = train_for_test(g, split, mc, tc, 5)
     assert report.best_metric == max(report.val_trace)
     assert report.val_trace[report.best_epoch - 1] == report.best_metric
     # the best epoch's state: a run stopped there ends in it
-    rerun, _, _ = train_for_test(g, split, mc, replace(tc, max_epochs=report.best_epoch))
+    rerun, _, _ = train_for_test(g, split, mc, replace(tc, max_epochs=report.best_epoch), 5)
     for name, arr in rerun.state().items():
         assert np.array_equal(params.tensors[name].data, arr)
     assert report.epochs_run - report.best_epoch <= tc.patience
@@ -128,8 +128,8 @@ def test_loss_trace_on_planted_dataset_decreases():
     g = ds.graph
     split = resolve_split(g, make_split(list(positives_by_id(g)), rng_seed=101), "split")
     mc = ModelConfig(proj_dim=8, heads=2, fusion_dim=16, mlp_hidden=32)
-    tc = TrainConfig(seed=11, max_epochs=10, patience=50)
-    _, report, _ = train_for_test(g, split, mc, tc)
+    tc = TrainConfig(max_epochs=10, patience=50)
+    _, report, _ = train_for_test(g, split, mc, tc, 11)
     losses = report.train_losses
     assert len(losses) == 10
     assert all(np.isfinite(losses))
@@ -325,8 +325,8 @@ def test_run_cv_protocol_counts():
     g = small_planted()
     pos, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=9, max_epochs=4, patience=50)
-    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc)
+    tc = TrainConfig(max_epochs=4, patience=50)
+    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc, 9)
     assert len(result.records) == 5
     assert result.mean["fold"] == "mean"
     for k, fold in enumerate(result.folds):
@@ -345,7 +345,7 @@ def test_run_cv_scores_each_fold_from_its_training_passes(monkeypatch):
     counted = training.forward
     monkeypatch.setattr(training, "forward", lambda *a: calls.append(1) or counted(*a))
     result = run_cv(g, resolve_split(g, plan, "split"), ModelConfig(**SMALL_MODEL),
-                    TrainConfig(seed=9, max_epochs=3, patience=50))
+                    TrainConfig(max_epochs=3, patience=50), 9)
     assert len(calls) == sum(fold.report.epochs_run + 1 for fold in result.folds)
     for fold in result.folds:
         assert fold.metrics == rank_metrics(fold.report.best_ranks)
@@ -355,8 +355,8 @@ def test_run_cv_mean_is_fold_order_invariant():
     g = small_planted()
     _, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=9, max_epochs=3, patience=50)
-    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc)
+    tc = TrainConfig(max_epochs=3, patience=50)
+    result = run_cv(g, resolve_split(g, plan, "split"), mc, tc, 9)
     shuffled = list(reversed(result.records))
     for key in ("hit1", "mrr"):
         assert np.mean([r[key] for r in shuffled]) == pytest.approx(result.mean[key])
@@ -366,10 +366,10 @@ def test_run_cv_is_deterministic():
     g = small_planted()
     _, plan = fold_fixture(g, seed=2)
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=9, max_epochs=3, patience=50)
+    tc = TrainConfig(max_epochs=3, patience=50)
     split = resolve_split(g, plan, "split")
-    r1 = run_cv(g, split, mc, tc)
-    r2 = run_cv(g, split, mc, tc)
+    r1 = run_cv(g, split, mc, tc, 9)
+    r2 = run_cv(g, split, mc, tc, 9)
     assert r1.records == r2.records
 
 
@@ -397,7 +397,7 @@ def test_leakage_audit_fires_on_tampered_plan():
         audit_no_leakage(bad)
     mc = ModelConfig(**SMALL_MODEL)
     with pytest.raises(RuntimeError, match="leakage"):
-        run_cv(g, resolve_split(g, bad, "split"), mc, TrainConfig(seed=0, max_epochs=2))
+        run_cv(g, resolve_split(g, bad, "split"), mc, TrainConfig(max_epochs=2), 0)
 
 
 def test_unknown_test_id_fails_before_any_training(monkeypatch):
@@ -409,7 +409,7 @@ def test_unknown_test_id_fails_before_any_training(monkeypatch):
     with pytest.raises(ValueError,
                        match=re.escape("split: test id 'g0|m0|nowhere' is not a known")):
         train_for_test(g, resolve_split(g, bad, "split"), ModelConfig(**SMALL_MODEL),
-                       TrainConfig(seed=0))
+                       TrainConfig(), 0)
 
 
 def test_empty_test_set_fails_before_any_training(monkeypatch):
@@ -419,7 +419,7 @@ def test_empty_test_set_fails_before_any_training(monkeypatch):
     with pytest.raises(ValueError, match="no test positives"):
         train_for_test(g, resolve_split(g, SplitPlan(test=[], folds=plan.folds,
                                                      seed=plan.seed), "split"),
-                       ModelConfig(**SMALL_MODEL), TrainConfig(seed=0))
+                       ModelConfig(**SMALL_MODEL), TrainConfig(), 0)
 
 
 def test_ranking_set_ids_built_once_and_reused(monkeypatch):
@@ -542,10 +542,10 @@ def test_run_test_rank_list_matches_test_size():
     g = small_planted()
     _, plan = fold_fixture(g, seed=4)
     mc = ModelConfig(**SMALL_MODEL)
-    tc = TrainConfig(seed=1, max_epochs=3, patience=50)
+    tc = TrainConfig(max_epochs=3, patience=50)
     split = resolve_split(g, plan, "split")
-    params, _, cache = train_for_test(g, split, mc, tc)
-    ranks, test_set, _ = run_test(g, split, cache, params, seed=tc.seed)
+    params, _, cache = train_for_test(g, split, mc, tc, 1)
+    ranks, test_set, _ = run_test(g, split, cache, params, seed=1)
     assert [ids[0] for ids in test_set.candidate_ids] == plan.test
     assert ranks.shape == (len(plan.test),)
     assert all(1 <= r <= 31 for r in ranks)
