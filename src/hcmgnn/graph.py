@@ -9,6 +9,7 @@ exist, i.e. the triplet closes a triangle.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 from dataclasses import dataclass
@@ -261,6 +262,32 @@ def _corrupt(rng, p: list[int], slot: int, sizes: tuple[int, int, int],
                        f"({g},{m},{d})")
 
 
+def _check_free_slots(positives: np.ndarray, count: int, sizes: tuple[int, int, int], known):
+    """Reject an ask of more negatives from a slot than it has free values.
+
+    Slot s of a positive is asked for every third of its `count` negatives,
+    and a value is free where the corrupted triplet is not in `known`.
+    """
+    known_rows = np.fromiter(itertools.chain.from_iterable(known), dtype=np.int64,
+                             count=3 * len(known)).reshape(-1, 3)
+    asked = np.array([len(range(slot, count, 3)) for slot in range(3)])
+    free = np.empty((len(positives), 3), dtype=np.int64)
+    for slot in range(3):
+        a, b = [k for k in range(3) if k != slot]
+        # the other two slots as one key: free values are the slot's, less known triplets
+        taken = np.sort(known_rows[:, a] * sizes[b] + known_rows[:, b])
+        keys = positives[:, a] * sizes[b] + positives[:, b]
+        free[:, slot] = sizes[slot] - (np.searchsorted(taken, keys, side="right")
+                                       - np.searchsorted(taken, keys, side="left"))
+    short = np.argwhere(free < asked)
+    if short.size:
+        i, slot = short[0]
+        name = list(EntityType)[slot].name.lower()
+        raise ValueError(f"sample_negatives: positive ({','.join(map(str, positives[i]))}) "
+                         f"asks {asked[slot]} negatives with its {name} replaced, but only "
+                         f"{free[i, slot]} {name}s make a triplet that is not a known positive")
+
+
 def sample_negatives(positives: np.ndarray, count_per_positive: int,
                      rng_seed: int, sizes: tuple[int, int, int],
                      known_positives=None) -> np.ndarray:
@@ -272,6 +299,7 @@ def sample_negatives(positives: np.ndarray, count_per_positive: int,
     within 1000 draws per negative asked of each positive.
     """
     known = _known_keys(positives, sizes, known_positives, "sample_negatives")
+    _check_free_slots(positives, count_per_positive, sizes, known)
     rng = np.random.default_rng(rng_seed)
     out = []
     for p in positives.tolist():

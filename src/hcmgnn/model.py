@@ -75,34 +75,66 @@ def delivery_positions(variant: str, length: int) -> tuple[int, ...]:
     return tuple(range(length))
 
 
+def message_positions(variant: str, length: int) -> tuple[int, ...]:
+    """Which instance positions a message reads: woMP-i passes the tail's row."""
+    return (length - 1,) if variant == "woMP-i" else tuple(range(length))
+
+
+def _family_shape(variant: str) -> tuple[int, int, int]:
+    """The variant's paths, their length and the positions a message reads."""
+    paths = family_paths(variant)
+    length = len(paths[0].types)
+    return len(paths), length, len(message_positions(variant, length))
+
+
 def pair_bytes(config: ModelConfig) -> int:
     """Bytes a delivery pair takes at the peak of one taped forward and backward.
 
-    Five pairs x F arrays live in `T.attend`'s backward, and about twelve
-    floats per pair and head in the logits, the softmax, their grads and
-    each instance's logits for every path (F = proj_dim, H = heads).
-    `tracemalloc` peaks at 130k to 400k pairs came within -17% and +16% of
-    this; woMP-i, with one pair per instance, runs above it.
+    About seven floats per pair and head: the logits, the softmax, their
+    grads and the scatters of the logit tables' grads (H = heads).  The
+    cache holds eight bytes per pair for its node, instance, path and
+    segment, for a key per message position, for a logit row per message
+    position and one for the node itself, and up to L for the instance's
+    columns.  No pairs x F array is built.  `tracemalloc` peaks of woMP-iii
+    at 0.3M to 2.2M pairs and of `full` at 75k pairs came within -5% and
+    +2% of this plus `table_bytes`.
     """
-    return 8 * (5 * config.proj_dim + 12 * config.heads)
+    _, length, n_pos = _family_shape(config.variant)
+    return 8 * (7 * config.heads + 5 + 2 * n_pos + length)
+
+
+def table_bytes(graph: HetGraph, config: ModelConfig) -> int:
+    """Bytes of `T.attend_nodes`' node tables at the peak of a taped pass.
+
+    One (position, head)'s P x V x C weights live at a time (C = the largest
+    type), beside the J kept P x V x H x F products and three more arrays
+    of that size (the output, its grad and the scaled grad).  On graphs of
+    1,000 and 2,000 nodes and few pairs, `tracemalloc` peaks came within
+    -1% and +1% of this plus the pairs' bytes.
+    """
+    n_paths, _, n_pos = _family_shape(config.variant)
+    return (8 * n_paths * sum(graph.sizes)
+            * (max(graph.sizes) + (n_pos + 3) * config.heads * config.proj_dim))
 
 
 def check_pair_bound(graph: HetGraph, config: ModelConfig):
-    """Reject a graph whose delivery pairs would outgrow `PAIR_MEMORY_BOUND`.
+    """Reject a graph whose taped pass would outgrow `PAIR_MEMORY_BOUND`.
 
     The instances are counted, not built, so nothing large exists before the
     check; each delivers a pair per delivery position, or fewer on a revisit.
+    The node tables grow with the graph's nodes alone.
     """
     paths = family_paths(config.variant)
     n_inst = sum(count_instances(graph, p) for p in paths)
     n_pairs = n_inst * len(delivery_positions(config.variant, len(paths[0].types)))
-    need = n_pairs * pair_bytes(config)
-    if need > PAIR_MEMORY_BOUND:
+    pairs_need, tables_need = n_pairs * pair_bytes(config), table_bytes(graph, config)
+    if pairs_need + tables_need > PAIR_MEMORY_BOUND:
         raise InstanceExplosion(
             f"variant {config.variant!r}: {n_inst:,} metapath instances deliver up to "
-            f"{n_pairs:,} pairs, about {need / 2 ** 30:.2f} GiB for a taped pass at "
-            f"{pair_bytes(config):,} bytes per pair, over the bound of "
-            f"{PAIR_MEMORY_BOUND / 2 ** 30:.2f} GiB")
+            f"{n_pairs:,} pairs, about {pairs_need / 2 ** 30:.2f} GiB for a taped pass at "
+            f"{pair_bytes(config):,} bytes per pair, and the node tables of "
+            f"{sum(graph.sizes):,} nodes take {tables_need / 2 ** 30:.2f} GiB, over the "
+            f"bound of {PAIR_MEMORY_BOUND / 2 ** 30:.2f} GiB")
 
 
 class ModelCache:
@@ -112,8 +144,10 @@ class ModelCache:
     only gather.  Every path's instances (global node ids), each path's
     relations (indices into `RELATIONS`) and the delivery pairs (node,
     global instance, path) are stacked in path order; `pairs` maps each
-    name to its slice.  A cache is tied to one variant: the family and
-    delivery positions depend on it.  `config`'s sizes go into `check_pair_bound`.
+    name to its slice, and `layout` says where each pair reads and writes
+    in `instance_attention`'s node tables.  A cache is tied to one variant:
+    the family and delivery positions depend on it.  `config`'s sizes go
+    into `check_pair_bound`.
     """
 
     def __init__(self, graph: HetGraph, config: ModelConfig):
@@ -135,25 +169,73 @@ class ModelCache:
         self.feature_dims = {t: self.features[t].shape[1] for t in EntityType}
 
         # every path of a family has the same length, so the rows stack
-        rows = [enumerate_instance_rows(graph, p) + [self.offsets[t] for t in p.types]
-                for p in self.metapaths]
+        bases = np.array([[self.offsets[t] for t in p.types] for p in self.metapaths])
+        rows = [enumerate_instance_rows(graph, p) + base for p, base in zip(self.metapaths, bases)]
         inst_paths = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
         self.instances = np.concatenate(rows)
         self.path_relations = np.array([[RELATIONS.index(r) for r in p.relations]
                                         for p in self.metapaths])
-        s, v = self.instances.shape[0], self.total_nodes
-        # per position, row path * V + node: the table row of each message term
-        self.message_rows = inst_paths * v + self.instances.T
+        (s, length), v = self.instances.shape, self.total_nodes
         # a node revisited inside one instance receives its message once: keys
         # (path * V + node) * S + inst, sorted and deduped (np.unique hashes, 20x slower)
-        keys = np.sort(np.concatenate(
-            [self.message_rows[pos] * s + np.arange(s)
-             for pos in delivery_positions(variant, self.instances.shape[1])]))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.pair_nodes, self.pair_insts, self.pair_paths = keys // s % v, keys % s, keys // s // v
+        inst_keys = inst_paths * (v * s) + np.arange(s)
+        keys = np.sort(np.concatenate([self.instances[:, pos] * s + inst_keys
+                                       for pos in delivery_positions(variant, length)]))
+        segments, self.pair_insts = np.divmod(keys[np.diff(keys, prepend=-1) != 0], s)
+        self.pair_paths, self.pair_nodes = np.divmod(segments, v)
         bounds = np.searchsorted(self.pair_paths, np.arange(len(rows) + 1))
         self.pairs = {p.name: (self.pair_nodes[lo:hi], self.pair_insts[lo:hi])
                       for p, lo, hi in zip(self.metapaths, bounds, bounds[1:])}
+        positions = list(message_positions(variant, length))
+        self.layout = pair_layout(self.pair_nodes, self.pair_insts, self.pair_paths,
+                                  self.instances.T[positions], bases[:, positions], v,
+                                  max(graph.sizes))
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """Where each delivery pair reads and writes in `instance_attention`.
+
+    `segments` holds each pair's path * V + node, `keys` (positions x pairs)
+    and `sources` (positions x P x C) are `T.attend_nodes`' keys and node
+    tables, and `logit_rows` ((1 + positions) x pairs) are the pair's rows of
+    the logit table: its own node's, then the node each position holds.
+    """
+    n_paths: int
+    segments: np.ndarray
+    keys: np.ndarray
+    sources: np.ndarray
+    logit_rows: np.ndarray
+
+
+def pair_layout(nodes, insts, paths, reads, bases, n_nodes: int, width: int) -> PairLayout:
+    """The layout of pairs (nodes[i], insts[i], paths[i]), path-major.
+
+    reads[j, s] is the node that message position j of instance s holds.
+    Position j of path p reads the `width` node rows from bases[p, j] on
+    (its type's rows, padded past the type's last node with rows no key
+    reaches), so that node sits in column reads[j, s] - bases[p, j].  Each
+    instance's rows are worked out once and then gathered into every pair.
+    """
+    n_paths, n_pos = bases.shape
+    inst_paths = np.empty(reads.shape[1], dtype=np.int64)
+    inst_paths[insts] = paths
+    blocks = (1 + n_pos) * n_paths
+    # per instance: each position's row of the logit table, then its column
+    per_inst = np.empty((2 * n_pos, reads.shape[1]), dtype=np.int64)
+    for j, read in enumerate(reads):
+        np.multiply(read, blocks, out=per_inst[j])
+        per_inst[j] += inst_paths
+        per_inst[j] += (1 + j) * n_paths
+        np.subtract(read, bases[inst_paths, j], out=per_inst[n_pos + j])
+    rows = np.empty((1 + 2 * n_pos, len(nodes)), dtype=np.int64)
+    np.take(per_inst, insts, axis=1, out=rows[1:], mode="clip")   # "raise" buffers `out`
+    segments = paths * n_nodes + nodes
+    np.multiply(nodes, blocks, out=rows[0])
+    rows[0] += paths
+    rows[1 + n_pos:] += segments * width
+    sources = np.minimum(bases.T[:, :, None] + np.arange(width), n_nodes - 1)
+    return PairLayout(n_paths, segments, rows[1 + n_pos:], sources, rows[:1 + n_pos])
 
 
 def _type_key(t: EntityType) -> str:
@@ -335,28 +417,32 @@ def encode_pair(h_head: Tensor, h_tail: Tensor, r: Tensor) -> Tensor:
     return encode_walk([h_head, h_tail], [r])
 
 
-def instance_attention(h_nodes: Tensor, messages: Tensor, attn: Tensor, pairs,
-                       n_paths: int, slope: float = 0.01):
+def instance_attention(h_nodes: Tensor, scales: Tensor, attn: Tensor, layout: PairLayout,
+                       slope: float = 0.01):
     """Every path's and head's attention over the messages each node receives.
 
-    h_nodes has a row per node, messages one per instance, and `pairs` holds
-    the (nodes, insts, paths) delivery pairs.  Column p * H + k of the
-    2F x (P * H) `attn` is path p's head k; its logit a . [h || m] splits as
-    a1 . h + a2 . m.  Returns the ELU'd (P * V) x (H * F) views, path p's view
-    of node v at row p * V + v, and the (pairs x H) attention weights.
+    h_nodes has a row per node.  A pair's message is linear in them: the sum
+    over positions j of scales[j * P + p] ⊙ h_nodes[layout's read at j], p
+    the pair's path.  Column p * H + k of the 2F x (P * H) `attn` is path p's
+    head k; its logit a . [h || m] splits as a1 . h + sum_j (a2 ⊙ s_j) . h_j,
+    so one V x ((1 + J) * P * H) node table, h_nodes @ [a1 | a2 ⊙ s_0 | ...],
+    holds every term, and a pair's logits sum J + 1 of its rows.  Returns the
+    ELU'd (P * V) x (H * F) views, path p's view of node v at row p * V + v,
+    and the (pairs x H) attention weights.
     """
-    nodes, insts, paths = pairs
-    f, heads = h_nodes.shape[1], attn.shape[1] // n_paths
-    segments, num_segments = paths * h_nodes.shape[0] + nodes, n_paths * h_nodes.shape[0]
-
-    def half_logits(x, half, rows):  # x @ a_half, read at each pair's (row, path)
-        prod = T.reshape(T.matmul(x, T.gather_rows(attn, half)), x.shape[0] * n_paths, heads)
-        return T.gather_rows(prod, rows * n_paths + paths)
-
-    logits = T.add(half_logits(h_nodes, np.arange(f), nodes),
-                   half_logits(messages, np.arange(f, 2 * f), insts))
-    alpha = T.segment_softmax(T.leaky_relu(logits, slope), segments, num_segments)
-    return T.elu(T.attend(messages, alpha, insts, segments, num_segments)), alpha
+    (v, f), n_paths = h_nodes.shape, layout.n_paths
+    heads, n_pos = attn.shape[1] // n_paths, layout.keys.shape[0]
+    # row 2c of the transposed attn, cut into F-wide rows, is column c's a1, row 2c + 1 its a2
+    halves = T.reshape(T.transpose(attn), 2 * n_paths * heads, f)
+    cols = 2 * np.arange(n_paths * heads)
+    a2_scaled = T.hadamard(T.gather_rows(halves, np.tile(cols + 1, n_pos)),
+                           T.gather_rows(scales, np.repeat(np.arange(n_pos * n_paths), heads)))
+    weights = T.concat_rows([T.gather_rows(halves, cols), a2_scaled])
+    table = T.reshape(T.matmul(h_nodes, T.transpose(weights)), v * (1 + n_pos) * n_paths, heads)
+    logits = T.gather_sum([table] * (1 + n_pos), layout.logit_rows)
+    alpha = T.segment_softmax(T.leaky_relu(logits, slope), layout.segments, n_paths * v)
+    return T.elu(T.attend_nodes(h_nodes, scales, alpha, layout.sources, layout.keys,
+                                n_paths * v)), alpha
 
 
 def multi_head_aggregate(head_outputs: list[Tensor]) -> Tensor:
@@ -412,27 +498,22 @@ class ForwardOutput:
     attention: np.ndarray   # pairs x heads, row-aligned with the cache's pairs
 
 
-def _instance_messages(cache: ModelCache, params: ModelParams, h_all: Tensor) -> Tensor:
-    """One message per stacked instance; woMP-i passes the tail embedding.
+def position_scales(cache: ModelCache, rel: Tensor) -> Tensor:
+    """Row j * P + p scales the node at message position j of path p's instances.
 
-    `encode_walk`'s fold ((h0 ⊙ r1 + h1) ⊙ r2 + h2) / L is linear in the
-    node rows: position j's row is scaled by the product of the relations
-    after it, over L.  That factor is fixed per (path, position), so each
-    position gets a (P * V) x F table whose row p * V + v is h_all[v] times
-    path p's factor, and the messages are one gather of L rows per instance.
+    `encode_walk`'s fold ((h0 ⊙ r1 + h1) ⊙ r2 + h2) / L is linear in the node
+    rows: position j's row is scaled by the product of the relations after
+    it, over L.  woMP-i's message is the tail's row as it is.
     """
+    (n_paths, steps), f = cache.path_relations.shape, rel.shape[1]
     if cache.variant == "woMP-i":
-        return T.gather_rows(h_all, cache.instances[:, -1])
-    (n_paths, steps), v = cache.path_relations.shape, cache.total_nodes
-    h_tiled = T.gather_rows(h_all, np.tile(np.arange(v), n_paths))
-    path_of_row = np.repeat(np.arange(n_paths), v)
-    rel = params.tensors["rel"]
-    tables, factor = [h_tiled], None
+        return T.constant(np.ones((n_paths, f)))
+    factor = T.constant(np.full((n_paths, f), 1.0 / (steps + 1)))
+    scales = [factor]
     for ids in cache.path_relations.T[::-1]:   # the relations from the last one back
-        r = T.gather_rows(rel, ids)
-        factor = r if factor is None else T.hadamard(r, factor)
-        tables.insert(0, T.hadamard(h_tiled, T.gather_rows(factor, path_of_row)))
-    return T.smul(T.gather_sum(tables, cache.message_rows), 1.0 / (steps + 1))
+        factor = T.hadamard(T.gather_rows(rel, ids), factor)
+        scales.insert(0, factor)
+    return T.concat_rows(scales)
 
 
 def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
@@ -457,9 +538,8 @@ def forward(cache: ModelCache, params: ModelParams) -> ForwardOutput:
         attention = np.zeros((0, config.heads))
     else:
         views, alpha = instance_attention(
-            h_all, _instance_messages(cache, params, h_all), params.tensors["attn"],
-            (cache.pair_nodes, cache.pair_insts, cache.pair_paths), n_paths,
-            slope=config.leaky_slope)
+            h_all, position_scales(cache, params.tensors["rel"]), params.tensors["attn"],
+            cache.layout, slope=config.leaky_slope)
         attention = alpha.data
 
     embeddings: dict[EntityType, Tensor] = {}

@@ -23,7 +23,7 @@ __all__ = [
     "Tensor", "Tape", "ShapeError", "TapeError",
     "tensor", "constant", "zeros", "ones",
     "matmul", "transpose", "reshape", "add", "hadamard", "smul",
-    "concat_cols", "concat_rows", "gather_rows", "gather_sum", "attend",
+    "concat_cols", "concat_rows", "gather_rows", "gather_sum", "attend_nodes",
     "segment_sum", "segment_mean", "mean_rows",
     "row_softmax", "segment_softmax",
     "leaky_relu", "elu", "tanh", "sigmoid", "sum_sq",
@@ -334,46 +334,73 @@ def gather_sum(tables: list[Tensor], indices) -> Tensor:
     return _record(Tensor(out), tuple(tables), rule)
 
 
-def attend(messages: Tensor, alpha: Tensor, insts, segments, num_segments: int) -> Tensor:
-    """Every head's alpha-weighted sum of messages per segment, heads side by side.
+def attend_nodes(h: Tensor, scales: Tensor, alpha: Tensor, sources, keys,
+                 num_segments: int) -> Tensor:
+    """Every head's alpha-weighted sum of scaled node rows per segment, heads side by side.
 
-    Pair i carries message row insts[i] into segment segments[i], weighted
-    by alpha[i, k] in head k; column block k of the num_segments x (H * F)
-    output is head k's sums.  Bit for bit as a `gather_rows` of the
-    messages and, per head, a `hadamard` with alpha's column, a
-    `segment_sum` and at the end `concat_cols`, in grads too: the backward
-    visits the heads last to first, as that chain's does, and sums them
-    into one buffer.  No pairs x F array is kept between the two passes.
+    Segments are path-major, segment p * V + v for path p of P, and position
+    j of a path reads a table of C nodes, rows sources[j, p] of h.  Pair i
+    weighs, at every position, the node in its column c_j(i) of that table:
+    keys[j, i] = segment * C + c_j(i) is its entry in each head's
+    num_segments x C weights A_jk, the sum of alpha[:, k] over the pairs
+    with that key.  Row p * V + v, column block k of the num_segments x
+    (H * F) output is the sum over j of
+    scales[j * P + p] ⊙ (A_jk[p * V + v] @ h[sources[j, p]]).
+    Each A_jk is one bincount and each (position, head) one batched matmul,
+    so no pairs x F array is built.  The backward rebuilds each A_jk from
+    alpha and keeps only the P x V x H x F products, for the scales' grad.
     """
-    insts = _row_index(insts, messages.shape[0], "attend")
-    seg = np.asarray(segments, dtype=np.int64)
-    _check_segments(seg, alpha.shape[0], num_segments, "attend")
-    if insts.size != seg.size:
-        raise ShapeError(f"attend: {insts.size} message rows for {seg.size} pairs")
-    f, heads = messages.shape[1], alpha.shape[1]
-    m_pair = messages.data[insts]
-    out = np.empty((num_segments, heads * f))
-    for k in range(heads):
-        out[:, k * f:(k + 1) * f] = _scatter_add(seg, m_pair * alpha.data[:, k:k + 1],
-                                                 num_segments)
+    sources = np.asarray(sources, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
+    if sources.ndim != 3 or keys.ndim != 2 or keys.shape[0] != sources.shape[0]:
+        raise ShapeError(f"attend_nodes: sources {sources.shape} and keys {keys.shape} "
+                         f"need one row per position")
+    n_pos, n_paths, width = sources.shape
+    f, heads = h.shape[1], alpha.shape[1]
+    if scales.shape != (n_pos * n_paths, f) or num_segments % max(n_paths, 1):
+        raise ShapeError(f"attend_nodes: scales {scales.shape} and {num_segments} segments "
+                         f"do not fit {n_pos} positions of {n_paths} paths over {f} columns")
+    if keys.shape[1] != alpha.shape[0]:
+        raise ShapeError(f"attend_nodes: {keys.shape[1]} keys per position for "
+                         f"{alpha.shape[0]} pairs")
+    _row_index(sources.ravel(), h.shape[0], "attend_nodes")
+    _row_index(keys.ravel(), num_segments * width, "attend_nodes: key")
+    shape = (n_paths, num_segments // n_paths, width)
+
+    def weights(j, head_alpha):   # A_jk as P x V x C, one bincount
+        return np.bincount(keys[j], weights=head_alpha,
+                           minlength=num_segments * width).reshape(shape)
+
+    rows = h.data[sources]                           # n_pos x P x C x F
+    s = scales.data.reshape(n_pos, n_paths, 1, f)
+    alpha_t = alpha.data.T.copy()                    # a contiguous column per head
+    prods = np.empty((n_pos, heads) + shape[:2] + (f,))
+    out_shape = shape[:2] + (heads, f)
+    out = np.zeros(out_shape)
+    for j in range(n_pos):
+        for k in range(heads):
+            np.matmul(weights(j, alpha_t[k]), rows[j], out=prods[j, k])
+            out[:, :, k] += prods[j, k] * s[j]
 
     def rule(g):
-        m_pair = messages.data[insts]
-        g_alpha = np.empty(alpha.shape)
-        g_pair = None
-        for k in reversed(range(heads)):
-            gk = g[seg, k * f:(k + 1) * f]
-            g_alpha[:, k] = (gk * m_pair).sum(axis=1)
-            gk *= alpha.data[:, k:k + 1]
-            if g_pair is None:
-                g_pair = gk
-            else:
-                g_pair += gk
-        del m_pair   # before the scatter's flat index is built
-        _accumulate(alpha, g_alpha, fresh=True)
-        _accumulate(messages, _scatter_add(insts, g_pair, messages.shape[0]), fresh=True)
+        g = g.reshape(out_shape)
+        alpha_t = alpha.data.T.copy()
+        g_rows = np.zeros(rows.shape)
+        g_alpha = np.zeros((heads, alpha.shape[0]))
+        g_scales = np.zeros(s.shape)
+        for j in range(n_pos):
+            for k in range(heads):
+                g_scales[j, :, 0] += np.einsum("pvf,pvf->pf", prods[j, k], g[:, :, k])
+                gs = g[:, :, k] * s[j]
+                g_rows[j] += weights(j, alpha_t[k]).transpose(0, 2, 1) @ gs
+                # (g ⊙ s) @ h^T read at each pair's key: one table, freed at once
+                g_alpha[k] += (gs @ rows[j].transpose(0, 2, 1)).ravel()[keys[j]]
+        _accumulate(h, _scatter_add(sources.ravel(), g_rows.reshape(-1, f), h.shape[0]),
+                    fresh=True)
+        _accumulate(alpha, g_alpha.T.copy(), fresh=True)
+        _accumulate(scales, g_scales.reshape(scales.shape), fresh=True)
 
-    return _record(Tensor(out), (messages, alpha), rule)
+    return _record(Tensor(out.reshape(num_segments, heads * f)), (h, scales, alpha), rule)
 
 
 def _scatter_add(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import load_embeddings
-from hcmgnn import cli, model, training
+from hcmgnn import cli, graph, model, training
 from hcmgnn.cli import (DatasetConfig, FeaturesConfig, RunConfig, build_graph, build_split,
                         load_config, main)
 from hcmgnn.config import block_doc
@@ -162,6 +162,21 @@ def test_test_command_outputs(tmp_path):
     assert len(ids) == n_test * 31
     assert vecs.shape[1] == 3 * SMALL_MODEL["heads"] * SMALL_MODEL["proj_dim"]
     assert labels.sum() == n_test
+
+
+def test_test_refuses_a_graph_too_small_for_its_negatives(tmp_path, monkeypatch, capsys):
+    # planted 16/12/12: positive (1,3,0) has 7 free microbes for the 10 its pool asks
+    cfg, out = write_config(tmp_path, synthetic={
+        "n_genes": 16, "n_microbes": 12, "n_diseases": 12, "latent_dim": 8,
+        "edge_density": 0.25, "rng_seed": 7})
+    draws = []
+    corrupt = graph._corrupt
+    monkeypatch.setattr(graph, "_corrupt", lambda *a: draws.append(a[-1]) or corrupt(*a))
+    assert main(["test", "--config", cfg]) == 1
+    assert ("error: sample_negatives: positive (1,3,0) asks 10 negatives with its microbe "
+            "replaced, but only 7 microbes make a triplet that is not a known positive"
+            in capsys.readouterr().err)
+    assert "sample_negatives" not in draws
 
 
 def test_ablate_emits_seven_rows_sharing_split(tmp_path):

@@ -36,18 +36,24 @@ GOLDEN = {
     # per instance, then times 1/L.  That sums in another order than the
     # walk's fold, so the checkpoints and `exports/test_embeddings.tsv`
     # moved in their last bits; every metric file kept its hash.
+    # The attention then weighs node rows, not messages: per position, one
+    # bincount of the weights into a node table and one batched matmul, and
+    # the message half of each logit as a sum of per-position node tables.
+    # The sums run in another order again, so the checkpoints (by at most
+    # 2.4e-14 of a tensor's largest entry, in `checkpoints/fold2.json`) and
+    # the exported embeddings moved; every metric file kept its hash.
     "checkpoints/fold0.json":
-        "412dbffd203b317c174b77c52917fac1825e7a0641afa730417707c611c4342c",
+        "b2bd3bece1644e73998da2dd83da54e50f468332e87cec1a37e9be6dc2bb9c34",
     "checkpoints/fold1.json":
-        "f46578c4a9f82e948d7f56ea7c7755cbd878a0d04ef2323ca59e81b6e58167b7",
+        "514faee2d09ecbf344f3bba11bbac52397373354107f78a277f651195cc63092",
     "checkpoints/fold2.json":
-        "a6c50dba263bc04ad22531ba11443443a9d678691eb68facc443e12ddc2304b9",
+        "a5ea7426d613a718b1de58d1f9510377a6199f974a46e4d76bbcecdff5722f81",
     "checkpoints/fold3.json":
-        "cdc14f026d8efec8285b03634f82d145823269f86bf8dfa6eb900b678fc1b80a",
+        "a53dd609aeb0f512b5c1bc25af47d0ff601f1f1ac57d25232e58c93c65a7da44",
     "checkpoints/fold4.json":
-        "e109d8612340fafeb9af8c5fc63bb2d8d4b050eff8ecc6ffbf6ff0ec5ffb0116",
+        "c64ba57ef54efcc5a86d2ae56b2848556b46ee110f9fa541ce17f64008929c0d",
     "checkpoints/test.json":
-        "3c178a59c42c457b435aae60acb0583241d92b2c81d7a361096ad44b6697c7ee",
+        "b7ee11af9bf4cf2c46ba746a0fc0b5375f1a61b6042585c94e944d58effeb2bd",
     "data/edges_gene_disease.tsv":
         "f2890fc1c474d40975bd0849e4feb551883fba224d03ecbdbacea5d3084c2e52",
     "data/edges_gene_microbe.tsv":
@@ -65,7 +71,7 @@ GOLDEN = {
     "exports/instances.tsv":
         "c6ee4379bfff415e0cb3da75a27f68da5fe6534b8db0ebb86a7f9318f2fa18ec",
     "exports/test_embeddings.tsv":
-        "5aebed3f67a2f213926b599f9af65580247a69fb0c7118586d3af42dab01bfe3",
+        "7a10895a8174257db66b0dea3f9eb8b91e0c52c3263cda402bdb80de56e27007",
     "metrics/ablation.json":
         "a87d86358f38fc7edc1a3f41aac74c34b4543315feb78888445f961f8f610272",
     "metrics/cv.json":

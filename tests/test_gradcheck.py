@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from attention_oracle import attend
 from gradcheck import grad_check
 import hcmgnn.tensor as T
 from hcmgnn.tensor import Tensor
@@ -59,8 +60,12 @@ def test_three_layer_composite_matches_central_differences():
     ("concat", lambda x: T.sum_sq(T.concat_cols([x, T.tanh(x)]))),
     ("gather", lambda x: T.sum_sq(T.gather_rows(x, [1, 1, 0]))),
     ("gather_sum", lambda x: T.sum_sq(T.gather_sum([x, T.tanh(x)], [[1, 1, 0], [0, 1, 1]]))),
-    ("attend", lambda x: T.sum_sq(T.attend(x, T.gather_rows(T.tanh(x), [0, 1, 1]),
-                                           [1, 0, 1], [0, 1, 1], 2))),
+    # `attend` is the instance-message oracle's op, which `attend_nodes` is checked against
+    ("attend", lambda x: T.sum_sq(attend(x, T.gather_rows(T.tanh(x), [0, 1, 1]),
+                                         [1, 0, 1], [0, 1, 1], 2))),
+    ("attend_nodes", lambda x: T.sum_sq(T.attend_nodes(
+        x, T.tanh(x), T.reshape(T.sigmoid(x), 3, 2), [[[0, 1]], [[1, 0]]],
+        [[1, 2, 3], [0, 2, 3]], 2))),
     ("segment_sum", lambda x: T.sum_sq(T.segment_sum(x, [0, 0], 2))),
     ("segment_mean", lambda x: T.sum_sq(T.segment_mean(x, [1, 1], 2))),
     ("mean_rows", lambda x: T.sum_sq(T.mean_rows(x))),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import edge_set, random_graph, toy_graph
+from hcmgnn import graph
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, PAIR_KINDS, RELATIONS, EntityType,
                           HetGraph, SplitPlan, avg_node_degree, derive_positive_triplets,
                           load_edges, make_split, positives_by_id, sample_negatives,
@@ -253,11 +254,38 @@ def test_negative_draws_running_out_name_the_positive():
                  {GENE: np.eye(1), MICROBE: np.eye(2), DISEASE: np.eye(1)})
     pos = derive_positive_triplets(g)
     assert pos.tolist() == [[0, 0, 0]] and np.prod(g.sizes) == 2
-    with pytest.raises(RuntimeError, match=r"sample_negatives: .*positive \(0,0,0\)"):
+    # sample_negatives counts the free genes first, so it refuses before any draw
+    with pytest.raises(ValueError, match=r"sample_negatives: .*positive \(0,0,0\)"):
         sample_negatives(pos, 1, rng_seed=0, sizes=g.sizes)
     with pytest.raises(RuntimeError,
                        match=r"sample_training_negatives: .*positive \(0,0,0\)"):
         sample_training_negatives(pos, 0, g.sizes)
+
+
+def test_negative_shortfall_names_the_positive_slot_and_counts(monkeypatch):
+    # 3 genes and 2 microbes share disease 0; (0,0,0) and (1,0,0) are positives
+    g = HetGraph({GENE: ["g0", "g1", "g2"], MICROBE: ["m0", "m1"], DISEASE: ["d0", "d1"]},
+                 {(GENE, MICROBE): [(0, 0), (1, 0), (2, 1)], (GENE, DISEASE): [(0, 0), (1, 0)],
+                  (MICROBE, DISEASE): [(0, 0), (1, 1)]},
+                 {GENE: np.eye(3), MICROBE: np.eye(2), DISEASE: np.eye(2)})
+    pos = derive_positive_triplets(g)
+    assert pos.tolist() == [[0, 0, 0], [1, 0, 0]]
+    draws = []
+    monkeypatch.setattr(graph, "_corrupt", lambda *a: draws.append(a) or (tuple(a[1]), a[6]))
+    # 4 negatives ask 2 genes, 1 microbe and 1 disease of each positive: only gene 2 is free
+    with pytest.raises(ValueError) as exc:
+        sample_negatives(pos, 4, rng_seed=0, sizes=g.sizes)
+    assert str(exc.value) == ("sample_negatives: positive (0,0,0) asks 2 negatives with its "
+                              "gene replaced, but only 1 genes make a triplet that is not a "
+                              "known positive")
+    assert draws == []
+    # with the third positive known, even the one gene is taken
+    with pytest.raises(ValueError, match=r"positive \(1,0,0\) asks 1 negatives with its gene "
+                                         r"replaced, but only 0 genes"):
+        sample_negatives(pos[1:], 1, rng_seed=0, sizes=g.sizes,
+                         known_positives={(0, 0, 0), (1, 0, 0), (2, 0, 0)})
+    sample_negatives(pos, 3, rng_seed=0, sizes=g.sizes)   # one per slot fits
+    assert len(draws) == 6
 
 
 def test_training_negatives_balance_slots_globally():

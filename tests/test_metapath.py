@@ -8,7 +8,7 @@ from hcmgnn.metapath import (CAUSAL_3, PAIRWISE_2, SYMMETRIC_5, Metapath,
                              causal_metapaths, count_instances, dump_instances,
                              enumerate_instance_rows, metapaths)
 from hcmgnn.model import (VARIANTS, InstanceExplosion, ModelCache, ModelConfig,
-                          family_paths, pair_bytes)
+                          family_paths, pair_bytes, table_bytes)
 
 
 def involving(rows, p, t, v):
@@ -232,17 +232,36 @@ def test_instance_explosion_guard(monkeypatch):
     g = random_graph(rng, 10, 10, 10, p=0.8)
     cfg = ModelConfig(proj_dim=16, heads=4)
     n_inst = sum(enumerate_instance_rows(g, p).shape[0] for p in causal_metapaths())
-    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", 10 * pair_bytes(cfg))
-
-    def no_enumeration(*args):
-        raise AssertionError("instances enumerated before the pair bound was checked")
-
+    # the node tables fit, and room for 10 pairs besides
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", table_bytes(g, cfg) + 10 * pair_bytes(cfg))
     monkeypatch.setattr(model, "enumerate_instance_rows", no_enumeration)
     with pytest.raises(InstanceExplosion) as exc:
         ModelCache(g, cfg)
     gib = 3 * n_inst * pair_bytes(cfg) / 2 ** 30
     for part in ("'full'", f"{n_inst:,} metapath instances", f"{3 * n_inst:,} pairs",
-                 f"{gib:.2f} GiB", f"{pair_bytes(cfg):,} bytes per pair"):
+                 f"{gib:.2f} GiB", f"{pair_bytes(cfg):,} bytes per pair",
+                 f"node tables of 30 nodes take {table_bytes(g, cfg) / 2 ** 30:.2f} GiB"):
+        assert part in str(exc.value), (part, str(exc.value))
+
+
+def no_enumeration(*args):
+    raise AssertionError("instances enumerated before the pair bound was checked")
+
+
+def test_node_tables_alone_refuse_a_graph_of_many_nodes(monkeypatch):
+    sizes = {GENE: 8000, MICROBE: 6000, DISEASE: 6000}
+    g = HetGraph({t: [f"{t.name}{i}" for i in range(n)] for t, n in sizes.items()},
+                 {(GENE, MICROBE): [(0, 0)], (GENE, DISEASE): [(0, 0)],
+                  (MICROBE, DISEASE): [(0, 0)]},
+                 {t: np.zeros((n, 1)) for t, n in sizes.items()})
+    cfg = ModelConfig(proj_dim=16, heads=4)
+    # one triangle: 6 instances, 18 pairs, a few kB
+    assert 18 * pair_bytes(cfg) < 1e4 < model.PAIR_MEMORY_BOUND < table_bytes(g, cfg)
+    monkeypatch.setattr(model, "enumerate_instance_rows", no_enumeration)
+    with pytest.raises(InstanceExplosion) as exc:
+        ModelCache(g, cfg)
+    for part in ("'full'", "6 metapath instances", "18 pairs",
+                 f"node tables of 20,000 nodes take {table_bytes(g, cfg) / 2 ** 30:.2f} GiB"):
         assert part in str(exc.value), (part, str(exc.value))
 
 
@@ -254,11 +273,13 @@ def test_symmetric_five_join_has_its_own_explosion_guard(monkeypatch):
     five_pairs = 2 * sum(count_instances(g, p) for p in metapaths(SYMMETRIC_5))
     assert full_pairs < five_pairs
     # the causal family fits, only the five-node family's pairs are over the bound
-    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", (five_pairs - 1) * pair_bytes(cfg))
+    tables = table_bytes(g, cfg)
+    assert table_bytes(g, ModelConfig(proj_dim=16, heads=4)) <= tables
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", tables + (five_pairs - 1) * pair_bytes(cfg))
     ModelCache(g, ModelConfig(proj_dim=16, heads=4))
     with pytest.raises(InstanceExplosion, match="woMP-iii"):
         ModelCache(g, cfg)
-    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", five_pairs * pair_bytes(cfg))
+    monkeypatch.setattr(model, "PAIR_MEMORY_BOUND", tables + five_pairs * pair_bytes(cfg))
     # the bound counts two pairs per instance; a walk back to its first node has one
     assert 0 < ModelCache(g, cfg).pair_nodes.size <= five_pairs
 

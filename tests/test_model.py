@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import hcmgnn.tensor as T
+from hcmgnn import model
 from conftest import (edge_set, forward_scores, forward_views, index_of, random_graph,
                       toy_graph)
+from attention_oracle import instance_messages, instance_paths, reference_attention
 from gradcheck import grad_check
 from hcmgnn.graph import (DISEASE, GENE, MICROBE, RELATIONS, EntityType, HetGraph,
                           derive_positive_triplets)
 from hcmgnn.metapath import enumerate_instance_rows
-from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams, _instance_messages,
-                          delivery_positions, encode_instance, encode_walk,
-                          feature_transform, forward, fuse_subgraphs, init_params,
-                          instance_attention, multi_head_aggregate, param_specs,
+from hcmgnn.model import (VARIANTS, ModelCache, ModelConfig, ModelParams, delivery_positions,
+                          encode_instance, encode_walk, feature_transform, forward,
+                          fuse_subgraphs, init_params, instance_attention,
+                          message_positions, multi_head_aggregate, pair_layout, param_specs,
                           predict, score_triplets)
 from hcmgnn.tensor import ShapeError, Tensor
 from hcmgnn.cli import main
@@ -96,6 +98,23 @@ def test_encoder_is_direction_sensitive():
 
 # ---- attention ----
 
+def hand_built(h_rows, messages, attn, pairs):
+    """instance_attention's inputs for hand-built messages.
+
+    The node table is h_rows and then the messages, and instance s's message
+    is one position, at scale 1, that reads node len(h_rows) + s.  `pairs`
+    holds the delivery pairs' (nodes, insts, paths), path-major.
+    """
+    nodes, insts, paths = map(np.asarray, pairs)
+    h = np.vstack([h_rows, messages])
+    n_paths = int(paths.max()) + 1
+    reads = len(h_rows) + np.arange(len(messages))[None]
+    layout = pair_layout(nodes, insts, paths, reads, np.zeros((n_paths, 1), dtype=np.int64),
+                         len(h), len(h))
+    return (T.constant(h), T.constant(np.ones((n_paths, h.shape[1]))), T.constant(attn),
+            layout)
+
+
 def one_path(nodes, insts):
     """Delivery pairs of a single path."""
     return np.array(nodes), np.array(insts), np.zeros(len(nodes), dtype=np.int64)
@@ -104,19 +123,18 @@ def one_path(nodes, insts):
 def test_attention_singleton_is_activated_message():
     f = 3
     m = np.array([[0.5, -2.0, 1.0]])
-    out, alpha = instance_attention(T.constant(np.zeros((1, f))), T.constant(m),
-                                    T.constant(np.zeros((2 * f, 1))), one_path([0], [0]), 1)
+    out, alpha = instance_attention(*hand_built(np.zeros((1, f)), m, np.zeros((2 * f, 1)),
+                                                one_path([0], [0])))
     assert np.allclose(alpha.data, [[1.0]])
     expect = np.where(m > 0, m, np.exp(m) - 1)
-    assert np.allclose(out.data, expect)
+    assert np.allclose(out.data, np.vstack([expect, np.zeros((1, f))]))  # node, message node
 
 
 def test_attention_identical_messages_split_evenly():
     f = 2
-    m = T.constant(np.array([[1.0, 2.0], [1.0, 2.0]]))
-    h = T.constant(np.zeros((1, f)))
-    a = T.constant(np.random.default_rng(0).normal(size=(2 * f, 1)))
-    _, alpha = instance_attention(h, m, a, one_path([0, 0], [0, 1]), 1)
+    m = np.array([[1.0, 2.0], [1.0, 2.0]])
+    a = np.random.default_rng(0).normal(size=(2 * f, 1))
+    _, alpha = instance_attention(*hand_built(np.zeros((1, f)), m, a, one_path([0, 0], [0, 1])))
     assert np.allclose(alpha.data[:, 0], [0.5, 0.5])
 
 
@@ -125,8 +143,8 @@ def test_attention_closed_form_logits():
     messages = np.array([[0.0, 0.0], [np.log(3.0), 0.0]])
     a = np.zeros((2 * f, 1))
     a[f, 0] = 1.0  # reads the first message coordinate
-    out, alpha = instance_attention(T.constant(np.zeros((1, f))), T.constant(messages),
-                                    T.constant(a), one_path([0, 0], [0, 1]), 1)
+    out, alpha = instance_attention(*hand_built(np.zeros((1, f)), messages, a,
+                                                one_path([0, 0], [0, 1])))
     assert np.allclose(alpha.data[:, 0], [0.25, 0.75])
     assert np.allclose(out.data[0], [0.75 * np.log(3.0), 0.0])
 
@@ -140,8 +158,9 @@ def test_attention_keeps_paths_and_heads_apart():
     m = rng.normal(size=(4, f))
     a = rng.normal(size=(2 * f, 2 * heads))
     pairs = (np.array([1, 1, 1, 2]), np.array([0, 1, 2, 3]), np.array([0, 0, 1, 1]))
-    views, alpha = instance_attention(T.constant(h), T.constant(m), T.constant(a), pairs, 2)
-    assert views.shape == (2 * 3, heads * f)
+    views, alpha = instance_attention(*hand_built(h, m, a, pairs))
+    v = 3 + 4   # the nodes, then the message nodes, which receive nothing
+    assert views.shape == (2 * v, heads * f)
     for p, rows in ((0, [0, 1]), (1, [2])):
         for k in range(heads):
             col = a[:, p * heads + k]
@@ -149,9 +168,11 @@ def test_attention_keeps_paths_and_heads_apart():
             logits = np.where(logits > 0, logits, 0.01 * logits)
             expect = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
             assert np.allclose(alpha.data[rows, k], expect)
-            assert np.allclose(views.data[p * 3 + 1, k * f:(k + 1) * f],
+            assert np.allclose(views.data[p * v + 1, k * f:(k + 1) * f],
                                elu_np(expect @ m[rows]))
-    assert np.array_equal(views.data[[0, 2, 3]], np.zeros((3, heads * f)))
+    received = [1, v + 1, v + 2]
+    assert np.array_equal(np.delete(views.data, received, axis=0),
+                          np.zeros((2 * v - 3, heads * f)))
 
 
 # ---- multi-head ----
@@ -491,6 +512,25 @@ def test_womp3_five_node_fold_formula():
     assert np.array_equal(h[1], np.zeros(3))
 
 
+def assert_layout_reads(cache, path, nodes, rows, off, width):
+    """The layout's keys, logit rows and node tables for `path`'s pairs, which
+    receive at `nodes` from the instances `rows` (global node ids); each
+    position's table is `width` columns from its type's first row."""
+    layout, sel = cache.layout, cache.pair_paths == path
+    n_paths, v = len(cache.metapaths), cache.total_nodes
+    positions = list(message_positions(cache.variant, rows.shape[1]))
+    blocks = (1 + len(positions)) * n_paths
+    assert np.array_equal(layout.segments[sel], path * v + nodes)
+    assert np.array_equal(layout.logit_rows[0, sel], nodes * blocks + path)
+    for j, pos in enumerate(positions):
+        assert np.array_equal(layout.keys[j, sel], (path * v + nodes) * width
+                              + rows[:, pos] - off[pos]), (cache.variant, path, pos)
+        assert np.array_equal(layout.logit_rows[1 + j, sel],
+                              rows[:, pos] * blocks + (1 + j) * n_paths + path)
+        assert np.array_equal(layout.sources[j, path],
+                              np.minimum(off[pos] + np.arange(width), v - 1))
+
+
 def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
     rng = np.random.default_rng(4)
     g = random_graph(rng, 6, 5, 5, p=0.5)
@@ -504,8 +544,6 @@ def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
             stop = start + len(grows)
             assert np.array_equal(cache.instances[start:stop], grows), (variant, p)
             assert [RELATIONS[r] for r in cache.path_relations[i]] == list(p.relations)
-            assert np.array_equal(cache.message_rows[:, start:stop],
-                                  (i * cache.total_nodes + grows).T), (variant, p)
             cols = delivery_positions(variant, len(p.types))
             expect = sorted({(int(grows[j, c]), start + j)
                              for j in range(len(grows)) for c in cols})
@@ -513,6 +551,7 @@ def test_delivery_pairs_are_the_distinct_node_instance_pairs_in_order():
             nodes, insts = cache.pairs[p.name]
             assert nodes.dtype == insts.dtype == np.int64
             assert list(zip(nodes.tolist(), insts.tolist())) == expect, (variant, p)
+            assert_layout_reads(cache, i, nodes, grows[insts - start], off, max(g.sizes))
             # the name's pairs are the path's slice of the stacked table
             assert np.shares_memory(nodes, cache.pair_nodes)
             assert (cache.pair_paths[np.isin(cache.pair_insts, insts)] == i).all()
@@ -752,14 +791,46 @@ def test_stacked_forward_matches_the_per_path_per_head_reference(variant):
     assert np.abs(grads["attn"]).max() > 0
 
 
-# ---- messages from per-node tables ----
+# ---- attention over node tables, against the instance messages ----
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_node_tables_match_the_instance_message_reference(monkeypatch, variant):
+    rng = np.random.default_rng(41)
+    g = random_graph(rng, 6, 5, 5, p=0.45)
+    pos = derive_positive_triplets(g)[:6]
+    neg = [(0, 1, 0), (2, 3, 4)]
+    labels = np.repeat([1.0, 0.0], [len(pos), len(neg)])
+    index = index_of(np.concatenate([pos, neg]))
+    cfg = ModelConfig(proj_dim=3, heads=3, fusion_dim=4, mlp_hidden=5, variant=variant)
+    cache = ModelCache(g, cfg)
+    params = init_params(cache, cfg, 13)
+    params.tensors["rel"].data = rng.normal(size=params.tensors["rel"].shape)
+
+    def run():
+        out, views = forward_views(cache, params)
+        return score_triplets(out.embeddings, params, index), views, out.attention
+
+    (scores, views, alpha), grads = taped_grads(run, params, labels)
+    monkeypatch.setattr(model, "instance_attention",
+                        lambda h_all, *_, **__: reference_attention(cache, params, h_all))
+    (r_scores, r_views, r_alpha), r_grads = taped_grads(run, params, labels)
+    assert alpha.shape == (cache.pair_nodes.size, cfg.heads) and alpha.size > 0
+    assert_close(alpha, r_alpha, "alpha", rtol=1e-11)
+    for name in views:
+        assert_close(views[name], r_views[name], f"view {name}", rtol=1e-11)
+    assert_close(scores.data, r_scores.data, "scores", rtol=1e-11)
+    assert set(grads) == set(r_grads)
+    for name in grads:
+        assert_close(grads[name], r_grads[name], f"grad {name}", rtol=1e-11)
+    assert np.abs(grads["rel"]).max() > 0 or variant == "woMP-i"
+
 
 def walk_messages(cache, params, h_all):
     """Each instance's message as `encode_walk` folds its gathered rows: the
-    oracle of the per-node tables that `forward` builds the messages from."""
+    oracle of the per-node tables the reference builds its messages from."""
     if cache.variant == "woMP-i":
         return T.gather_rows(h_all, cache.instances[:, -1])
-    paths = cache.message_rows[0] // cache.total_nodes
+    paths = instance_paths(cache)
     return encode_walk([T.gather_rows(h_all, col) for col in cache.instances.T],
                        [T.gather_rows(params.tensors["rel"], ids)
                         for ids in cache.path_relations[paths].T])
@@ -785,7 +856,7 @@ def test_table_messages_match_the_walk_fold(variant):
         return messages.data, {name: p.grad for name, p in params.tensors.items()
                                if p.grad is not None}
 
-    (got, grads), (ref, ref_grads) = run(_instance_messages), run(walk_messages)
+    (got, grads), (ref, ref_grads) = run(instance_messages), run(walk_messages)
     assert got.shape == (cache.instances.shape[0], 3)
     assert_close(got, ref, "messages", rtol=1e-12)
     assert set(grads) == set(ref_grads)
@@ -796,8 +867,8 @@ def test_table_messages_match_the_walk_fold(variant):
 def test_womp3_taped_pass_peak_memory_on_the_acceptance_graph():
     """One taped forward and backward of the five-node family on the 40/30/30
     graph peaked at 838 MB under `tracemalloc` with messages folded per
-    instance and a per-head chain, and at 317 MB with per-node tables and
-    `T.attend`."""
+    instance and a per-head chain, at 317 MB with per-node tables and
+    `T.attend`, and at 73 MB with attention over node tables."""
     g = generate_synthetic(SyntheticConfig(n_genes=40, n_microbes=30, n_diseases=30,
                                            latent_dim=8, edge_density=0.15), 7).graph
     cfg = ModelConfig(proj_dim=16, heads=4, fusion_dim=32, mlp_hidden=128, variant="woMP-iii")

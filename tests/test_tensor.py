@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcmgnn.tensor as T
+from attention_oracle import attend
 from hcmgnn.tensor import ShapeError, Tape, TapeError, Tensor
 
 
@@ -420,7 +421,7 @@ def test_gather_sum_bit_identical_to_gather_rows_and_add(layout):
 
 
 def attend_chain(messages, alpha, insts, segments, n):
-    """`T.attend` as the ops it replaces: the pair messages, then per head a
+    """The oracle's `attend` as the ops it fuses: the pair messages, then per head a
     column of alpha, a product and a segment sum, the heads side by side."""
     heads = alpha.shape[1]
     m_pair = T.gather_rows(messages, insts)
@@ -450,20 +451,91 @@ def test_attend_bit_identical_to_the_chain(layout, heads):
             tape.backward(upstream(out, w))
         return out.data, m.grad, a.grad
 
-    for got, ref in zip(run(T.attend), run(attend_chain)):
+    for got, ref in zip(run(attend), run(attend_chain)):
         assert_same_bits(got, ref)
 
 
 def test_attend_rejects_bad_pairs():
     m, a = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeError, match="attend: index out of range"):
-        T.attend(m, a, [0, 3], [0, 1], 2)
+        attend(m, a, [0, 3], [0, 1], 2)
     with pytest.raises(ShapeError, match="attend: segment id out of range"):
-        T.attend(m, a, [0, 1], [0, 2], 2)
+        attend(m, a, [0, 1], [0, 2], 2)
     with pytest.raises(ShapeError, match="attend: need one segment id per row"):
-        T.attend(m, a, [0, 1], [0], 2)
+        attend(m, a, [0, 1], [0], 2)
     with pytest.raises(ShapeError, match="attend: 3 message rows for 2 pairs"):
-        T.attend(m, a, [0, 1, 2], [0, 1], 2)
+        attend(m, a, [0, 1, 2], [0, 1], 2)
+
+
+def node_attention_case(layout: str, heads: int, seed: int = 5):
+    """Two paths of 5 nodes (the 10 segments of `scatter_case`), 3 positions
+    reading tables of 4 columns out of 7 node rows, and one instance per pair."""
+    seg, _, n = scatter_case(layout, 1, seed=seed)
+    rng = np.random.default_rng(seed)
+    n_pos, n_paths, width, f = 3, 2, 4, 16
+    h = rng.normal(size=(7, f)) * 10.0 ** rng.uniform(-3, 3, size=(7, f))
+    scales = rng.normal(size=(n_pos * n_paths, f))
+    alpha = rng.uniform(size=(seg.size, heads))
+    sources = rng.integers(0, 7, size=(n_pos, n_paths, width))
+    cols = rng.integers(0, width, size=(n_pos, seg.size))
+    return h, scales, alpha, sources, cols, seg, n
+
+
+def messages_by_pair(h, scales, sources, cols, seg, n_paths, v):
+    """Pair i's message as taped ops: the sum over positions j of
+    scales[j * P + p] ⊙ h[sources[j, p, cols[j, i]]], p = seg[i] // v."""
+    paths = seg // v
+    terms = [T.hadamard(T.gather_rows(h, sources[j, paths, cols[j]]),
+                        T.gather_rows(scales, j * n_paths + paths))
+             for j in range(len(sources))]
+    out = terms[0]
+    for term in terms[1:]:
+        out = T.add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("layout", ID_LAYOUTS)
+def test_attend_nodes_matches_attend_over_the_pair_messages(layout, heads):
+    h, scales, alpha, sources, cols, seg, n = node_attention_case(layout, heads)
+    n_paths, width = sources.shape[1], sources.shape[2]
+    keys = seg * width + cols
+    w = np.random.default_rng(6).normal(size=(n, heads * h.shape[1]))
+
+    def run(op):
+        tensors = [Tensor(x.copy(), requires_grad=True) for x in (h, scales, alpha)]
+        with Tape() as tape:
+            out = op(*tensors)
+            tape.backward(upstream(out, w))
+        return [out.data] + [t.grad for t in tensors]
+
+    got = run(lambda ht, st, at: T.attend_nodes(ht, st, at, sources, keys, n))
+    ref = run(lambda ht, st, at: attend(
+        messages_by_pair(ht, st, sources, cols, seg, n_paths, n // n_paths), at,
+        np.arange(seg.size), seg, n))
+    for name, g, r in zip(("out", "h", "scales", "alpha"), got, ref):
+        if r is None:   # no pairs: nothing reaches h or the scales
+            assert g is None or not g.any(), name
+            continue
+        scale = max(np.abs(r).max(initial=0.0), np.finfo(float).tiny)
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+def test_attend_nodes_rejects_bad_inputs():
+    h, s, a = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+    sources = [[[0, 1]], [[2, 0]]]   # 2 positions, 1 path, tables of 2 columns
+    with pytest.raises(ShapeError, match="attend_nodes: key: index out of range"):
+        T.attend_nodes(h, s, a, sources, [[0, 4], [0, 1]], 2)
+    with pytest.raises(ShapeError, match="attend_nodes: key: index out of range"):
+        T.attend_nodes(h, s, a, sources, [[0, -1], [0, 1]], 2)
+    with pytest.raises(ShapeError, match="attend_nodes: index out of range"):
+        T.attend_nodes(h, s, a, [[[0, 3]], [[2, 0]]], [[0, 1], [0, 1]], 2)
+    with pytest.raises(ShapeError, match="attend_nodes: 3 keys per position for 2 pairs"):
+        T.attend_nodes(h, s, a, sources, [[0, 1, 2], [0, 1, 2]], 2)
+    with pytest.raises(ShapeError, match="attend_nodes: scales"):
+        T.attend_nodes(h, Tensor(np.ones((1, 2))), a, sources, [[0, 1], [0, 1]], 2)
+    with pytest.raises(ShapeError, match="one row per position"):
+        T.attend_nodes(h, s, a, sources, [[0, 1]], 2)
 
 
 @pytest.mark.parametrize("indices", [
