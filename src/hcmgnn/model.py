@@ -26,7 +26,8 @@ from .tensor import ShapeError, Tensor
 
 VARIANTS = ("full", "woMP-i", "woMP-ii", "woMP-iii", "woTM", "woAF", "woBF")
 CHECKPOINT_FORMAT = "hcmgnn-checkpoint-v2"
-# The most memory a taped pass may need for its delivery pairs (see `pair_bytes`)
+# The most memory the cache build and a taped pass may need for the delivery
+# pairs and node tables (see `pair_bytes` and `table_bytes`)
 PAIR_MEMORY_BOUND = 4 * 2 ** 30
 # Triplets the head reads out at a time without a tape: a multiple of every BLAS
 # kernel width, so each score comes out bit for bit as in one single-threaded
@@ -88,19 +89,29 @@ def _family_shape(variant: str) -> tuple[int, int, int]:
 
 
 def pair_bytes(config: ModelConfig) -> int:
-    """Bytes a delivery pair takes at the peak of one taped forward and backward.
+    """Bytes a delivery pair takes at the peak of the cache build or of one
+    taped forward and backward, whichever is higher, for D delivery pairs per
+    instance (as `check_pair_bound` counts them).
 
-    About seven floats per pair and head: the logits, the softmax, their
-    grads and the scatters of the logit tables' grads (H = heads).  The
-    cache holds eight bytes per pair for its node, instance, path and
-    segment, for a key per message position, for a logit row per message
-    position and one for the node itself, and up to L for the instance's
-    columns.  No pairs x F array is built.  `tracemalloc` peaks of woMP-iii
-    at 0.3M to 2.2M pairs and of `full` at 75k pairs came within -5% and
-    +2% of this plus `table_bytes`.
+    The cache keeps eight bytes per pair for its node, instance, path and
+    segment, for a key per message position (J of them), for a logit row per
+    message position and one for the node itself, and up to L for the
+    instance's columns.  A taped pass adds 33 bytes per head (H = heads):
+    four floats at its peak, in `T.attend_nodes`' backward (the attention,
+    a head-major copy of it, its grad and that grad's transpose), and
+    `T.pair_softmax`'s one-byte sign mask.  No pairs x F array is built.
+    The build peaks in `pair_layout`, with eight bytes per pair for 7 + 2J
+    arrays and per instance for 2L + 3J + 3 + D.  Per pair counted,
+    `tracemalloc` peaks of woMP-iii at 0.3M to 2.4M pairs and 1 to 8 heads
+    came 1-7% under this plus `table_bytes` (the build set the peak up to 2
+    heads), and of `full` at 2.2M pairs 4-5% under.  The MLP head's
+    triplets are not counted; those runs scored 1,000 of them.
     """
     _, length, n_pos = _family_shape(config.variant)
-    return 8 * (7 * config.heads + 5 + 2 * n_pos + length)
+    deliveries = len(delivery_positions(config.variant, length))
+    taped = 8 * (5 + 2 * n_pos + length) + 33 * config.heads
+    build = 8 * (7 + 2 * n_pos) + 8 * (2 * length + 3 * n_pos + 3 + deliveries) // deliveries
+    return max(taped, build)
 
 
 def table_bytes(graph: HetGraph, config: ModelConfig) -> int:
@@ -131,7 +142,7 @@ def check_pair_bound(graph: HetGraph, config: ModelConfig):
     if pairs_need + tables_need > PAIR_MEMORY_BOUND:
         raise InstanceExplosion(
             f"variant {config.variant!r}: {n_inst:,} metapath instances deliver up to "
-            f"{n_pairs:,} pairs, about {pairs_need / 2 ** 30:.2f} GiB for a taped pass at "
+            f"{n_pairs:,} pairs, about {pairs_need / 2 ** 30:.2f} GiB to build and train at "
             f"{pair_bytes(config):,} bytes per pair, and the node tables of "
             f"{sum(graph.sizes):,} nodes take {tables_need / 2 ** 30:.2f} GiB, over the "
             f"bound of {PAIR_MEMORY_BOUND / 2 ** 30:.2f} GiB")
@@ -439,8 +450,7 @@ def instance_attention(h_nodes: Tensor, scales: Tensor, attn: Tensor, layout: Pa
                            T.gather_rows(scales, np.repeat(np.arange(n_pos * n_paths), heads)))
     weights = T.concat_rows([T.gather_rows(halves, cols), a2_scaled])
     table = T.reshape(T.matmul(h_nodes, T.transpose(weights)), v * (1 + n_pos) * n_paths, heads)
-    logits = T.gather_sum([table] * (1 + n_pos), layout.logit_rows)
-    alpha = T.segment_softmax(T.leaky_relu(logits, slope), layout.segments, n_paths * v)
+    alpha = T.pair_softmax(table, layout.logit_rows, layout.segments, n_paths * v, slope)
     return T.elu(T.attend_nodes(h_nodes, scales, alpha, layout.sources, layout.keys,
                                 n_paths * v)), alpha
 

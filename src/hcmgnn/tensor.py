@@ -25,7 +25,7 @@ __all__ = [
     "matmul", "transpose", "reshape", "add", "hadamard", "smul",
     "concat_cols", "concat_rows", "gather_rows", "gather_sum", "attend_nodes",
     "segment_sum", "segment_mean", "mean_rows",
-    "row_softmax", "segment_softmax",
+    "row_softmax", "segment_softmax", "pair_softmax",
     "leaky_relu", "elu", "tanh", "sigmoid", "sum_sq",
 ]
 
@@ -301,7 +301,7 @@ def _row_index(idx, rows: int, opname: str) -> np.ndarray:
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Select rows a[idx]; repeated indices accumulate gradient."""
     idx = _row_index(idx, a.shape[0], "gather_rows")
-    out = Tensor(a.data[idx])
+    out = Tensor(np.take(a.data, idx, axis=0))
 
     def rule(g):
         _accumulate(a, _scatter_add(idx, g, a.shape[0]), fresh=True)
@@ -323,9 +323,9 @@ def gather_sum(tables: list[Tensor], indices) -> Tensor:
         raise ShapeError(f"gather_sum: index lengths {[i.size for i in idxs]} differ")
     if any(t.shape[1] != tables[0].shape[1] for t in tables):
         raise ShapeError(f"gather_sum: col mismatch {[t.shape for t in tables]}")
-    out = tables[0].data[idxs[0]]
+    out = np.take(tables[0].data, idxs[0], axis=0)
     for t, idx in zip(tables[1:], idxs[1:]):
-        out += t.data[idx]
+        out += np.take(t.data, idx, axis=0)
 
     def rule(g):
         for t, idx in zip(tables, idxs):
@@ -431,7 +431,7 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(seg, a.data, num_segments))
 
     def rule(g):
-        _accumulate(a, g[seg], fresh=True)
+        _accumulate(a, np.take(g, seg, axis=0), fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -445,7 +445,7 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     out = Tensor(_scatter_add(seg, a.data, num_segments) / safe[:, None])
 
     def rule(g):
-        _accumulate(a, g[seg] / safe[seg][:, None], fresh=True)
+        _accumulate(a, np.take(g, seg, axis=0) / safe[seg][:, None], fresh=True)
 
     return _record(out, (a,), rule)
 
@@ -505,6 +505,68 @@ def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
         _accumulate(a, gy - y * dot[seg], fresh=True)
 
     return _record(out, (a,), rule)
+
+
+def pair_softmax(table: Tensor, rows, segments, num_segments: int,
+                 slope: float = 0.01) -> Tensor:
+    """Each pair's leaky-ReLU'd logits, softmaxed per column within its segment.
+
+    Pair i's logits are the table rows rows[0][i], rows[1][i], ... summed
+    left to right, and its segment is segments[i].  The segment ids must be
+    sorted, so that each segment is one run of pairs.  Bit for bit, grads
+    too, this is `segment_softmax(leaky_relu(gather_sum([table] * len(rows),
+    rows), slope), segments, num_segments)`, but its forward builds two
+    pairs x H float arrays where the chain's builds eleven: the segment max
+    is one `np.maximum.reduceat` over the runs, every sum a bincount in pair
+    order as in `_scatter_add`, and the backward runs one column at a time.
+    The table's grad column is one bincount per row array, added in
+    row-array order as the chain's scatters are.
+    """
+    idxs = [_row_index(r, table.shape[0], "pair_softmax") for r in rows]
+    if not idxs or any(i.size != idxs[0].size for i in idxs):
+        raise ShapeError(f"pair_softmax: row arrays of lengths {[i.size for i in idxs]}")
+    seg = np.asarray(segments, dtype=np.int64)
+    _check_segments(seg, idxs[0].size, num_segments, "pair_softmax")
+    if seg.size == 0:
+        raise ShapeError("pair_softmax: softmax over an empty set")
+    if (np.diff(seg) < 0).any():
+        raise ShapeError("pair_softmax: segment ids are not sorted")
+    starts = np.flatnonzero(np.diff(seg, prepend=-1))
+    runs = np.repeat(np.arange(starts.size), np.diff(starts, append=seg.size))
+    (n_rows, heads), n = table.shape, seg.size
+
+    def run_sums(col):   # the sum of col over each run, added in pair order
+        return np.bincount(runs, weights=col, minlength=starts.size)
+
+    # each step writes into one of two buffers; "clip" takes straight into
+    # `out` ("raise" buffers it), and every index is already checked
+    x, buf = np.empty((n, heads)), np.empty((n, heads))
+    np.take(table.data, idxs[0], axis=0, out=x, mode="clip")
+    for idx in idxs[1:]:
+        np.take(table.data, idx, axis=0, out=buf, mode="clip")
+        x += buf
+    pos = x > 0
+    np.multiply(x, slope, out=buf)
+    np.copyto(buf, x, where=pos)   # `leaky_relu`'s value, bit for bit
+    x, buf = buf, x
+    x -= np.take(np.maximum.reduceat(x, starts, axis=0), runs, axis=0, out=buf, mode="clip")
+    np.exp(x, out=x)
+    sums = np.stack([run_sums(x[:, k]) for k in range(heads)], axis=1)
+    x /= np.take(sums, runs, axis=0, out=buf, mode="clip")
+    y = x
+
+    def rule(g):
+        grad = np.empty((heads, n_rows))
+        for k in range(heads):
+            gy = g[:, k] * y[:, k]
+            gy -= y[:, k] * run_sums(gy)[runs]
+            gy *= np.where(pos[:, k], 1.0, slope)
+            grad[k] = np.bincount(idxs[0], weights=gy, minlength=n_rows)
+            for idx in idxs[1:]:
+                grad[k] += np.bincount(idx, weights=gy, minlength=n_rows)
+        _accumulate(table, grad.T.copy(), fresh=True)
+
+    return _record(Tensor(y), (table,), rule)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.01) -> Tensor:

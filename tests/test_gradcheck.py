@@ -73,6 +73,10 @@ def test_three_layer_composite_matches_central_differences():
     ("reshape", lambda x: T.sum_sq(T.tanh(T.reshape(x, 3, 2)))),
     ("segment_softmax_cols", lambda x: T.sum_sq(T.hadamard(
         T.segment_softmax(x, [2, 2], 3), T.constant(np.arange(1.0, 7.0).reshape(2, 3))))),
+    ("pair_softmax", lambda x: T.sum_sq(T.hadamard(
+        T.pair_softmax(T.reshape(x, 3, 2), [[0, 1, 2, 2], [1, 1, 0, 2]], [0, 0, 1, 1], 3,
+                       slope=0.2),
+        T.constant(np.arange(1.0, 9.0).reshape(4, 2))))),
     ("elu", lambda x: T.sum_sq(T.elu(x))),
     ("tanh", lambda x: T.sum_sq(T.tanh(x))),
     ("sigmoid", lambda x: T.sum_sq(T.sigmoid(x))),

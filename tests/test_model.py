@@ -868,7 +868,8 @@ def test_womp3_taped_pass_peak_memory_on_the_acceptance_graph():
     """One taped forward and backward of the five-node family on the 40/30/30
     graph peaked at 838 MB under `tracemalloc` with messages folded per
     instance and a per-head chain, at 317 MB with per-node tables and
-    `T.attend`, and at 73 MB with attention over node tables."""
+    `T.attend`, at 73 MB with attention over node tables, and at 49 MB with
+    the logits and their softmax as one op (`T.pair_softmax`)."""
     g = generate_synthetic(SyntheticConfig(n_genes=40, n_microbes=30, n_diseases=30,
                                            latent_dim=8, edge_density=0.15), 7).graph
     cfg = ModelConfig(proj_dim=16, heads=4, fusion_dim=32, mlp_hidden=128, variant="woMP-iii")

@@ -593,6 +593,73 @@ def test_segment_softmax_columns_bit_identical_to_one_call_per_column(layout):
         assert set(ids.tolist()) == {0, 3, 7}  # seven segments receive no row
 
 
+PAIR_LAYOUTS = ("single-segment", "all-singleton", "ragged")
+
+
+def pair_softmax_case(layout: str, heads: int, seed: int = 8):
+    """A 12-row logit table (with zeros and -0.0), three row arrays that may
+    overlap, sorted segment ids over 10 segments, and an upstream grad."""
+    rng = np.random.default_rng(seed)
+    if layout == "single-segment":
+        seg = np.full(40, 4)
+    elif layout == "all-singleton":
+        seg = np.arange(10)
+    else:   # runs of 1 to 14 pairs, with segments 1, 5 and 8 empty
+        seg = np.sort(rng.choice([0, 2, 3, 4, 6, 7, 9], size=40, p=[.3, .05, .2, .1, .1, .05, .2]))
+    table = rng.normal(size=(12, heads)) * 10.0 ** rng.uniform(-2, 2, size=(12, heads))
+    table[rng.integers(0, 12, size=3), rng.integers(0, heads, size=3)] = 0.0
+    table[rng.integers(0, 12, size=3), rng.integers(0, heads, size=3)] = -0.0
+    rows = rng.integers(0, 12, size=(3, seg.size))
+    rows[:, 1] = rows[:, 0]   # two pairs with the same logits: a tie for the max
+    w = rng.normal(size=(seg.size, heads))
+    w[rng.integers(0, seg.size, size=4), rng.integers(0, heads, size=4)] = -0.0
+    return table, rows, seg, w
+
+
+@pytest.mark.parametrize("slope", [0.01, 0.2, -0.5, 1.5])
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("layout", PAIR_LAYOUTS)
+def test_pair_softmax_bit_identical_to_the_chain(layout, heads, slope):
+    table, rows, seg, w = pair_softmax_case(layout, heads)
+
+    def chain(t):
+        logits = T.gather_sum([t] * len(rows), rows)
+        return T.segment_softmax(T.leaky_relu(logits, slope), seg, 10)
+
+    def run(op):
+        t = Tensor(table.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = op(t)
+            tape.backward(upstream(out, w))
+        return out.data, t.grad
+
+    got = run(lambda t: T.pair_softmax(t, rows, seg, 10, slope))
+    for g, r in zip(got, run(chain)):
+        assert_same_bits(g, r)
+    if layout == "all-singleton":
+        assert np.array_equal(got[0], np.ones((seg.size, heads)))
+
+
+def test_pair_softmax_rejects_bad_inputs():
+    t = Tensor(np.ones((3, 2)))
+    with pytest.raises(ShapeError, match="pair_softmax: segment ids are not sorted"):
+        T.pair_softmax(t, [[0, 1, 2]], [0, 1, 0], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: index out of range"):
+        T.pair_softmax(t, [[0, 1], [3, 0]], [0, 1], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: index out of range"):
+        T.pair_softmax(t, [[0, -1]], [0, 1], 2)
+    with pytest.raises(ShapeError, match=r"pair_softmax: row arrays of lengths \[2, 1\]"):
+        T.pair_softmax(t, [[0, 1], [0]], [0, 1], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: row arrays of lengths"):
+        T.pair_softmax(t, [], [0, 1], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: segment id out of range"):
+        T.pair_softmax(t, [[0, 1]], [0, 2], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: need one segment id per row"):
+        T.pair_softmax(t, [[0, 1]], [0], 2)
+    with pytest.raises(ShapeError, match="pair_softmax: softmax over an empty set"):
+        T.pair_softmax(t, [[]], [], 2)
+
+
 def test_reshape_value_grad_and_shape_error():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     w = np.arange(1.0, 7.0).reshape(3, 2)
